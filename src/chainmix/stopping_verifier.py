@@ -34,7 +34,7 @@ import numpy as np
 from .config import DEFAULT
 from .errors import EnumerationBudgetError, TruncationError
 from .model_core import Alphabet, HMMModel, require_valid
-from .sim import RandomSource
+from .sim import DRAWS_PER_CHUNK, RandomSource, cdf_table, walk
 
 MASS_FLOOR = 1e-14   # conditioning events below this mass are skipped, not failed
 
@@ -681,27 +681,17 @@ def check_hitting_time_lemmas(m, spec: HittingTimeSpec, N: int | None = None,
 
 def _sample_joint_paths(jc: JointChain, length: int, count: int,
                         src: RandomSource) -> np.ndarray:
+    """``count`` paths of pair indices, advanced in lockstep; path ``i`` reads
+    row ``i`` of a row-major ``(count, length)`` block of ``src``'s uniforms."""
     gen = src.generator()
-    cum_init = np.cumsum(jc.init)
-    cum_rows = np.cumsum(jc.trans, axis=1).tolist()
+    P = jc.n_pairs
+    cum = cdf_table([*jc.trans, jc.init])           # row P draws the first pair
+    nxt = np.broadcast_to(np.arange(cum.shape[1]), cum.shape)
     out = np.empty((count, length), dtype=np.int64)
-    us = gen.random((count, length))
-    for i in range(count):
-        p = min(int(np.searchsorted(cum_init, us[i, 0], side="right")), jc.n_pairs - 1)
-        out[i, 0] = p
-        row = us[i]
-        for t in range(1, length):
-            cum = cum_rows[p]
-            u = row[t]
-            lo, hi = 0, len(cum) - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if cum[mid] > u:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            p = lo
-            out[i, t] = p
+    block = max(1, DRAWS_PER_CHUNK // length)
+    for lo in range(0, count, block):
+        us = gen.random((min(block, count - lo), length))
+        out[lo:lo + len(us)] = walk(cum, nxt, np.full(len(us), P), us)[0].T
     return out
 
 
@@ -713,6 +703,10 @@ def check_lemmas_mc(m, spec: HittingTimeSpec, samples: int, src: RandomSource,
     over ``samples`` simulated joint paths; an instance passes when the gap is
     within three combined binomial standard errors. Instances whose conditioning
     event never occurs are skipped with a count report.
+
+    Paths are sampled in lockstep (see :mod:`chainmix.sim`). Every frequency is
+    an integer count over its denominator, read from count tables of the pairs
+    at (and one step after) the first ``N`` occurrences.
     """
     if samples < 10_000:
         raise ValueError("Monte Carlo mode needs at least 10^4 samples")
@@ -724,93 +718,78 @@ def check_lemmas_mc(m, spec: HittingTimeSpec, samples: int, src: RandomSource,
     N = spec.occurrences if N is None else N
     paths = _sample_joint_paths(jc, horizon + 2, samples, src)
 
-    in_A = A[paths] > 0                      # (samples, length)
+    # occurrence k (1-based) is at the first t <= horizon where k target visits have happened
+    visits = np.cumsum((A > 0)[paths[:, :horizon + 1]], axis=1, dtype=np.int32)
+    done = [np.ones(samples, dtype=bool)]           # done[k]: k occurrences realized
     occ_pair = np.full((samples, N), -1, dtype=np.int64)
     shift_pair = np.full((samples, N), -1, dtype=np.int64)
-    complete_n = np.zeros((samples, N + 1), dtype=bool)
-    complete_n[:, 0] = True
-    for i in range(samples):
-        hits = np.flatnonzero(in_A[i][:horizon + 1])[:N]
-        for kk, t in enumerate(hits):
-            occ_pair[i, kk] = paths[i, t]
-            shift_pair[i, kk] = paths[i, t + 1]
-            complete_n[i, kk + 1] = True
-    residual = 1.0 - float(complete_n[:, N].mean())
+    for kk in range(N):
+        d = visits[:, -1] > kk
+        t = np.argmax(visits[d] > kk, axis=1)
+        occ_pair[d, kk] = paths[d, t]
+        shift_pair[d, kk] = paths[d, t + 1]
+        done.append(d)
+    full = done[N]
+    residual = 1.0 - int(full.sum()) / samples
 
-    K = jc.n_symbols
+    P, K, X = jc.n_pairs, jc.n_symbols, len(jc.hidden_states)
 
-    def match(pair_col, opt):
-        x, es = opt
-        xs = pair_col // K
-        ys = pair_col % K
-        return (xs == x) & np.isin(ys, list(es)) & (pair_col >= 0)
+    def table(pairs):
+        """Counts of the N-tuples of pairs over the paths that realize all N occurrences."""
+        idx = pairs[full] @ P ** np.arange(N - 1, -1, -1)    # row-major rank
+        return np.bincount(idx, minlength=P ** N).reshape((P,) * N)
+
+    occ_table, shift_table = table(occ_pair), table(shift_pair)
+    # shift_counts[n - 1][x, e]: pair one step after occurrence n, over paths realizing n
+    shift_counts = [np.bincount(shift_pair[done[n], n - 1], minlength=P).reshape(X, K)
+                    for n in range(1, N + 1)]
+
+    def count(tab, masks):
+        """Paths in ``tab`` whose k-th pair lies in ``masks[k]`` (None: any pair)."""
+        for mk in reversed(masks):
+            tab = tab.sum(axis=-1) if mk is None else tab @ mk
+        return int(tab)
+
+    def omask(x, es=None):
+        """Integer 0/1 mask of the pairs with hidden state ``x`` and a symbol in ``es``."""
+        return (jc.mask(hidden=x, symbols=es) > 0).astype(np.int64)
 
     def se(p, n):
         return max(np.sqrt(max(p * (1 - p), 0.0) / n), 1.0 / n)
 
-    results = []
-
-    # (1) generalized strong splitting on occurrence pairs
-    checked, skipped = [], []
-    if N >= 2:
-        opts = _pair_options(jc, A)
-        full = complete_n[:, N]
-        for cond in iter_product(opts, repeat=N - 1):
-            sel = full.copy()
-            for kk, o in enumerate(cond):
-                sel &= match(occ_pair[:, kk], o)
-            x_prev = cond[-1][0]
-            rsel = full & (occ_pair[:, N - 2] // K == x_prev)
-            cond_lab = " ".join(_opt_label(jc, o) for o in cond)
-            for tgt in opts:
-                hit = match(occ_pair[:, N - 1], tgt)
-                label = f"occ[{cond_lab}] -> {_opt_label(jc, tgt)}"
-                nl, nr = int(sel.sum()), int(rsel.sum())
-                if nl == 0 or nr == 0:
-                    skipped.append(f"{label} (den counts {nl}/{nr})")
-                    continue
-                l = float(hit[sel].mean())
-                r = float(hit[rsel].mean())
-                allowed = 3.0 * float(np.hypot(se(l, nl), se(r, nr)))
-                checked.append(InstanceCheck(label, l, r, abs(l - r), allowed))
-    results.append(LemmaCheckResult("generalized_strong_splitting", tuple(checked),
-                                    tuple(skipped), residual, float("nan")))
-
-    # (2) shifted variant, hidden-only conditioning as in the exact mode
-    checked, skipped = [], []
-    if N >= 2:
-        full_set = tuple(range(K))
-        cond_opts = [(x, full_set) for x in range(len(jc.hidden_states))]
-        tgt_opts = _pair_options(jc) + list(cond_opts)
-        done_all = complete_n[:, N]
-        for cond in iter_product(cond_opts, repeat=N - 1):
-            sel = done_all.copy()
-            for kk, o in enumerate(cond):
-                sel &= match(shift_pair[:, kk], o)
-            x_prev = cond[-1][0]
-            rsel = done_all & (shift_pair[:, N - 2] // K == x_prev)
+    def splitting(lemma, tab, tag, cond_opts, tgt_opts):
+        """P(N-th pair in tgt | earlier pairs in cond) against conditioning on
+        the hidden state of the (N-1)-th pair alone."""
+        checked, skipped = [], []
+        for cond in iter_product(cond_opts, repeat=N - 1) if N >= 2 else ():
+            sel = [omask(*o) for o in cond]
+            rsel = [None] * (N - 2) + [omask(cond[-1][0])]
+            nl, nr = count(tab, sel + [None]), count(tab, rsel + [None])
             cond_lab = " ".join(_opt_label(jc, o) for o in cond)
             for tgt in tgt_opts:
-                hit = match(shift_pair[:, N - 1], tgt)
-                label = f"shift[{cond_lab}] -> {_opt_label(jc, tgt)}"
-                nl, nr = int(sel.sum()), int(rsel.sum())
+                label = f"{tag}[{cond_lab}] -> {_opt_label(jc, tgt)}"
                 if nl == 0 or nr == 0:
                     skipped.append(f"{label} (den counts {nl}/{nr})")
                     continue
-                l = float(hit[sel].mean())
-                r = float(hit[rsel].mean())
+                l = count(tab, sel + [omask(*tgt)]) / nl
+                r = count(tab, rsel + [omask(*tgt)]) / nr
                 allowed = 3.0 * float(np.hypot(se(l, nl), se(r, nr)))
                 checked.append(InstanceCheck(label, l, r, abs(l - r), allowed))
-    results.append(LemmaCheckResult("shifted_strong_splitting", tuple(checked),
-                                    tuple(skipped), residual, float("nan")))
+        return lemma, checked, skipped
+
+    # (1) generalized strong splitting on occurrence pairs; (2) its shifted
+    # variant, with hidden-only conditioning as in the exact mode
+    opts = _pair_options(jc, A)
+    hidden_opts = [(x, tuple(range(K))) for x in range(X)]
+    results = [splitting("generalized_strong_splitting", occ_table, "occ", opts, opts),
+               splitting("shifted_strong_splitting", shift_table, "shift", hidden_opts,
+                         _pair_options(jc) + hidden_opts)]
 
     # (3) read-out at stopping times
     checked, skipped = [], []
     for n in range(1, N + 1):
-        done_n = complete_n[:, n]
-        for x2 in range(len(jc.hidden_states)):
-            sel = done_n & (shift_pair[:, n - 1] // K == x2)
-            nl = int(sel.sum())
+        for x2 in range(X):
+            nl = int(shift_counts[n - 1][x2].sum())
             for e in range(K):
                 f_val = float(m.readout[x2, e])
                 label = (f"tau={n} P(Y_(tau+1)={jc.alphabet.emittable[e]} | "
@@ -818,47 +797,36 @@ def check_lemmas_mc(m, spec: HittingTimeSpec, samples: int, src: RandomSource,
                 if nl == 0:
                     skipped.append(f"{label} (den count 0)")
                     continue
-                l = float((shift_pair[sel, n - 1] % K == e).mean())
+                l = int(shift_counts[n - 1][x2, e]) / nl
                 allowed = 3.0 * se(f_val, nl)
                 checked.append(InstanceCheck(label, l, f_val, abs(l - f_val), allowed))
-    results.append(LemmaCheckResult("readout_at_stopping_time", tuple(checked),
-                                    tuple(skipped), residual, float("nan")))
+    results.append(("readout_at_stopping_time", checked, skipped))
 
     # (4) conditional independence product
     checked, skipped = [], []
-    opts = _pair_options(jc)
-    full = complete_n[:, N]
-    for combo in iter_product(opts, repeat=N):
-        sel = full.copy()
-        hit = full.copy()
-        for kk, o in enumerate(combo):
-            sel &= full & (shift_pair[:, kk] // K == o[0])
-            hit &= match(shift_pair[:, kk], o)
+    for combo in iter_product(_pair_options(jc), repeat=N):
         label = "prod[" + " ".join(_opt_label(jc, o) for o in combo) + "]"
-        nl = int(sel.sum())
+        nl = count(shift_table, [omask(o[0]) for o in combo])
         if nl == 0:
             skipped.append(f"{label} (den count 0)")
             continue
-        l = float(hit[sel].mean())
+        l = count(shift_table, [omask(*o) for o in combo]) / nl
         rhs, var_sum = 1.0, 0.0
-        ok = True
         for kk, o in enumerate(combo):
-            dsel = complete_n[:, kk + 1] & (shift_pair[:, kk] // K == o[0])
-            nd = int(dsel.sum())
+            counts = shift_counts[kk].ravel()
+            nd = int(counts @ omask(o[0]))
             if nd == 0:
-                ok = False
+                skipped.append(f"{label} (a factor's den count is 0)")
                 break
-            f = float(match(shift_pair[:, kk], o)[dsel].mean())
+            f = int(counts @ omask(*o)) / nd
             rhs *= f
             var_sum += se(f, nd) ** 2
-        if not ok:
-            skipped.append(f"{label} (a factor's den count is 0)")
-            continue
-        allowed = 3.0 * float(np.sqrt(se(l, nl) ** 2 + var_sum))
-        checked.append(InstanceCheck(label, l, rhs, abs(l - rhs), allowed))
-    results.append(LemmaCheckResult("conditional_independence_product", tuple(checked),
-                                    tuple(skipped), residual, float("nan")))
-    return tuple(results)
+        else:
+            allowed = 3.0 * float(np.sqrt(se(l, nl) ** 2 + var_sum))
+            checked.append(InstanceCheck(label, l, rhs, abs(l - rhs), allowed))
+    results.append(("conditional_independence_product", checked, skipped))
+    return tuple(LemmaCheckResult(lemma, tuple(c), tuple(s), residual, float("nan"))
+                 for lemma, c, s in results)
 
 
 # ---------------------------------------------------------------------------

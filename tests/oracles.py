@@ -3,8 +3,11 @@
 Everything here evaluates the defining sums directly by enumerating strings,
 hidden paths, or cell paths with itertools -- no forward recursions, no closed
 forms -- so the oracles share no code path with the implementations they check.
+The reference samplers draw one trajectory at a time with scalar binary
+searches, in the documented draw order the lockstep samplers must reproduce.
 """
 
+from bisect import bisect_right
 from itertools import product
 
 import numpy as np
@@ -125,3 +128,88 @@ def cesaro_by_halving(P, n):
     for _ in range(n):
         A = 0.5 * (A + A @ P)
     return A
+
+
+# ---------------------------------------------------------------------------
+# Reference draw order: one trajectory at a time, one scalar lookup per draw
+
+
+def _pick(cum, u):
+    return min(bisect_right(cum, u), len(cum) - 1)
+
+
+def _cumrows(rows):
+    return np.cumsum(rows, axis=1).tolist()
+
+
+def reference_sample(m, length, src, trace_hidden=False):
+    """(symbols, hidden or None) of one trajectory on ``src``'s stream.
+
+    Mixtures: one uniform picks the component, then one per drawn symbol (all
+    ``length`` for i.i.d. mixtures, ``length - 1`` after ``y0`` otherwise).
+    HMMs: ``2 * length`` uniforms, hidden state then symbol at each time.
+    """
+    from chainmix.model_core import (HMMModel, IIDMixtureModel, MarkovMixtureModel,
+                                     PartitionedKernelMixture)
+
+    gen = src.generator()
+    em = m.alphabet.emittable
+    if isinstance(m, HMMModel):
+        cum_p, cum_f = _cumrows(m.P.rows), _cumrows(m.readout)
+        us = gen.random(2 * length)
+        x = _pick(np.cumsum(m.pi.weights).tolist(), us[0])
+        xs, ys = [x], [_pick(cum_f[x], us[1])]
+        for t in range(1, length):
+            x = _pick(cum_p[x], us[2 * t])
+            xs.append(x)
+            ys.append(_pick(cum_f[x], us[2 * t + 1]))
+        hidden = tuple(m.hidden_states[x] for x in xs) if trace_hidden else None
+        return tuple(em[y] for y in ys), hidden
+    h = _pick(np.cumsum(m.weights.weights).tolist(), gen.random())
+    if isinstance(m, IIDMixtureModel):
+        cum = np.cumsum(m.components[h].weights)
+        idx = np.minimum(np.searchsorted(cum, gen.random(length), side="right"), cum.size - 1)
+        return tuple(em[i] for i in idx), None
+    if isinstance(m, MarkovMixtureModel):
+        cum = _cumrows(m.components[h].rows)
+        cur = m.alphabet.emit_index(m.y0)
+        out = [m.y0]
+        for u in gen.random(length - 1):
+            cur = _pick(cum[cur], u)
+            out.append(em[cur])
+        return tuple(out), None
+    assert isinstance(m, PartitionedKernelMixture)
+    cum = _cumrows(m.kernels[h])
+    cells = m.cell_index_array.tolist()
+    j = m.partition.cell_index_of(m.y0)
+    out = [m.y0]
+    for u in gen.random(length - 1):
+        nxt = _pick(cum[j - 1], u)
+        out.append(em[nxt])
+        j = cells[nxt]
+    return tuple(out), None
+
+
+def reference_joint_paths(jc, length, count, src):
+    """Pair-index paths of a joint chain; path i reads row i of one
+    ``(count, length)`` block of uniforms from ``src``'s stream."""
+    gen = src.generator()
+    cum_init = np.cumsum(jc.init)
+    cum_rows = _cumrows(jc.trans)
+    out = np.empty((count, length), dtype=np.int64)
+    us = gen.random((count, length))
+    for i in range(count):
+        p = min(int(np.searchsorted(cum_init, us[i, 0], side="right")), jc.n_pairs - 1)
+        out[i, 0] = p
+        for t in range(1, length):
+            cum = cum_rows[p]
+            lo, hi = 0, len(cum) - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if cum[mid] > us[i, t]:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            p = lo
+            out[i, t] = p
+    return out

@@ -1,8 +1,13 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import random_hmm, random_markov_mixture, rng
+from conftest import SYMBOLS, random_hmm, random_iid_mixture, random_markov_mixture, rng
+from oracles import reference_joint_paths, reference_sample
+from chainmix import fixtures, sim, stopping_verifier
 from chainmix.errors import InvalidModelError
 from chainmix.exact_law import total_variation
 from chainmix.model_core import (
@@ -10,10 +15,15 @@ from chainmix.model_core import (
     Distribution,
     HMMModel,
     IIDMixtureModel,
+    MarkovMixtureModel,
+    Partition,
+    PartitionedKernelMixture,
     StochasticMatrix,
     hmm_law,
+    validate_model,
 )
 from chainmix.sim import RandomSource, Trajectory, empirical_law, sample, sample_many
+from chainmix.stopping_verifier import JointChain, _sample_joint_paths
 
 
 def one_state_emitter():
@@ -147,3 +157,160 @@ def test_stream_derivation_gives_distinct_draws():
     a = src.derive(0).generator().random(4)
     b = src.derive(1).generator().random(4)
     assert not np.allclose(a, b)
+
+
+def test_derive_rejects_stream_reuse():
+    src = RandomSource(5)
+    assert src.derive(2 ** 20 - 1).stream == 2 ** 20
+    assert RandomSource(5, 3).derive(7).stream == 3 * 2 ** 20 + 8
+    with pytest.raises(ValueError):
+        src.derive(2 ** 20)            # would be RandomSource(5, 1).derive(0)
+    with pytest.raises(ValueError):
+        src.derive(-1)                 # would be src's own stream
+    deep = RandomSource(5, 2 ** 44 - 1)
+    assert deep.derive(2 ** 20 - 2).stream == 2 ** 64 - 1
+    with pytest.raises(ValueError):
+        deep.derive(2 ** 20 - 1)       # child id 2**64 would wrap to stream 0
+
+
+# ---------------------------------------------------------------------------
+# Lockstep samplers against the one-at-a-time reference draw order
+
+_REAL_GENERATOR = RandomSource.generator
+EDGES = np.array([0.0, 0.25, 0.5, 0.75, 1 - 2 ** -53])
+
+
+class EdgeGenerator:
+    """Philox uniforms of the source, with those below 0.2 mapped to edge values:
+    0, exact quarters (ties with running sums of quarters) and the largest
+    double below 1 (reaches the clamp when a row sums to less than 1). The map
+    acts on each draw alone, so split calls still equal one call."""
+
+    def __init__(self, src):
+        self._gen = _REAL_GENERATOR(src)
+
+    def random(self, size=None):
+        u = np.asarray(self._gen.random(size))
+        k = (u * 25).astype(np.intp)
+        out = np.where(k < EDGES.size, EDGES[np.minimum(k, EDGES.size - 1)], u)
+        return out if size is not None else float(out)
+
+
+def edge_draws(src):
+    """Stands in for ``RandomSource.generator``."""
+    return EdgeGenerator(src)
+
+
+# LOCKSTEP_PER_COLUMN values that send every batch to the lockstep or the scalar path
+PATHS = st.sampled_from([0, 10 ** 9])
+
+
+@contextlib.contextmanager
+def edge_draws_and_small_chunks(per_column):
+    """Edge-valued uniforms, blocks and chunks small enough that the tests'
+    counts and lengths cross their boundaries, and the walk path fixed by
+    ``per_column``."""
+    with mock.patch.object(RandomSource, "generator", edge_draws), \
+            mock.patch.multiple(sim, STREAMS_PER_BLOCK=2, DRAWS_PER_CHUNK=3,
+                                LOCKSTEP_PER_COLUMN=per_column), \
+            mock.patch.object(stopping_verifier, "DRAWS_PER_CHUNK", 5):
+        yield
+
+
+@st.composite
+def dists(draw, k, positive=False):
+    """Distributions over k outcomes on a grid of quarters and fifths, with zeros."""
+    w = np.array(draw(st.lists(st.integers(1 if positive else 0, 4), min_size=k, max_size=k)))
+    assume(w.sum() > 0)
+    return w / w.sum()
+
+
+@st.composite
+def models(draw, kinds=("iid", "markov", "partitioned", "hmm")):
+    kind = draw(st.sampled_from(kinds))
+    k = draw(st.integers(1, 4))
+    alphabet = Alphabet.of(SYMBOLS[:k])
+    h = draw(st.integers(1, 3))
+    weights = Distribution(draw(dists(h, positive=True)))
+    if kind == "iid":
+        m = IIDMixtureModel(alphabet, weights, tuple(Distribution(draw(dists(k)))
+                                                     for _ in range(h)))
+    elif kind == "markov":
+        comps = tuple(StochasticMatrix(np.array([draw(dists(k)) for _ in range(k)]),
+                                       alphabet.emittable) for _ in range(h))
+        m = MarkovMixtureModel(alphabet, draw(st.sampled_from(SYMBOLS[:k])), weights, comps)
+    elif kind == "partitioned":
+        cut = draw(st.integers(1, k))
+        cells = (tuple(SYMBOLS[:cut]),) + ((tuple(SYMBOLS[cut:k]),) if cut < k else ())
+        kernels = np.array([[draw(dists(k)) for _ in cells] for _ in range(h)])
+        m = PartitionedKernelMixture(alphabet, Partition(cells), weights, kernels,
+                                     draw(st.sampled_from(cells[0])))
+    else:
+        x = draw(st.integers(1, 3))
+        hidden = tuple(f"s{i}" for i in range(x))
+        m = HMMModel(hidden, alphabet, Distribution(draw(dists(x))),
+                     StochasticMatrix(np.array([draw(dists(x)) for _ in range(x)]), hidden),
+                     np.array([draw(dists(k)) for _ in range(x)]))
+    assume(not validate_model(m))
+    return m
+
+
+@given(models(), st.integers(1, 7), st.integers(0, 5), st.integers(0, 2 ** 32),
+       st.booleans(), PATHS)
+@settings(max_examples=300, deadline=None)
+@example(fixtures.two_state_noisy(), 1, 0, 7, True, 0)
+@example(fixtures.two_cell_partitioned_mixture(), 2, 1, 7, False, 10 ** 9)
+def test_lockstep_sampler_matches_reference(model, length, count, seed, trace, per_column):
+    trace = trace and isinstance(model, HMMModel)
+    src = RandomSource(seed, 3)
+    with edge_draws_and_small_chunks(per_column):
+        many = sample_many(model, length, count, src, trace)
+        ref = [reference_sample(model, length, src.derive(i), trace) for i in range(count)]
+        one = sample(model, length, src, trace)
+        one_ref = reference_sample(model, length, src, trace)
+    assert [(t.symbols, t.hidden, t.source) for t in many] == \
+        [(s, h, src.derive(i)) for i, (s, h) in enumerate(ref)]
+    assert (one.symbols, one.hidden, one.source) == (*one_ref, src)
+
+
+@given(models(kinds=("hmm",)), st.integers(1, 6),
+       st.integers(1, 12), st.integers(0, 2 ** 32), PATHS)
+@settings(max_examples=100, deadline=None)
+def test_lockstep_joint_paths_match_reference(model, length, count, seed, per_column):
+    jc = JointChain.from_hmm(model)
+    with edge_draws_and_small_chunks(per_column):
+        got = _sample_joint_paths(jc, length, count, RandomSource(seed))
+        ref = reference_joint_paths(jc, length, count, RandomSource(seed))
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("per_column", [0, 10 ** 9])
+def test_row_summing_below_one_clamps_to_last_symbol(per_column):
+    # read-out rows, narrower than the rows of P, whose running sums end below 1
+    f = np.tile(np.array([1, 4, 1]) / 6, (4, 1))
+    hidden = ("s0", "s1", "s2", "s3")
+    m = HMMModel(hidden, Alphabet.of(["a", "b", "c"]), Distribution(np.full(4, 0.25)),
+                 StochasticMatrix(np.full((4, 4), 0.25), hidden), f)
+    assert np.cumsum(f[0])[-1] == 1 - 2 ** -53
+    with mock.patch.object(RandomSource, "generator", edge_draws), \
+            mock.patch.object(sim, "LOCKSTEP_PER_COLUMN", per_column):
+        t = sample(m, 400, RandomSource(4))
+        assert (t.symbols, None) == reference_sample(m, 400, RandomSource(4))
+        u = EdgeGenerator(RandomSource(4)).random(800)[1::2]    # the symbol draws
+    assert (u == 1 - 2 ** -53).any()
+    assert all(s == "c" for s, x in zip(t.symbols, u) if x == 1 - 2 ** -53)
+
+
+@pytest.mark.parametrize("length, count, per_column", [
+    (3, sim.STREAMS_PER_BLOCK + 5, sim.LOCKSTEP_PER_COLUMN),
+    (20_000, 2, sim.LOCKSTEP_PER_COLUMN),      # few automata: the scalar path
+    (20_000, 2, 0),
+])
+def test_lockstep_matches_reference_beyond_block_and_chunk(length, count, per_column):
+    src = RandomSource(12)
+    for m in (random_iid_mixture(rng(2)), random_markov_mixture(rng(3)), random_hmm(rng(4))):
+        trace = isinstance(m, HMMModel)
+        with mock.patch.object(sim, "LOCKSTEP_PER_COLUMN", per_column):
+            got = sample_many(m, length, count, src, trace)
+        for i, t in enumerate(got):
+            assert (t.symbols, t.hidden) == reference_sample(m, length, src.derive(i), trace)
