@@ -124,8 +124,8 @@ def cmd_law(args, cfg: RunConfig) -> int:
         _emit_json({"length": law.length,
                     "entries": [[list(s), p] for s, p in law.entries()]})
     else:
-        for s, p in law.entries():
-            print(" ".join(s), _fmt(p))
+        for labels, probs in law.label_blocks():
+            sys.stdout.write("".join(f"{' '.join(s)} {p:.17g}\n" for s, p in zip(labels, probs)))
     return 0
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LawMismatchError
-from .model_core import FiniteLaw
+from .model_core import FiniteLaw, rank_digits, rank_table
 
 
 def _require_comparable(a: FiniteLaw, b: FiniteLaw) -> None:
@@ -48,7 +48,7 @@ def laws_equal(a: FiniteLaw, b: FiniteLaw, tol: float) -> LawComparison:
     if a.dense is not None and b.dense is not None:
         gaps = np.abs(a.dense - b.dense)
         i = int(np.argmax(gaps))
-        worst = a.labels_of(_unrank_like(a, i))
+        worst = a.labels_of(rank_digits([i], a.alphabet.size, a.length)[0])
         max_gap = float(gaps[i])
     else:
         na, nb = a.nonzero(), b.nonzero()
@@ -60,15 +60,6 @@ def laws_equal(a: FiniteLaw, b: FiniteLaw, tol: float) -> LawComparison:
         worst = a.labels_of(worst_idx) if worst_idx is not None else None
     equal = max_gap <= tol
     return LawComparison(equal, max_gap, None if equal else worst, tol)
-
-
-def _unrank_like(law: FiniteLaw, flat_index: int) -> tuple:
-    k = law.alphabet.size
-    out = [0] * law.length
-    for pos in range(law.length - 1, -1, -1):
-        out[pos] = flat_index % k
-        flat_index //= k
-    return tuple(out)
 
 
 def marginalize_last(a: FiniteLaw) -> FiniteLaw:
@@ -112,6 +103,9 @@ def condition_on_first(a: FiniteLaw, symbol: str) -> FiniteLaw:
 
 def lift_with_prefix(a: FiniteLaw, symbol: str) -> FiniteLaw:
     """Prepend a deterministic symbol, turning a ``Y_1..Y_N`` law into ``Y_0..Y_N``."""
-    e = a.alphabet.emit_index(symbol)
-    return FiniteLaw(a.alphabet, a.length + 1,
-                     sparse={(e, *idx): p for idx, p in a.nonzero().items()})
+    e, k, n = a.alphabet.emit_index(symbol), a.alphabet.size, a.length
+    if a.sparse is not None:
+        return FiniteLaw(a.alphabet, n + 1, sparse={(e, *s): p for s, p in a.sparse.items()})
+    ranks = np.flatnonzero(a.dense)
+    return FiniteLaw(a.alphabet, n + 1,
+                     sparse=rank_table(ranks + e * k ** n, a.dense[ranks], k, n + 1))

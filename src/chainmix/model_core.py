@@ -34,6 +34,7 @@ DELTA = "@del"            # reserved fictitious symbol, always alphabet index 0
 SUM_TOL = 1e-12           # distribution / stochastic-row sum tolerance
 LAW_SUM_TOL = 1e-9        # enumeration rounding budget for law tables
 SPARSE_FRACTION = 0.25    # tables with fewer nonzeros than this fraction go sparse
+BLOCK = 4096              # ranks decoded at a time: bounds the codec's scratch arrays
 
 
 def _frozen(a, ndim):
@@ -247,9 +248,11 @@ class PartitionedKernelMixture:
 class FiniteLaw:
     """Exact probability table over all strings of a fixed length.
 
-    Stored densely as a flat row-major array (first symbol most significant) or
-    sparsely as a dict from emit-index tuples to probabilities when the table
-    has few nonzeros. ``length`` is the number of symbols per string.
+    Stored densely as a flat array indexed by rank (row-major, first symbol most
+    significant, see :func:`rank_digits`) or, when the table has few nonzeros,
+    sparsely as a dict from emit-index (digit) tuples of Python ints to
+    probabilities. Dicts built from ranks are filled in ascending rank, which is
+    alphabet order. ``length`` is the number of symbols per string.
     """
 
     alphabet: Alphabet
@@ -262,9 +265,8 @@ class FiniteLaw:
         flat = np.asarray(flat, dtype=float)
         nonzero = np.flatnonzero(flat)
         if nonzero.size < SPARSE_FRACTION * flat.size:
-            k = alphabet.size
-            table = {_unrank(int(i), k, length): float(flat[i]) for i in nonzero}
-            return cls(alphabet, length, sparse=table)
+            return cls(alphabet, length,
+                       sparse=rank_table(nonzero, flat[nonzero], alphabet.size, length))
         flat = flat.copy()
         flat.setflags(write=False)
         return cls(alphabet, length, dense=flat)
@@ -290,23 +292,22 @@ class FiniteLaw:
             raise ValueError(f"string has length {len(idx)}, law has length {self.length}")
         if self.sparse is not None:
             return self.sparse.get(idx, 0.0)
-        return float(self.dense[_rank(idx, self.alphabet.size)])
+        return float(self.dense.reshape((self.alphabet.size,) * self.length)[idx])
 
     def nonzero(self) -> dict:
         """Nonzero entries as ``{emit-index tuple: probability}``."""
         if self.sparse is not None:
             return dict(self.sparse)
-        k = self.alphabet.size
-        return {_unrank(int(i), k, self.length): float(self.dense[i])
-                for i in np.flatnonzero(self.dense)}
+        ranks = np.flatnonzero(self.dense)
+        return rank_table(ranks, self.dense[ranks], self.alphabet.size, self.length)
 
     def to_flat(self) -> np.ndarray:
         if self.dense is not None:
             return np.asarray(self.dense)
         k = self.alphabet.size
         flat = np.zeros(k ** self.length)
-        for idx, p in self.sparse.items():
-            flat[_rank(idx, k)] = p
+        digits = np.array(list(self.sparse), dtype=np.int64).reshape(-1, self.length)
+        flat[digits @ k ** np.arange(self.length - 1, -1, -1)] = list(self.sparse.values())
         return flat
 
     def total(self) -> float:
@@ -318,26 +319,42 @@ class FiniteLaw:
         em = self.alphabet.emittable
         return tuple(em[i] for i in idx)
 
+    def label_blocks(self):
+        """Yield ``(label tuples, probabilities)`` of the nonzero entries in alphabet order,
+        ``BLOCK`` at a time. Sparse keys are sorted, never ranked: ranks may exceed int64."""
+        em = np.array(self.alphabet.emittable, dtype=object)
+        keys = np.flatnonzero(self.dense) if self.sparse is None else sorted(self.sparse)
+        for i in range(0, len(keys), BLOCK):
+            block = keys[i:i + BLOCK]
+            if self.sparse is None:
+                digits = rank_digits(block, self.alphabet.size, self.length)
+                yield zip(*em[digits].T.tolist()), self.dense[block].tolist()
+            else:
+                yield zip(*em[np.array(block)].T.tolist()), [self.sparse[s] for s in block]
+
     def entries(self):
-        """Yield ``(label tuple, probability)`` for nonzero entries in alphabet order."""
-        nz = self.nonzero()
-        for idx in sorted(nz):
-            yield self.labels_of(idx), nz[idx]
+        """Yield ``(label tuple, probability)`` for nonzero entries in alphabet order
+        (ascending rank), decoded ``BLOCK`` (4096) entries at a time."""
+        for labels, probs in self.label_blocks():
+            yield from zip(labels, probs)
 
 
-def _rank(idx, k) -> int:
-    r = 0
-    for i in idx:
-        r = r * k + i
-    return r
+def rank_digits(ranks, k: int, length: int) -> np.ndarray:
+    """``(n, length)`` matrix of the base-``k`` digits of int64 ``ranks``, most
+    significant first: the emit-index strings at those flat indices of a table."""
+    digits = np.asarray(ranks, dtype=np.int64)[:, None] // k ** np.arange(length - 1, -1, -1)
+    digits %= k
+    return digits
 
 
-def _unrank(r, k, length) -> tuple:
-    out = [0] * length
-    for pos in range(length - 1, -1, -1):
-        out[pos] = r % k
-        r //= k
-    return tuple(out)
+def rank_table(ranks: np.ndarray, probs: np.ndarray, k: int, length: int) -> dict:
+    """``{emit-index tuple: probability}`` keyed in the order of ``ranks``, ``BLOCK`` at a
+    time. Zipping digit columns makes the key tuples without a list per row."""
+    table = {}
+    for i in range(0, len(ranks), BLOCK):
+        columns = rank_digits(ranks[i:i + BLOCK], k, length).T.tolist()
+        table.update(zip(zip(*columns), probs[i:i + BLOCK].tolist()))
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,12 @@ class RandomSource:
     seed: int
     stream: int = 0
 
+    def __post_init__(self):
+        if not (0 <= self.seed < 2 ** 64 and 0 <= self.stream < 2 ** 64):
+            raise ValueError(f"seed {self.seed} and stream {self.stream} must lie in [0, 2**64)")
+
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed % 2 ** 64, self.stream % 2 ** 64], dtype=np.uint64)
+        key = np.array([self.seed, self.stream], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
     def derive(self, k: int) -> "RandomSource":
@@ -59,11 +63,9 @@ class RandomSource:
         The child stream id is ``stream * 2**20 + k + 1``; a ``k`` out of range or
         a child id reaching ``2**64`` would reuse another stream and raises ValueError.
         """
-        child = self.stream * 0x100000 + k + 1
-        if not 0 <= k < 0x100000 or child >= 2 ** 64:
-            raise ValueError(f"substream {k} of stream {self.stream} would reuse another "
-                             "stream (k must be in [0, 2**20), the child id below 2**64)")
-        return RandomSource(self.seed, child)
+        if not 0 <= k < 0x100000:
+            raise ValueError(f"substream {k} is outside [0, 2**20) and would reuse another stream")
+        return RandomSource(self.seed, self.stream * 0x100000 + k + 1)
 
 
 @dataclass(frozen=True)

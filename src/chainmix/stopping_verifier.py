@@ -716,6 +716,8 @@ def check_lemmas_mc(m, spec: HittingTimeSpec, samples: int, src: RandomSource,
     jc = JointChain.from_hmm(m)
     A = spec.mask(jc)
     N = spec.occurrences if N is None else N
+    if N < 1:
+        raise ValueError("need at least one occurrence")
     paths = _sample_joint_paths(jc, horizon + 2, samples, src)
 
     # occurrence k (1-based) is at the first t <= horizon where k target visits have happened

@@ -213,3 +213,35 @@ def reference_joint_paths(jc, length, count, src):
             p = lo
             out[i, t] = p
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference rank <-> digit conversion: one table entry at a time
+
+
+def reference_unrank(r, k, length):
+    """Emit-index tuple of flat index ``r``, first symbol most significant."""
+    out = [0] * length
+    for pos in range(length - 1, -1, -1):
+        out[pos] = r % k
+        r //= k
+    return tuple(out)
+
+
+def reference_rank_table(flat, k, length):
+    """``{emit-index tuple: probability}`` of a flat table's nonzeros, ascending index."""
+    return {reference_unrank(int(i), k, length): float(flat[i]) for i in np.flatnonzero(flat)}
+
+
+def reference_nonzero(law):
+    if law.sparse is not None:
+        return dict(law.sparse)
+    return reference_rank_table(law.dense, law.alphabet.size, law.length)
+
+
+def reference_entries(law):
+    """``(label tuple, probability)`` of the nonzero entries, sorted by emit-index tuple."""
+    em = law.alphabet.emittable
+    nz = reference_nonzero(law)
+    for idx in sorted(nz):
+        yield tuple(em[i] for i in idx), nz[idx]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,3 +280,20 @@ def test_config_flows_through(mix_file, tmp_path, capsys):
                          "--config", str(cfg))
     assert status == 2
     assert "budget" in err
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--stream"])
+def test_simulate_rejects_negative_seed_or_stream(mix_file, flag, capsys):
+    status, out, err = run(capsys, "simulate", mix_file, "--length", "5", "--count", "2",
+                           flag, "-1")
+    assert status == 2
+    assert out == "" and "[0, 2**64)" in err
+
+
+@pytest.mark.parametrize("mode", [["--mc"], []])
+def test_verify_lemmas_needs_an_occurrence(mode, capsys):
+    model = Path(__file__).resolve().parent.parent / "models" / "noisy_hmm.json"
+    status, out, err = run(capsys, "verify-lemmas", "--model", str(model), "--lemma", "hitting",
+                           "--occurrences", "0", *mode)
+    assert status == 2
+    assert out == "" and "need at least one occurrence" in err

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,8 @@ from conftest import (
     rng,
 )
 from chainmix.errors import EnumerationBudgetError
-from chainmix.exact_law import laws_equal, marginalize_last
+from chainmix import model_core
+from chainmix.exact_law import laws_equal, lift_with_prefix, marginalize_last
 from chainmix.model_core import (
     Alphabet,
     Distribution,
@@ -316,3 +319,53 @@ def test_finite_law_sparse_dense_agree():
     assert dict(sparse.entries()) == dict(dense.entries())
     # a half-full table stays dense
     assert FiniteLaw.from_flat(ab(), 3, np.full(8, 0.125)).dense is not None
+
+
+def _ordered_items(table):
+    """Items in insertion order, with the exact types of keys, digits and values."""
+    return [(tuple((type(i), i) for i in k), type(p), p) for k, p in table.items()]
+
+
+@given(st.integers(1, 6), st.integers(1, 9), st.sampled_from([0.0, 0.05, 0.2, 0.3, 1.0]),
+       st.sampled_from([1, 3, model_core.BLOCK]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_codec_matches_per_entry_reference(k, length, live, block, seed):
+    # tables of at most 6**4 entries; live shares on both sides of SPARSE_FRACTION
+    while k ** length > 6 ** 4:
+        length -= 1
+    r = rng(seed)
+    flat = np.where(r.random(k ** length) < live, r.random(k ** length), 0.0)
+    alphabet = Alphabet.of([f"s{i}" for i in range(k)])
+    with mock.patch.object(model_core, "BLOCK", block):
+        law = FiniteLaw.from_flat(alphabet, length, flat)
+        expected = oracles.reference_rank_table(flat, k, length)
+        if law.sparse is not None:
+            assert _ordered_items(law.sparse) == _ordered_items(expected)
+        forms = [law, FiniteLaw(alphabet, length, dense=flat),
+                 FiniteLaw(alphabet, length, sparse=dict(reversed(expected.items())))]
+        for f in forms:
+            assert _ordered_items(f.nonzero()) == _ordered_items(oracles.reference_nonzero(f))
+            assert list(f.entries()) == list(oracles.reference_entries(f))
+            assert np.array_equal(f.to_flat(), flat)
+            lifted = lift_with_prefix(f, alphabet.emittable[-1])
+            assert _ordered_items(lifted.sparse) == _ordered_items(
+                {(k - 1, *idx): p for idx, p in oracles.reference_nonzero(f).items()})
+        other = FiniteLaw(alphabet, length, dense=r.random(k ** length))
+        i = int(np.argmax(np.abs(flat - other.dense)))
+        em = alphabet.emittable
+        assert laws_equal(forms[1], other, -1.0).worst_string == tuple(
+            em[d] for d in oracles.reference_unrank(i, k, length))
+
+
+def test_sparse_law_beyond_int64_ranks():
+    # 3**45 > 2**63: a sparse law this long is ordered and printed without ranks
+    alphabet = Alphabet.of(["a", "b", "c"])
+    strings = [tuple("abc"[(i * j) % 3] for j in range(45)) for i in (2, 0, 1)]
+    law = FiniteLaw.from_probs(alphabet, 45, dict(zip(strings, [0.5, 0.25, 0.25])))
+    assert 3 ** 45 > 2 ** 63
+    assert list(law.entries()) == list(oracles.reference_entries(law))
+    assert [s for s, _ in law.entries()] == sorted(strings)
+    assert _ordered_items(law.nonzero()) == _ordered_items(oracles.reference_nonzero(law))
+    lifted = lift_with_prefix(law, "c")
+    assert lifted.prob(("c", *strings[0])) == 0.5 and lifted.length == 46
+    assert laws_equal(law, law, 0.0).equal

@@ -159,6 +159,14 @@ def test_stream_derivation_gives_distinct_draws():
     assert not np.allclose(a, b)
 
 
+@pytest.mark.parametrize("seed, stream", [(5, -1), (-1, 0), (2 ** 64, 0), (0, 2 ** 64)])
+def test_random_source_rejects_keys_outside_64_bits(seed, stream):
+    # Philox keys are two uint64 words; reducing mod 2**64 would alias another key
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        RandomSource(seed, stream)
+    RandomSource(2 ** 64 - 1, 2 ** 64 - 1).generator().random()
+
+
 def test_derive_rejects_stream_reuse():
     src = RandomSource(5)
     assert src.derive(2 ** 20 - 1).stream == 2 ** 20
