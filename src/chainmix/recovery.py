@@ -37,11 +37,24 @@ MIN_TEST_LENGTH = 20
 # Law-of-large-numbers estimation
 
 
+def _check_min_count(min_count: int | None) -> int:
+    min_count = DEFAULT.min_row_count if min_count is None else min_count
+    if min_count < 1:
+        raise ValueError("min_count must be >= 1")
+    return min_count
+
+
+def _normalized_histogram(row, alphabet: Alphabet) -> np.ndarray:
+    """Symbol frequencies of a non-empty row; exact integer counts, one rounding."""
+    hist = np.array([row.count(s) for s in alphabet.emittable], dtype=float)
+    return hist / hist.sum()
+
+
 def lln_row_estimate(t: Trajectory, row_key: str, alphabet: Alphabet | None = None,
                      min_count: int | None = None) -> Distribution:
     """Empirical distribution of successors-row ``row_key``: the normalized
     histogram of the symbols following each visit."""
-    min_count = DEFAULT.min_row_count if min_count is None else min_count
+    min_count = _check_min_count(min_count)
     if alphabet is None:
         alphabet = Alphabet.of(sorted(set(t.symbols)))
     row = extract(t, alphabet).rows.get(row_key, ())
@@ -49,10 +62,7 @@ def lln_row_estimate(t: Trajectory, row_key: str, alphabet: Alphabet | None = No
         raise InsufficientVisitsError(
             f"row {row_key!r} has {len(row)} visits; minimum is {min_count}"
         )
-    counts = np.zeros(alphabet.size)
-    for s in row:
-        counts[alphabet.emit_index(s)] += 1
-    return Distribution(counts / counts.sum())
+    return Distribution(_normalized_histogram(row, alphabet))
 
 
 @dataclass(frozen=True)
@@ -92,66 +102,46 @@ def lln_recover(trajectories, cluster_tol: float | None = None,
 
     Per trajectory, each sufficiently visited successors row yields a row
     estimate; matrices are merged by single linkage whenever their worst common
-    row disagrees by at most ``cluster_tol`` in total variation. Support points
-    are entrywise means of member rows (renormalized); weights are cluster
-    frequencies.
+    row disagrees by at most ``cluster_tol`` in total variation; the distances
+    from each trajectory to all later ones are taken in one vectorised step,
+    each the same float as a pairwise comparison. Support points are entrywise
+    means of member rows (renormalized); weights are cluster frequencies.
     """
     cluster_tol = DEFAULT.cluster_tol if cluster_tol is None else cluster_tol
-    min_count = DEFAULT.min_row_count if min_count is None else min_count
+    min_count = _check_min_count(min_count)
     trajectories = list(trajectories)
     if not trajectories:
         raise InsufficientDataError("no trajectories given")
     if alphabet is None:
-        alphabet = Alphabet.of(sorted({s for t in trajectories for s in t.symbols}))
+        alphabet = Alphabet.of(sorted(set().union(*(t.symbols for t in trajectories))))
     K = alphabet.size
 
     estimates, masks, counts = [], [], []
     for t in trajectories:
-        rows = extract(t, alphabet).rows
-        mat = np.full((K, K), np.nan)
-        mask = np.zeros(K, dtype=bool)
-        cnt = np.zeros(K, dtype=int)
-        for y, succ in rows.items():
-            yi = alphabet.emit_index(y)
-            cnt[yi] = len(succ)
-            if len(succ) < min_count:
-                continue
-            hist = np.zeros(K)
-            for s in succ:
-                hist[alphabet.emit_index(s)] += 1
-            mat[yi] = hist / hist.sum()
-            mask[yi] = True
+        rows = extract(t, alphabet).rows.values()     # in alphabet order
+        cnt = np.array([len(succ) for succ in rows], dtype=int)
+        mask = cnt >= min_count
         if not mask.any():
             raise InsufficientDataError(
                 f"a trajectory has no row with >= {min_count} visits"
             )
-        estimates.append(mat)
+        estimates.append(np.array([_normalized_histogram(succ, alphabet) if ok
+                                   else np.full(K, np.nan) for succ, ok in zip(rows, mask)]))
         masks.append(mask)
         counts.append(cnt)
 
     n = len(estimates)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            common = masks[i] & masks[j]
-            if not common.any():
-                continue
-            d = 0.5 * np.abs(estimates[i][common] - estimates[j][common]).sum(axis=1).max()
-            if d <= cluster_tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+    label = np.arange(n)        # single-linkage component of each trajectory so far
+    est, obs = np.array(estimates), np.array(masks)     # (n, K, K), (n, K)
+    for i in range(n - 1):
+        common = obs[i] & obs[i + 1:]
+        tv = np.where(common, np.abs(est[i + 1:] - est[i]).sum(axis=2), -np.inf)
+        near = i + 1 + np.flatnonzero(common.any(axis=1) & (0.5 * tv.max(axis=1) <= cluster_tol))
+        label[np.isin(label, label[near])] = label[i]
 
     clusters: dict = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
+    for i, c in enumerate(label.tolist()):
+        clusters.setdefault(c, []).append(i)
 
     support, weights, stderrs = [], [], []
     for members in sorted(clusters.values(), key=len, reverse=True):

@@ -245,3 +245,121 @@ def reference_entries(law):
     nz = reference_nonzero(law)
     for idx in sorted(nz):
         yield tuple(em[i] for i in idx), nz[idx]
+
+
+def reference_extract(t, alphabet=None):
+    """Successors array by one append per position, the final symbol unchecked."""
+    from chainmix.successors import SuccessorsArray
+
+    keys = alphabet.emittable if alphabet is not None else sorted(set(t.symbols))
+    rows = {k: [] for k in keys}
+    for i in range(len(t) - 1):
+        s = t.symbols[i]
+        if s not in rows:
+            raise ValueError(f"trajectory symbol {s!r} is not in the given alphabet")
+        rows[s].append(t.symbols[i + 1])
+    return SuccessorsArray({k: tuple(v) for k, v in rows.items()}, len(t))
+
+
+def reference_estimate(t, alphabet, min_count):
+    """Row estimates (NaN where unobserved), observed mask and row visit counts."""
+    K = alphabet.size
+    mat = np.full((K, K), np.nan)
+    mask = np.zeros(K, dtype=bool)
+    cnt = np.zeros(K, dtype=int)
+    for y, succ in reference_extract(t, alphabet).rows.items():
+        yi = alphabet.emit_index(y)
+        cnt[yi] = len(succ)
+        if len(succ) < min_count:
+            continue
+        hist = np.zeros(K)
+        for s in succ:
+            hist[alphabet.emit_index(s)] += 1
+        mat[yi] = hist / hist.sum()
+        mask[yi] = True
+    return mat, mask, cnt
+
+
+def reference_distance(a, b):
+    """Merge distance of two ``reference_estimate`` results (None: no common row)."""
+    common = a[1] & b[1]
+    if not common.any():
+        return None
+    return 0.5 * np.abs(a[0][common] - b[0][common]).sum(axis=1).max()
+
+
+def reference_lln_recover(trajectories, cluster_tol, alphabet, min_count):
+    """Per-symbol histograms and one pairwise distance per trajectory pair,
+    merged by union-find in pair order."""
+    from chainmix.errors import InsufficientDataError
+    from chainmix.model_core import Alphabet, Distribution
+    from chainmix.recovery import (
+        RecoveredComponent,
+        RecoveredMixingMeasure,
+        RecoveryDiagnostics,
+    )
+
+    if alphabet is None:
+        alphabet = Alphabet.of(sorted({s for t in trajectories for s in t.symbols}))
+    K = alphabet.size
+    estimates, masks, counts = [], [], []
+    for t in trajectories:
+        mat, mask, cnt = reference_estimate(t, alphabet, min_count)
+        if not mask.any():
+            raise InsufficientDataError(
+                f"a trajectory has no row with >= {min_count} visits"
+            )
+        estimates.append(mat)
+        masks.append(mask)
+        counts.append(cnt)
+
+    n = len(estimates)
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = reference_distance((estimates[i], masks[i]), (estimates[j], masks[j]))
+            if d is not None and d <= cluster_tol:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+
+    clusters = {}
+    for i in range(n):
+        clusters.setdefault(find(i), []).append(i)
+
+    support, weights, stderrs = [], [], []
+    for members in sorted(clusters.values(), key=len, reverse=True):
+        mats = np.array([estimates[i] for i in members])
+        row_obs = np.array([masks[i] for i in members])
+        centroid = np.full((K, K), np.nan)
+        observed = np.zeros(K, dtype=bool)
+        row_counts = np.zeros(K, dtype=int)
+        errs = []
+        for y in range(K):
+            sel = row_obs[:, y]
+            row_counts[y] = sum(counts[members[i]][y] for i in range(len(members)))
+            if not sel.any():
+                errs.append(float("nan"))
+                continue
+            mean = mats[sel, y, :].mean(axis=0)
+            centroid[y] = mean / mean.sum()
+            observed[y] = True
+            errs.append(float(np.sqrt(K / (4.0 * max(row_counts[y], 1)))))
+        support.append(RecoveredComponent(centroid, tuple(bool(b) for b in observed),
+                                          tuple(int(c) for c in row_counts), len(members)))
+        weights.append(len(members) / n)
+        stderrs.append(tuple(errs))
+
+    return RecoveredMixingMeasure(
+        alphabet=alphabet,
+        support=tuple(support),
+        weights=Distribution(np.array(weights)),
+        diagnostics=RecoveryDiagnostics(n, min_count, cluster_tol, tuple(stderrs)),
+    )

@@ -297,3 +297,20 @@ def test_verify_lemmas_needs_an_occurrence(mode, capsys):
                            "--occurrences", "0", *mode)
     assert status == 2
     assert out == "" and "need at least one occurrence" in err
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_recover_rejects_min_count_below_one(how, tmp_path, capsys):
+    # at 0 the unvisited row b used to come out observed, as NaN, in an invalid --out file
+    trajs = tmp_path / "t.txt"
+    trajs.write_text("a a a a b\na a a a a\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"min_row_count": 0}))
+    out_file = tmp_path / "rec.json"
+    extra = ["--min-count", "0"] if how == "flag" else ["--config", str(cfg)]
+    status, out, err = run(capsys, "recover", str(trajs), "--out", str(out_file), *extra)
+    assert status == 2
+    assert out == "" and "min_count must be >= 1" in err
+    assert not out_file.exists()
+    status, out, _ = run(capsys, "recover", str(trajs), "--min-count", "1")
+    assert status == 0 and out.startswith("clusters 2\n")

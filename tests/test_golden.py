@@ -13,6 +13,15 @@ reference, so a change to line order, dict insertion order (and with it the
 summation order of ``tv`` and ``max_gap``) or a printed digit shows up here.
 They cover dense and sparse tables, lifted and marginalized laws, and unequal
 pairs that print a ``worst_string``.
+
+The ``recover``, ``successors`` and ``test-exchangeability`` digests were
+computed with the per-symbol successors and histogram loops and the pairwise
+merge that ``tests/oracles.py`` keeps as ``reference_extract`` and
+``reference_lln_recover``, so a moved float in an estimate, centroid or
+stderr, a different cluster or cluster order, or a changed successors row
+shows up here. At each ``two_cell_partitioned`` tolerance some cluster holds
+two members farther apart than the tolerance, joined through single-linkage
+chains.
 """
 
 import hashlib
@@ -270,3 +279,91 @@ def test_convert_check_digest(model_dir, capsys):
     assert status == 0
     assert err == "check horizon=6 tv 7.6072028992908713e-17\n"
     assert digest(out) == CONVERT_DIGEST
+
+
+# name: (model, length, count, seed) of a seeded ``simulate`` sample
+SAMPLES = {"separated": ("separated_mixture.json", 3000, 60, 13),
+           "two_cell": ("two_cell_partitioned.json", 800, 30, 21)}
+
+
+def _sample(model_dir, capsys, name):
+    model, length, count, seed = SAMPLES[name]
+    status, out, _ = _run(model_dir, capsys, ["simulate", model, "--length", str(length),
+                                              "--count", str(count), "--seed", str(seed)])
+    assert status == 0
+    path = model_dir / f"{name}.txt"
+    path.write_text(out)
+    return str(path)
+
+
+RECOVER_DIGESTS = {
+    # (sample, argv): SHA-256 of stdout, of stderr and of the --out file
+    ("separated", ()):
+        ("918d5e264ca532e2cdb81c0571ebc634916d5c07ca6e189d1ea792e939ca67cb",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "28d0c3ad4fc0739effa45eeb91df97a19428a2cb2c054324ac5225811ee70d6c"),
+    ("separated", ("--json",)):
+        ("3716495a514f653c7a8d15b3e181af6a881a64e6697840511c52ba93969a65bc",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "28d0c3ad4fc0739effa45eeb91df97a19428a2cb2c054324ac5225811ee70d6c"),
+    ("separated", ("--cluster-tol", "0.3", "--min-count", "3")):
+        ("918d5e264ca532e2cdb81c0571ebc634916d5c07ca6e189d1ea792e939ca67cb",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "28d0c3ad4fc0739effa45eeb91df97a19428a2cb2c054324ac5225811ee70d6c"),
+    ("separated", ("--cluster-tol", "0.3", "--min-count", "3", "--json")):
+        ("b5ebafd4a776b664f2bb383f5b7aaefd738e34c421ff064228592feffaedd7f0",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "28d0c3ad4fc0739effa45eeb91df97a19428a2cb2c054324ac5225811ee70d6c"),
+    # row b reaches 1200 visits only in the second component's trajectories
+    ("separated", ("--min-count", "1200", "--json")):
+        ("d0592bd61141121666bf417324e46bd16cd254dbc956e7279e28d3cf5ecbaab2",
+         "819ce3a9a75193626c9c140f7e9b7a272b86cd34253a2b454a483a2723e3c12c",
+         "23a3f86c05765e08367bee2f3333495990a56d8553e3fb73e7b9210f711fed68"),
+    ("two_cell", ("--cluster-tol", "0.07", "--min-count", "20", "--json")):
+        ("2e0d8c456a9f627d6d51fc6cb6fddfcc11aa9c69c0f177dbd326b6468e6af4d4",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "6aad6d472b06ceb647faaa48172e8e73c04c5096df34e35acf5f22b5b5993732"),
+    ("two_cell", ("--cluster-tol", "0.1", "--min-count", "20", "--json")):
+        ("bedc0016cb71c33db7b0fdd0f3102562287d2dba73738ea6ea3384a4d1014cda",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "3d3c19298ff3cb5cd51685fe1c143901bf5f1f237fa64dd78a27f8b734f1fb38"),
+    ("two_cell", ("--cluster-tol", "0.4", "--min-count", "20", "--json")):
+        ("f8872fc9e6113c5cd499228df610058aa3cb5c1efc4a177f61374eab0de670cc",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "de1b17a58e365234c966303a4615999b03c318df65960f125c3271ff2c071d01"),
+}
+
+
+@pytest.mark.parametrize("sample, argv", sorted(RECOVER_DIGESTS))
+def test_recover_digest(sample, argv, model_dir, capsys):
+    path = _sample(model_dir, capsys, sample)
+    status, out, err = _run(model_dir, capsys,
+                            ["recover", path, *argv, "--out", "recovered.json"])
+    assert status == 0
+    written = (model_dir / "recovered.json").read_text()
+    assert (digest(out), digest(err), digest(written)) == RECOVER_DIGESTS[(sample, argv)]
+
+
+SUCCESSORS_DIGESTS = {
+    # (sample, argv): (exit status, SHA-256 of stdout)
+    ("separated", ("successors", "--index", "3")):
+        (0, "8338974a6a58bc1773280b01c47938e23767212ea87ca0257d84334097819aa3"),
+    ("two_cell", ("successors", "--index", "0")):
+        (0, "bedb0bd125168eb7900195bf897d275631d610d2945bf89d3e142597299ecf8c"),
+    ("separated", ("test-exchangeability", "--index", "2", "--seed", "4",
+                   "--permutations", "300")):
+        (0, "41fa922484a86450ff527513e91913b07c25e637d07e841ca1613caf5550a0d1"),
+    ("separated", ("test-exchangeability", "--index", "2", "--seed", "4",
+                   "--permutations", "300", "--json")):
+        (0, "9c30ebdfcabd98ad452b82edde37309d199ab1ed290b00a0f0fab10a4fa99df6"),
+    ("two_cell", ("test-exchangeability", "--index", "5", "--seed", "6",
+                  "--permutations", "300")):
+        (0, "f56cba9fe105ef0faa28f8b03aff395abe1e59303c8bcffc2036f908b7eaa2f2"),
+}
+
+
+@pytest.mark.parametrize("sample, argv", sorted(SUCCESSORS_DIGESTS))
+def test_successors_and_exchangeability_digest(sample, argv, model_dir, capsys):
+    path = _sample(model_dir, capsys, sample)
+    status, out, _ = _run(model_dir, capsys, [argv[0], path, *argv[1:]])
+    assert (status, digest(out)) == SUCCESSORS_DIGESTS[(sample, argv)]

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from conftest import rng
 from chainmix.errors import (
+    InsufficientDataError,
     InsufficientVisitsError,
     NoTestableRowsError,
     RowTooShortError,
@@ -113,6 +116,87 @@ def test_recover_weights_sum_to_one():
     trajs = sample_many(m, 2000, 12, RandomSource(35))
     rec = lln_recover(trajs, 0.1, alphabet=m.alphabet)
     assert rec.weights.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_symbol_outside_alphabet_is_a_value_error():
+    ab = Alphabet.of(["a", "b"])
+    for symbols in ("ababc", "abcab"):       # final and middle position
+        t = Trajectory(tuple(symbols))
+        with pytest.raises(ValueError, match="'c' is not in the given alphabet"):
+            lln_row_estimate(t, "a", ab, min_count=1)
+        with pytest.raises(ValueError, match="'c' is not in the given alphabet"):
+            lln_recover([Trajectory(tuple("abab")), t], 0.1, alphabet=ab, min_count=1)
+
+
+@pytest.mark.parametrize("min_count", [0, -3])
+def test_min_count_below_one_rejected(min_count):
+    t = Trajectory(tuple("aaaab"))
+    with pytest.raises(ValueError, match="min_count must be >= 1"):
+        lln_row_estimate(t, "b", Alphabet.of(["a", "b"]), min_count=min_count)
+    with pytest.raises(ValueError, match="min_count must be >= 1"):
+        lln_recover([t, Trajectory(tuple("aaaaa"))], 0.1, min_count=min_count)
+
+
+def _random_trajectories(seed, k, count):
+    """Trajectories of lengths 2-200 over ``k`` symbols, each i.i.d. from one of
+    three random distributions, some with zero entries (so some rows stay empty)."""
+    r = rng(seed)
+    comps = []
+    for _ in range(3):
+        p = r.dirichlet(np.ones(k)) * (r.random(k) < 0.8)
+        comps.append(p / p.sum() if p.sum() > 0 else np.eye(k)[r.integers(k)])
+    return [Trajectory(tuple("abcdef"[c] for c in
+                             r.choice(k, size=int(r.integers(2, 201)), p=comps[r.integers(3)])))
+            for _ in range(count)]
+
+
+def _assert_same_measure(got, want):
+    assert got.alphabet == want.alphabet
+    assert len(got.support) == len(want.support)
+    for a, b in zip(got.support, want.support):
+        assert np.array_equal(a.matrix, b.matrix, equal_nan=True)
+        assert (a.observed, a.row_counts, a.members) == (b.observed, b.row_counts, b.members)
+    assert np.array_equal(got.weights.weights, want.weights.weights)
+    assert got.diagnostics.n_trajectories == want.diagnostics.n_trajectories
+    assert got.diagnostics.min_count == want.diagnostics.min_count
+    assert got.diagnostics.cluster_tol == want.diagnostics.cluster_tol
+    assert np.array_equal(np.array(got.diagnostics.row_tv_stderr, dtype=float),
+                          np.array(want.diagnostics.row_tv_stderr, dtype=float),
+                          equal_nan=True)
+
+
+@given(st.integers(1, 6), st.integers(1, 30), st.integers(0, 2 ** 32),
+       st.integers(1, 12), st.floats(0.0, 1.0), st.booleans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_lln_recover_matches_reference(k, count, seed, min_count, tol, tie, explicit):
+    trajs = _random_trajectories(seed, k, count)
+    alphabet = Alphabet.of("abcdef"[:k]) if explicit else None
+    if tie:
+        # a tolerance equal to one computed distance, so the merge rule's ``<=`` decides
+        scan = alphabet or Alphabet.of(sorted({s for t in trajs for s in t.symbols}))
+        d = oracles.reference_distance(*(oracles.reference_estimate(t, scan, min_count)
+                                         for t in (trajs[0], trajs[-1])))
+        tol = tol if d is None else d
+    try:
+        want = oracles.reference_lln_recover(trajs, tol, alphabet, min_count)
+    except InsufficientDataError:
+        with pytest.raises(InsufficientDataError):
+            lln_recover(trajs, tol, alphabet, min_count)
+        return
+    _assert_same_measure(lln_recover(trajs, tol, alphabet, min_count), want)
+
+
+def test_merge_at_exactly_the_tolerance():
+    # row a: (2/3, 1/3) against (0, 1), a distance that is no short binary fraction
+    ta, tb = Trajectory(tuple("aaaba")), Trajectory(tuple("ababa"))
+    ab = Alphabet.of(["a", "b"])
+    d = oracles.reference_distance(oracles.reference_estimate(ta, ab, 1),
+                                   oracles.reference_estimate(tb, ab, 1))
+    assert d == pytest.approx(2 / 3)
+    for tol, clusters in ((d, 1), (np.nextafter(d, -np.inf), 2)):
+        got = lln_recover([ta, tb], tol, ab, min_count=1)
+        assert len(got.support) == clusters
+        _assert_same_measure(got, oracles.reference_lln_recover([ta, tb], tol, ab, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+
 from chainmix.fixtures import separated_recovery_mixture
 from chainmix.model_core import Alphabet, Partition
 from chainmix.sim import RandomSource, Trajectory, sample
@@ -98,3 +100,21 @@ def test_row_frequencies_converge_to_component_row():
         freq = np.array([sum(1 for s in row if s == z) / len(row)
                          for z in m.alphabet.emittable])
         assert 0.5 * np.abs(freq - P[yi]).sum() <= 0.02
+
+
+@pytest.mark.parametrize("symbols", [("a", "a", "b"), ("a", "b", "a"), ("b", "a", "a")])
+def test_symbol_outside_alphabet_rejected_at_every_position(symbols):
+    with pytest.raises(ValueError, match="'b' is not in the given alphabet"):
+        extract(Trajectory(symbols), Alphabet.of(["a"]))
+
+
+@given(st.integers(1, 6), st.lists(st.integers(0, 5), min_size=2, max_size=200),
+       st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_extract_matches_reference(k, codes, explicit):
+    symbols = tuple("abcdef"[c % k] for c in codes)
+    alphabet = Alphabet.of("fedcba"[6 - k:]) if explicit else None
+    got = extract(Trajectory(symbols), alphabet)
+    want = oracles.reference_extract(Trajectory(symbols), alphabet)
+    assert got == want
+    assert list(got.rows) == list(want.rows)
