@@ -16,13 +16,13 @@ from chainmix.stopping_verifier import (
 )
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--horizon", type=int, default=8)
     ap.add_argument("--steps", type=int, default=3, help="splitting time steps")
     ap.add_argument("--occurrences", type=int, default=2)
     ap.add_argument("--lag", type=int, default=1)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     overall = True
     for name, model, spec in lemma_battery():

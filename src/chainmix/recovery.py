@@ -106,8 +106,12 @@ def lln_recover(trajectories, cluster_tol: float | None = None,
     from each trajectory to all later ones are taken in one vectorised step,
     each the same float as a pairwise comparison. Support points are entrywise
     means of member rows (renormalized); weights are cluster frequencies.
+    ``cluster_tol`` must be ``>= 0`` (``inf`` merges every pair with a common
+    row); NaN would merge nothing.
     """
     cluster_tol = DEFAULT.cluster_tol if cluster_tol is None else cluster_tol
+    if not cluster_tol >= 0:
+        raise ValueError(f"cluster_tol must be >= 0, got {cluster_tol}")
     min_count = _check_min_count(min_count)
     trajectories = list(trajectories)
     if not trajectories:
@@ -205,8 +209,11 @@ def test_row_exchangeability(row, permutations: int, src: RandomSource,
 
     Statistic: number of adjacent equal pairs. Under exchangeability every
     ordering of the row is equally likely, so the null distribution comes from
-    uniform re-permutations. Two-sided p-value with add-one smoothing.
+    uniform re-permutations. Two-sided p-value with add-one smoothing, over
+    ``permutations >= 1`` re-permutations.
     """
+    if permutations < 1:
+        raise ValueError("permutations must be >= 1")
     level = DEFAULT.alpha if level is None else level
     row = list(row)
     if len(row) < MIN_TEST_LENGTH:

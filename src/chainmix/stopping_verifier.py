@@ -22,6 +22,10 @@ Stopping times are unbounded, so identities are checked on the event that all
 required occurrences happen within a finite horizon; the unrealized mass is
 measured exactly and added to each instance's pass tolerance. An independent
 path-enumeration oracle (:func:`event_probability`) covers small instances.
+
+The exact strong-splitting and hitting-time checks evaluate each family of
+instances as one batched propagation, with NumPy calls that round exactly as
+per-instance products and sums do, so every value is the per-instance float.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .model_core import Alphabet, HMMModel, require_valid
 from .sim import DRAWS_PER_CHUNK, RandomSource, cdf_table, walk
 
 MASS_FLOOR = 1e-14   # conditioning events below this mass are skipped, not failed
+MASS_BATCH = 128     # requests per propagation: bounds its temporaries, not its floats
 
 
 @dataclass(frozen=True)
@@ -49,12 +54,10 @@ class JointChain:
     trans: np.ndarray
 
     def __post_init__(self):
-        init = np.array(self.init, dtype=float)
-        trans = np.array(self.trans, dtype=float)
-        init.setflags(write=False)
-        trans.setflags(write=False)
-        object.__setattr__(self, "init", init)
-        object.__setattr__(self, "trans", trans)
+        for name in ("init", "trans"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_hmm(cls, m: HMMModel) -> "JointChain":
@@ -114,10 +117,8 @@ def corrupted_previous_symbol_joint(m: HMMModel, trigger: str | None = None) -> 
     shifted = np.roll(m.readout, 1, axis=1)
     base = (m.P.rows[:, :, None] * m.readout[None, :, :]).reshape(X, X * K)
     odd = (m.P.rows[:, :, None] * shifted[None, :, :]).reshape(X, X * K)
-    trans = np.empty((X * K, X * K))
-    for x in range(X):
-        for e in range(K):
-            trans[x * K + e] = odd[x] if e == trig else base[x]
+    after_trigger = (np.arange(X * K) % K == trig)[:, None]     # row x * K + e
+    trans = np.where(after_trigger, np.repeat(odd, K, axis=0), np.repeat(base, K, axis=0))
     init = (m.pi.weights[:, None] * m.readout).ravel()
     return JointChain(m.hidden_states, m.alphabet, init, trans)
 
@@ -139,12 +140,8 @@ class HittingTimeSpec:
         return cls(frozenset({(hidden, symbol)}), occurrences)
 
     def mask(self, jc: JointChain) -> np.ndarray:
-        out = np.zeros(jc.n_pairs)
-        for p in range(jc.n_pairs):
-            x, y = jc.pair_label(p)
-            for hx, hy in self.targets:
-                if (hx == "*" or hx == x) and (hy == "*" or hy == y):
-                    out[p] = 1.0
+        out = np.array([float(any(hx in ("*", x) and hy in ("*", y) for hx, hy in self.targets))
+                        for x, y in map(jc.pair_label, range(jc.n_pairs))])
         if not out.any():
             raise ValueError("hitting target matches no (hidden, symbol) pair")
         return out
@@ -233,18 +230,19 @@ def _symbol_sets(K: int, symbol_sets=None) -> list[tuple[int, ...]]:
     if symbol_sets is not None:
         return [tuple(sorted(s)) for s in symbol_sets]
     if K <= 3:
-        sets = []
-        for r in range(1, K + 1):
-            sets.extend(combinations(range(K), r))
-        return sets
+        return [es for r in range(1, K + 1) for es in combinations(range(K), r)]
     return [(e,) for e in range(K)] + [tuple(range(K))]
 
 
 def _set_label(jc: JointChain, es: tuple[int, ...]) -> str:
-    em = jc.alphabet.emittable
     if len(es) == jc.n_symbols:
         return "*"
-    return "{" + ",".join(em[e] for e in es) + "}"
+    return "{" + ",".join(jc.alphabet.emittable[e] for e in es) + "}"
+
+
+def _opt_label(jc: JointChain, opt) -> str:
+    x, es = opt
+    return f"({jc.hidden_states[x]},{_set_label(jc, es)})"
 
 
 def check_splitting(model, N: int = 3, tol: float | None = None,
@@ -257,15 +255,17 @@ def check_splitting(model, N: int = 3, tol: float | None = None,
     ``P(X_n=x, Y_n in S_n | X_1^{n-1}=x_1^{n-1}, Y_1^{n-1} in S_1^{n-1})``
 
     against ``P(X_n=x, Y_n in S_n | X_{n-1}=x_{n-1})``. Zero-mass conditioning
-    events are reported as skipped.
+    events are reported as skipped. Needs ``N >= 2``: no instance has ``n < 2``.
     """
     tol = DEFAULT.tol_exact if tol is None else tol
+    if N < 2:
+        raise ValueError("splitting needs at least 2 time steps")
     jc = as_joint(model)
     X, K = len(jc.hidden_states), jc.n_symbols
     sets = _symbol_sets(K, symbol_sets)
     combos = [(x, es) for x in range(X) for es in sets]
     masks = {(x, es): jc.mask(hidden=x, symbols=es) for x, es in combos}
-    targets = [((x, es), jc.mask(hidden=x, symbols=es)) for x, es in combos]
+    targets = list(masks.items())
 
     checked: list[InstanceCheck] = []
     skipped: list[str] = []
@@ -309,10 +309,8 @@ def check_splitting(model, N: int = 3, tol: float | None = None,
                 if float(nxt.sum()) <= MASS_FLOOR:
                     skipped.append(f"n={n} cond[{' '.join(trail)} {combo_label(x, es)} ...]")
                     continue
-                if depth == n - 1:
-                    descend(nxt, depth + 1, trail + [combo_label(x, es)], x)
-                else:
-                    descend(nxt @ jc.trans, depth + 1, trail + [combo_label(x, es)], x)
+                descend(nxt if depth == n - 1 else nxt @ jc.trans, depth + 1,
+                        trail + [combo_label(x, es)], x)
 
         descend(jc.init @ jc.trans, 1, [], -1)
 
@@ -321,6 +319,13 @@ def check_splitting(model, N: int = 3, tol: float | None = None,
 
 # ---------------------------------------------------------------------------
 # Strong splitting across the first hitting time
+
+
+def _gemv_rows(V: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``v @ M`` for every row ``v`` of ``V``, each its own vector-matrix product
+    rounding as the 1-D product does (a 2-D ``V @ M`` is a matrix-matrix product
+    and rounds differently)."""
+    return (V[..., None, :] @ M)[..., 0, :]
 
 
 def check_strong_splitting(model, spec: HittingTimeSpec, k: int, horizon: int = 8,
@@ -336,9 +341,17 @@ def check_strong_splitting(model, spec: HittingTimeSpec, k: int, horizon: int = 
 
     With lag ``k = 0`` both sides reduce to the indicator of ``x = x~``; target
     symbol sets are then fixed to the full alphabet.
+
+    Each ``n`` is one batched propagation: the lines of all ``(x-, S1)`` advance
+    together and every ``(x-, S1, x~, S2)`` instance takes one dot product per
+    target, so every value rounds exactly as a per-instance evaluation does.
     """
     tol = DEFAULT.tol_exact if tol is None else tol
     floor = DEFAULT.horizon_floor if floor is None else floor
+    if k < 0:
+        raise ValueError("lag k must be >= 0")
+    if horizon < 1:
+        raise ValueError("strong splitting needs horizon >= 1: free times n lie in 1..horizon")
     jc = as_joint(model)
     X, K = len(jc.hidden_states), jc.n_symbols
     A = spec.mask(jc)
@@ -355,62 +368,52 @@ def check_strong_splitting(model, spec: HittingTimeSpec, k: int, horizon: int = 
             f"first hitting time realized with mass {1 - unrealized:.6g} < floor {floor}; "
             "increase the horizon or use the Monte Carlo mode"
         )
-    hits = [w[r] * A for r in range(horizon + 1)]
+    # early[r]: mass of hitting by time r, summed in time order
+    early = np.cumsum([w[r] * A for r in range(horizon + 1)], axis=0)
 
     sets = _symbol_sets(K, symbol_sets)
     target_sets = [tuple(range(K))] if k == 0 else sets
-    hs = jc.hidden_states
-    if n_values is None:
-        n_values = range(1, horizon + 1)
-    n_values = list(n_values)
+    n_values = list(range(1, horizon + 1) if n_values is None else n_values)
     if any(n < 1 or n > horizon for n in n_values):
         raise ValueError("free conditioning times n must lie in 1..horizon")
 
-    q_cols = {(x, es): Tk @ jc.mask(hidden=x, symbols=es) for x in range(X)
-              for es in target_sets}
-    rhs_cache = {}
-    for x_tilde in range(X):
-        R = sum(hits) * jc.mask(hidden=x_tilde)
-        den = float(R.sum())
-        rhs_cache[x_tilde] = None if den <= MASS_FLOOR else (R, den)
+    conds = [(x, es) for x in range(X) for es in sets]
+    targets = [(x, es) for x in range(X) for es in target_sets]
+    cond_labels = [_opt_label(jc, o) for o in conds]
+    target_labels = [f" -> {_opt_label(jc, o)} k={k}" for o in targets]
+    M = np.array([jc.mask(hidden=x, symbols=es) for x, es in conds])
+    Q = np.array([Tk @ jc.mask(hidden=x, symbols=es) for x, es in targets])
+    x_of = np.array([x for x, _ in conds])
+    R = early[horizon] * np.array([jc.mask(hidden=x) for x in range(X)])
+    rden = R.sum(axis=-1)
+    rhs_ok = rden > MASS_FLOOR
+    rhs = np.vecdot(R[:, None, :], Q) / np.where(rhs_ok, rden, 1.0)[:, None]
 
-    checked: list[InstanceCheck] = []
-    skipped: list[str] = []
+    checked, skipped = [], []
     for n in n_values:
-        for x_bar in range(X):
-            for s1 in sets:
-                maskB = jc.mask(hidden=x_bar, symbols=s1)
-                wb = w[n] * maskB
-                line = [wb]
-                for _ in range(n, horizon):
-                    line.append((line[-1] * Ac) @ T)
-                tail_b = float(((line[-1] * Ac) @ T).sum()) if line else 0.0
-                hitsB = [line[r - n] * A for r in range(n + 1, horizon + 1)]
-                sumB = sum(hitsB) if hitsB else np.zeros(jc.n_pairs)
-                early = sum(hits[r] for r in range(0, min(n, horizon) + 1)) * maskB
-                for x_tilde in range(X):
-                    for s2 in sets:
-                        m2 = jc.mask(hidden=x_tilde, symbols=s2)
-                        V = early * m2 + sumB * m2
-                        den = float(V.sum())
-                        base = (f"n={n} bar=({hs[x_bar]},{_set_label(jc, s1)}) "
-                                f"tilde=({hs[x_tilde]},{_set_label(jc, s2)})")
-                        if den <= MASS_FLOOR:
-                            skipped.append(base)
-                            continue
-                        if rhs_cache[x_tilde] is None:
-                            skipped.append(base + " (rhs side has no mass)")
-                            continue
-                        R, rden = rhs_cache[x_tilde]
-                        allowed = tol + tail_b / den + unrealized / rden
-                        for x in range(X):
-                            for s3 in target_sets:
-                                q = q_cols[(x, s3)]
-                                lhs = float(V @ q) / den
-                                rhs = float(R @ q) / rden
-                                label = f"{base} -> ({hs[x]},{_set_label(jc, s3)}) k={k}"
-                                checked.append(InstanceCheck(label, lhs, rhs,
-                                                             abs(lhs - rhs), allowed))
+        line = w[n] * M
+        later = np.zeros_like(line)        # hits of each line after time n
+        for _ in range(n, horizon):
+            line = _gemv_rows(line * Ac, T)
+            later = later + line * A
+        tail_b = _gemv_rows(line * Ac, T).sum(axis=-1)
+        # V[b, t]: mass of (x-, S1) = conds[b] at gamma^n and (x~, S2) = conds[t] at gamma
+        V = (early[n] * M)[:, None, :] * M + later[:, None, :] * M
+        den = V.sum(axis=-1)
+        ok = (den > MASS_FLOOR) & rhs_ok[x_of]
+        for b, t in zip(*np.nonzero(~ok)):
+            base = f"n={n} bar={cond_labels[b]} tilde={cond_labels[t]}"
+            skipped.append(base if den[b, t] <= MASS_FLOOR else base + " (rhs side has no mass)")
+        b, t = np.nonzero(ok)
+        d, xt = den[b, t], x_of[t]
+        lhs = np.vecdot(V[b, t][:, None, :], Q) / d[:, None]
+        gap = np.abs(lhs - rhs[xt])
+        allowed = tol + tail_b[b] / d + unrealized / rden[xt]
+        for bi, ti, ls, rs, gs, a in zip(b.tolist(), t.tolist(), lhs.tolist(),
+                                         rhs[xt].tolist(), gap.tolist(), allowed.tolist()):
+            base = f"n={n} bar={cond_labels[bi]} tilde={cond_labels[ti]}"
+            checked.extend(InstanceCheck(base + lab, l, r, g, a)
+                           for lab, l, r, g in zip(target_labels, ls, rs, gs))
     return LemmaCheckResult("strong_splitting", tuple(checked), tuple(skipped),
                             unrealized, tol)
 
@@ -419,90 +422,130 @@ def check_strong_splitting(model, spec: HittingTimeSpec, k: int, horizon: int = 
 # Occurrence-counting transfer-matrix engine
 
 
-def _occurrence_mass(jc: JointChain, A: np.ndarray, occ_masks, shifted_masks,
-                     horizon: int) -> tuple[float, float]:
-    """Mass of paths whose first ``N`` target occurrences happen by ``horizon``
-    and satisfy the per-occurrence constraints.
+def _occurrence_masses(jc: JointChain, A: np.ndarray, occ: np.ndarray, shifted,
+                       horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masses of paths whose first ``N`` target occurrences happen by ``horizon``
+    and meet per-occurrence constraints, for ``B`` requests at once.
 
-    ``occ_masks[k-1]`` constrains the pair at the k-th occurrence;
-    ``shifted_masks[k-1]`` constrains the pair one step after it (evaluated up
-    to ``horizon + 1`` for the final occurrence). ``None`` entries are
-    unconstrained. Returns ``(mass, residual)``; the residual is the mass that
-    had not completed everything within the horizon.
+    ``occ[b, k-1]`` masks request ``b``'s pair at the k-th occurrence (ones where
+    unconstrained); ``shifted[b, k-1]`` masks the pair one step later, the last
+    one up to ``horizon + 1``; ``shifted`` is None if no step is constrained.
+    Returns ``(mass, residual)`` per request, the residual being the mass not
+    done by the horizon. ``V[b, kk]`` is the mass after ``kk`` occurrences.
     """
-    N = len(occ_masks)
-    assert len(shifted_masks) == N and N >= 1
+    B, N, P = occ.shape
     Ac = 1.0 - A
     T = jc.trans
-    P = jc.n_pairs
-    need_tail = shifted_masks[N - 1] is not None
 
-    def occ(kk):
-        m = occ_masks[kk - 1]
-        return 1.0 if m is None else m
+    def tail():
+        return (_gemv_rows(V[:, N], T) * shifted[:, N - 1]).sum(axis=-1)
 
-    done = 0.0
-    v = [np.zeros(P) for _ in range(N + 1)]
-    z = jc.init
-    first = z * A * occ(1)
-    if N == 1 and not need_tail:
-        done += float(first.sum())
+    done = np.zeros(B)
+    V = np.zeros((B, N + 1, P))
+    V[:, 0] = jc.init * Ac
+    first = jc.init * A * occ[:, 0]
+    if N == 1 and shifted is None:
+        done += first.sum(axis=-1)
     else:
-        v[1] = first
-    v[0] = z * Ac
+        V[:, 1] = first
 
-    for _ in range(1, horizon + 1):
-        new = [np.zeros(P) for _ in range(N + 1)]
-        for kk in range(N + 1):
-            if not v[kk].any():
-                continue
-            if kk == N:
-                done += float(((v[N] @ T) * shifted_masks[N - 1]).sum())
-                continue
-            w = (v[kk] * A) @ T
-            if kk >= 1 and shifted_masks[kk - 1] is not None:
-                w = w * shifted_masks[kk - 1]
-            w = w + (v[kk] * Ac) @ T
-            entering = w * A * occ(kk + 1)
-            if kk + 1 == N and not need_tail:
-                done += float(entering.sum())
-            else:
-                new[kk + 1] += entering
-            new[kk] += w * Ac
-        v = new
+    for _ in range(horizon):
+        if shifted is not None:
+            done += tail()
+        W = _gemv_rows(V[:, :N] * A, T)
+        if shifted is not None:
+            W[:, 1:] *= shifted[:, :-1]     # the step after occurrence kk >= 1
+        W += _gemv_rows(V[:, :N] * Ac, T)
+        entering = W * A
+        entering *= occ
+        W *= Ac
+        V[:, :N] = W                        # mass staying at kk occurrences
+        V[:, 1:N] += entering[:, :N - 1]
+        if shifted is None:
+            done += entering[:, N - 1].sum(axis=-1)
+        else:
+            V[:, N] = entering[:, N - 1]
 
-    if need_tail and v[N].any():
-        done += float(((v[N] @ T) * shifted_masks[N - 1]).sum())
-        v[N][:] = 0.0
-    residual = float(sum(v[kk].sum() for kk in range(N)))
+    if shifted is not None:
+        done += tail()
+    residual = sum(V[:, kk].sum(axis=-1) for kk in range(N))
     return done, residual
+
+
+class _MassRequests:
+    """The distinct occurrence-mass requests of one check, evaluated together.
+
+    ``add`` takes per-occurrence constraint lists (``None``: unconstrained; the
+    shifted list is all ``None`` or constrains the final occurrence) and returns
+    the request's row, shared by equal requests."""
+
+    def __init__(self, n_pairs: int):
+        self.ones = np.ones(n_pairs)
+        self.rows: dict = {}        # (N, shifted or not, mask bytes) -> row
+
+    def add(self, occ, shifted) -> int:
+        assert shifted[-1] is not None or all(x is None for x in shifted)
+        lists = [occ] if shifted[-1] is None else [occ, shifted]
+        masks = np.array([[self.ones if x is None else x for x in xs] for xs in lists])
+        return self.rows.setdefault((len(occ), len(lists) == 2, masks.tobytes()), len(self.rows))
+
+    def evaluate(self, jc: JointChain, A: np.ndarray,
+                 horizon: int) -> tuple[list[float], list[float]]:
+        """Mass and residual of every row, one propagation per group of requests
+        with the same occurrence count and the same use of shifted masks."""
+        groups: dict = {}
+        for (N, shifted, blob), row in self.rows.items():
+            groups.setdefault((N, shifted), []).append((row, blob))
+        mass, residual = np.empty(len(self.rows)), np.empty(len(self.rows))
+        for (N, shifted), group in groups.items():
+            for lo in range(0, len(group), MASS_BATCH):
+                rows, blobs = zip(*group[lo:lo + MASS_BATCH])
+                masks = np.frombuffer(b"".join(blobs)).reshape(len(rows), -1, N, len(self.ones))
+                mass[list(rows)], residual[list(rows)] = _occurrence_masses(
+                    jc, A, masks[:, 0], masks[:, 1] if shifted else None, horizon)
+        return mass.tolist(), residual.tolist()
+
+
+def _instance_checks(table, mass, residual, tol) -> tuple[tuple, tuple]:
+    """Checked instances and skipped labels of an instance table, in table order.
+
+    A row is ``(label, lhs, factors, const)``: ratios ``(numerator, denominator)``
+    of request rows, rhs = ``const`` times the factors. A denominator mass at or
+    below ``MASS_FLOOR`` skips the row; each ratio adds its unrealized share to ``tol``."""
+    def ratio(num, den):
+        d, res = mass[den], residual[den]
+        if d <= MASS_FLOOR:
+            return None
+        return mass[num] / d, (res / (d + res) if res > 0 else 0.0)
+
+    checked, skipped = [], []
+    for label, lhs, factors, const in table:
+        terms = [ratio(*lhs), *(ratio(*f) for f in factors)]
+        if any(term is None for term in terms):
+            skipped.append(label)
+            continue
+        (l, tail_l), *rest = terms
+        rhs, tail_r = const, 0.0
+        for f, t in rest:
+            rhs *= f
+            tail_r += t
+        checked.append(InstanceCheck(label, l, rhs, abs(l - rhs), tol + tail_l + tail_r))
+    return tuple(checked), tuple(skipped)
 
 
 def _pair_options(jc: JointChain, restrict_mask=None):
     """Singleton (hidden, symbol-set) constraint options, optionally restricted
     to pairs of a target mask; adds per-hidden slices when they group pairs."""
     K = jc.n_symbols
-    opts = []
     if restrict_mask is None:
-        for x in range(len(jc.hidden_states)):
-            for e in range(K):
-                opts.append((x, (e,)))
-        return opts
+        return [(x, (e,)) for x in range(len(jc.hidden_states)) for e in range(K)]
     by_x: dict = {}
     for p in np.flatnonzero(restrict_mask):
-        x, e = divmod(int(p), K)
-        by_x.setdefault(x, []).append(e)
+        by_x.setdefault(int(p) // K, []).append(int(p) % K)
+    opts = []
     for x, es in sorted(by_x.items()):
-        for e in es:
-            opts.append((x, (e,)))
-        if len(es) > 1:
-            opts.append((x, tuple(es)))
+        opts += [(x, (e,)) for e in es] + ([(x, tuple(es))] if len(es) > 1 else [])
     return opts
-
-
-def _opt_label(jc: JointChain, opt) -> str:
-    x, es = opt
-    return f"({jc.hidden_states[x]},{_set_label(jc, es)})"
 
 
 def check_hitting_time_lemmas(m, spec: HittingTimeSpec, N: int | None = None,
@@ -517,6 +560,10 @@ def check_hitting_time_lemmas(m, spec: HittingTimeSpec, N: int | None = None,
     the read-out identity references the model's read-out rows. All masses are
     truncated at the horizon; each instance's tolerance is inflated by the
     conditional unrealized mass.
+
+    Each identity becomes an instance table of ratios of mass requests, and the
+    distinct requests of all four are evaluated together in batched
+    propagations (:class:`_MassRequests`) that round as one per request does.
     """
     tol = DEFAULT.tol_exact if tol is None else tol
     floor = DEFAULT.horizon_floor if floor is None else floor
@@ -530,111 +577,82 @@ def check_hitting_time_lemmas(m, spec: HittingTimeSpec, N: int | None = None,
     if N < 1:
         raise ValueError("need at least one occurrence")
 
-    base_done, base_res = _occurrence_mass(jc, A, [None] * N, [None] * N, horizon)
+    base_done, base_res = (float(a[0]) for a in _occurrence_masses(
+        jc, A, np.ones((1, N, jc.n_pairs)), None, horizon))
     if base_done < floor:
         raise TruncationError(
             f"{N} occurrences realized with mass {base_done:.6g} < floor {floor}; "
             "increase the horizon or use the Monte Carlo mode"
         )
 
-    cache: dict = {}
-
-    def mass(occ, shifted):
-        key = (tuple(x if x is None else x.tobytes() for x in occ),
-               tuple(x if x is None else x.tobytes() for x in shifted),
-               len(occ))
-        if key not in cache:
-            cache[key] = _occurrence_mass(jc, A, list(occ), list(shifted), horizon)
-        return cache[key]
+    requests = _MassRequests(jc.n_pairs)
+    masks: dict = {}
+    none = [None] * N
 
     def ratio(num_occ, num_shift, den_occ, den_shift):
-        den, den_res = mass(den_occ, den_shift)
-        if den <= MASS_FLOOR:
-            return None
-        num, _ = mass(num_occ, num_shift)
-        tail = den_res / (den + den_res) if den_res > 0 else 0.0
-        return num / den, tail
+        return requests.add(num_occ, num_shift), requests.add(den_occ, den_shift)
 
     def omask(opt):
-        x, es = opt
-        return jc.mask(hidden=x, symbols=es)
+        """Mask of an (hidden, symbol-set) option; symbol set None: any symbol."""
+        if opt not in masks:
+            masks[opt] = jc.mask(hidden=opt[0], symbols=opt[1])
+        return masks[opt]
 
-    results = []
+    per_k: dict = {}
+
+    def factor(kk, opt):
+        """P(pair one step after occurrence kk in opt | its hidden state)."""
+        if (kk, opt) not in per_k:
+            per_k[(kk, opt)] = ratio([None] * kk, [None] * (kk - 1) + [omask(opt)],
+                                     [None] * kk, [None] * (kk - 1) + [omask((opt[0], None))])
+        return per_k[(kk, opt)]
+
+    tables: dict = {}
 
     # (1) generalized strong splitting, constraints at the occurrences themselves
-    checked, skipped = [], []
+    table = tables["generalized_strong_splitting"] = []
     if N >= 2:
         opts = _pair_options(jc, A)
         for cond in iter_product(opts, repeat=N - 1):
             cond_occ = [omask(o) for o in cond] + [None]
-            lhs_den = (cond_occ, [None] * N)
-            x_prev = cond[-1][0]
-            slice_prev = jc.mask(hidden=x_prev) * A
+            slice_prev = omask((cond[-1][0], None)) * A
             rhs_cond = [None] * (N - 2) + [slice_prev, None]
             cond_lab = " ".join(_opt_label(jc, o) for o in cond)
             for tgt in opts:
                 tmask = omask(tgt) * A
-                lhs = ratio(cond_occ[:-1] + [tmask], [None] * N, *lhs_den)
-                rhs = ratio(rhs_cond[:-1] + [tmask], [None] * N, rhs_cond, [None] * N)
-                label = f"occ[{cond_lab}] -> {_opt_label(jc, tgt)}"
-                if lhs is None or rhs is None:
-                    skipped.append(label)
-                    continue
-                (l, tl), (r, tr) = lhs, rhs
-                checked.append(InstanceCheck(label, l, r, abs(l - r), tol + tl + tr))
-    results.append(LemmaCheckResult("generalized_strong_splitting", tuple(checked),
-                                    tuple(skipped), base_res, tol))
+                table.append((f"occ[{cond_lab}] -> {_opt_label(jc, tgt)}",
+                              ratio(cond_occ[:-1] + [tmask], none, cond_occ, none),
+                              (ratio(rhs_cond[:-1] + [tmask], none, rhs_cond, none),), 1.0))
 
     # (2) shifted variant: hidden-state constraints one step after each occurrence.
     # Conditioning uses hidden values only (symbol sets full): constraining the
     # symbol emitted at gamma_k + 1 would pin down whether that very step is the
     # next occurrence, which the identity does not quotient out.
-    checked, skipped = [], []
+    table = tables["shifted_strong_splitting"] = []
     if N >= 2:
         X = len(jc.hidden_states)
         full = tuple(range(jc.n_symbols))
         cond_opts = [(x, full) for x in range(X)]
         tgt_opts = _pair_options(jc) + [(x, full) for x in range(X)]
-        ones = np.ones(jc.n_pairs)
+        ones = requests.ones
         for cond in iter_product(cond_opts, repeat=N - 1):
             cond_shift = [omask(o) for o in cond]
-            x_prev = cond[-1][0]
-            rhs_shift = [None] * (N - 2) + [jc.mask(hidden=x_prev)]
+            rhs_shift = [None] * (N - 2) + [omask((cond[-1][0], None))]
             cond_lab = " ".join(_opt_label(jc, o) for o in cond)
             for tgt in tgt_opts:
-                lhs = ratio([None] * N, cond_shift + [omask(tgt)],
-                            [None] * N, cond_shift + [ones])
-                rhs = ratio([None] * N, rhs_shift + [omask(tgt)],
-                            [None] * N, rhs_shift + [ones])
-                label = f"shift[{cond_lab}] -> {_opt_label(jc, tgt)}"
-                if lhs is None or rhs is None:
-                    skipped.append(label)
-                    continue
-                (l, tl), (r, tr) = lhs, rhs
-                checked.append(InstanceCheck(label, l, r, abs(l - r), tol + tl + tr))
-    results.append(LemmaCheckResult("shifted_strong_splitting", tuple(checked),
-                                    tuple(skipped), base_res, tol))
+                table.append((f"shift[{cond_lab}] -> {_opt_label(jc, tgt)}",
+                              ratio(none, cond_shift + [omask(tgt)], none, cond_shift + [ones]),
+                              (ratio(none, rhs_shift + [omask(tgt)], none, rhs_shift + [ones]),),
+                              1.0))
 
     # (3) read-out one step after the n-th hitting time equals the read-out row
-    checked, skipped = [], []
-    sets = _symbol_sets(jc.n_symbols)
-    ones = np.ones(jc.n_pairs)
+    table = tables["readout_at_stopping_time"] = []
     for n in range(1, N + 1):
         for x2 in range(len(jc.hidden_states)):
-            den_shift = [None] * (n - 1) + [jc.mask(hidden=x2)]
-            for es in sets:
-                num_shift = [None] * (n - 1) + [jc.mask(hidden=x2, symbols=es)]
-                got = ratio([None] * n, num_shift, [None] * n, den_shift)
-                f_val = float(m.readout[x2, list(es)].sum())
-                label = (f"tau={n} P(Y_(tau+1) in {_set_label(jc, es)} | "
-                         f"X_(tau+1)={jc.hidden_states[x2]})")
-                if got is None:
-                    skipped.append(label)
-                    continue
-                l, tail = got
-                checked.append(InstanceCheck(label, l, f_val, abs(l - f_val), tol + tail))
-    results.append(LemmaCheckResult("readout_at_stopping_time", tuple(checked),
-                                    tuple(skipped), base_res, tol))
+            for es in _symbol_sets(jc.n_symbols):
+                table.append((f"tau={n} P(Y_(tau+1) in {_set_label(jc, es)} | "
+                              f"X_(tau+1)={jc.hidden_states[x2]})",
+                              factor(n, (x2, es)), (), float(m.readout[x2, list(es)].sum())))
 
     # (4) conditional independence product across the shifted times.
     # Checked in the literal joint form. The product is exact whenever the law
@@ -643,36 +661,17 @@ def check_hitting_time_lemmas(m, spec: HittingTimeSpec, N: int | None = None,
     # chains the jointly-conditioned form picks up boundary terms where an
     # emitted symbol decides whether gamma_{k+1} = gamma_k + 1, so battery
     # models are chosen within the exact scope.
-    checked, skipped = [], []
-    opts = _pair_options(jc)
-    per_k: dict = {}
+    table = tables["conditional_independence_product"] = []
+    for combo in iter_product(_pair_options(jc), repeat=N):
+        table.append(("prod[" + " ".join(_opt_label(jc, o) for o in combo) + "]",
+                      ratio(none, [omask(o) for o in combo],
+                            none, [omask((o[0], None)) for o in combo]),
+                      tuple(factor(kk + 1, o) for kk, o in enumerate(combo)), 1.0))
 
-    def factor(kk, opt):
-        if (kk, opt) not in per_k:
-            den_shift = [None] * (kk - 1) + [jc.mask(hidden=opt[0])]
-            num_shift = [None] * (kk - 1) + [omask(opt)]
-            per_k[(kk, opt)] = ratio([None] * kk, num_shift, [None] * kk, den_shift)
-        return per_k[(kk, opt)]
-
-    for combo in iter_product(opts, repeat=N):
-        num_shift = [omask(o) for o in combo]
-        den_shift = [jc.mask(hidden=o[0]) for o in combo]
-        lhs = ratio([None] * N, num_shift, [None] * N, den_shift)
-        label = "prod[" + " ".join(_opt_label(jc, o) for o in combo) + "]"
-        factors = [factor(kk + 1, o) for kk, o in enumerate(combo)]
-        if lhs is None or any(f is None for f in factors):
-            skipped.append(label)
-            continue
-        l, tail_l = lhs
-        rhs = 1.0
-        tail_r = 0.0
-        for f, t in factors:
-            rhs *= f
-            tail_r += t
-        checked.append(InstanceCheck(label, l, rhs, abs(l - rhs), tol + tail_l + tail_r))
-    results.append(LemmaCheckResult("conditional_independence_product", tuple(checked),
-                                    tuple(skipped), base_res, tol))
-    return tuple(results)
+    mass, residual = requests.evaluate(jc, A, horizon)
+    return tuple(LemmaCheckResult(lemma, *_instance_checks(table, mass, residual, tol),
+                                  base_res, tol)
+                 for lemma, table in tables.items())
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ hidden paths, or cell paths with itertools -- no forward recursions, no closed
 forms -- so the oracles share no code path with the implementations they check.
 The reference samplers draw one trajectory at a time with scalar binary
 searches, in the documented draw order the lockstep samplers must reproduce.
+The reference verifiers propagate one request, line and instance at a time:
+they are the per-instance transfer-matrix code whose every float the batched
+exact lemma engine must reproduce.
 """
 
 from bisect import bisect_right
@@ -363,3 +366,303 @@ def reference_lln_recover(trajectories, cluster_tol, alphabet, min_count):
         weights=Distribution(np.array(weights)),
         diagnostics=RecoveryDiagnostics(n, min_count, cluster_tol, tuple(stderrs)),
     )
+
+
+def reference_occurrence_mass(jc, A, occ_masks, shifted_masks, horizon):
+    """Mass of paths whose first ``N`` target occurrences happen by ``horizon``
+    and satisfy the per-occurrence constraints, one propagation per request.
+
+    ``occ_masks[k-1]`` constrains the pair at the k-th occurrence;
+    ``shifted_masks[k-1]`` constrains the pair one step after it (evaluated up
+    to ``horizon + 1`` for the final occurrence). ``None`` entries are
+    unconstrained. Returns ``(mass, residual)``; the residual is the mass that
+    had not completed everything within the horizon.
+    """
+    N = len(occ_masks)
+    assert len(shifted_masks) == N and N >= 1
+    Ac = 1.0 - A
+    T = jc.trans
+    P = jc.n_pairs
+    need_tail = shifted_masks[N - 1] is not None
+
+    def occ(kk):
+        m = occ_masks[kk - 1]
+        return 1.0 if m is None else m
+
+    done = 0.0
+    v = [np.zeros(P) for _ in range(N + 1)]
+    z = jc.init
+    first = z * A * occ(1)
+    if N == 1 and not need_tail:
+        done += float(first.sum())
+    else:
+        v[1] = first
+    v[0] = z * Ac
+
+    for _ in range(1, horizon + 1):
+        new = [np.zeros(P) for _ in range(N + 1)]
+        for kk in range(N + 1):
+            if not v[kk].any():
+                continue
+            if kk == N:
+                done += float(((v[N] @ T) * shifted_masks[N - 1]).sum())
+                continue
+            w = (v[kk] * A) @ T
+            if kk >= 1 and shifted_masks[kk - 1] is not None:
+                w = w * shifted_masks[kk - 1]
+            w = w + (v[kk] * Ac) @ T
+            entering = w * A * occ(kk + 1)
+            if kk + 1 == N and not need_tail:
+                done += float(entering.sum())
+            else:
+                new[kk + 1] += entering
+            new[kk] += w * Ac
+        v = new
+
+    if need_tail and v[N].any():
+        done += float(((v[N] @ T) * shifted_masks[N - 1]).sum())
+        v[N][:] = 0.0
+    residual = float(sum(v[kk].sum() for kk in range(N)))
+    return done, residual
+
+
+def reference_strong_splitting(model, spec, k, horizon=8, n_values=None, tol=None,
+                               floor=None, symbol_sets=None):
+    """Strong splitting with one forward line per ``(n, x-, S1)`` and one
+    label, dot product and instance at a time."""
+    from chainmix.config import DEFAULT
+    from chainmix.errors import TruncationError
+    from chainmix.stopping_verifier import (
+        MASS_FLOOR,
+        InstanceCheck,
+        LemmaCheckResult,
+        _set_label,
+        _symbol_sets,
+        as_joint,
+    )
+
+    tol = DEFAULT.tol_exact if tol is None else tol
+    floor = DEFAULT.horizon_floor if floor is None else floor
+    jc = as_joint(model)
+    X, K = len(jc.hidden_states), jc.n_symbols
+    A = spec.mask(jc)
+    Ac = 1.0 - A
+    T = jc.trans
+    Tk = np.linalg.matrix_power(T, k)
+
+    w = [jc.init]
+    for _ in range(horizon + 1):
+        w.append((w[-1] * Ac) @ T)
+    unrealized = float(w[horizon + 1].sum())
+    if 1.0 - unrealized < floor:
+        raise TruncationError(
+            f"first hitting time realized with mass {1 - unrealized:.6g} < floor {floor}; "
+            "increase the horizon or use the Monte Carlo mode"
+        )
+    hits = [w[r] * A for r in range(horizon + 1)]
+
+    sets = _symbol_sets(K, symbol_sets)
+    target_sets = [tuple(range(K))] if k == 0 else sets
+    hs = jc.hidden_states
+    if n_values is None:
+        n_values = range(1, horizon + 1)
+    n_values = list(n_values)
+    if any(n < 1 or n > horizon for n in n_values):
+        raise ValueError("free conditioning times n must lie in 1..horizon")
+
+    q_cols = {(x, es): Tk @ jc.mask(hidden=x, symbols=es) for x in range(X)
+              for es in target_sets}
+    rhs_cache = {}
+    for x_tilde in range(X):
+        R = sum(hits) * jc.mask(hidden=x_tilde)
+        den = float(R.sum())
+        rhs_cache[x_tilde] = None if den <= MASS_FLOOR else (R, den)
+
+    checked, skipped = [], []
+    for n in n_values:
+        for x_bar in range(X):
+            for s1 in sets:
+                maskB = jc.mask(hidden=x_bar, symbols=s1)
+                wb = w[n] * maskB
+                line = [wb]
+                for _ in range(n, horizon):
+                    line.append((line[-1] * Ac) @ T)
+                tail_b = float(((line[-1] * Ac) @ T).sum())
+                hitsB = [line[r - n] * A for r in range(n + 1, horizon + 1)]
+                sumB = sum(hitsB) if hitsB else np.zeros(jc.n_pairs)
+                early = sum(hits[r] for r in range(0, min(n, horizon) + 1)) * maskB
+                for x_tilde in range(X):
+                    for s2 in sets:
+                        m2 = jc.mask(hidden=x_tilde, symbols=s2)
+                        V = early * m2 + sumB * m2
+                        den = float(V.sum())
+                        base = (f"n={n} bar=({hs[x_bar]},{_set_label(jc, s1)}) "
+                                f"tilde=({hs[x_tilde]},{_set_label(jc, s2)})")
+                        if den <= MASS_FLOOR:
+                            skipped.append(base)
+                            continue
+                        if rhs_cache[x_tilde] is None:
+                            skipped.append(base + " (rhs side has no mass)")
+                            continue
+                        R, rden = rhs_cache[x_tilde]
+                        allowed = tol + tail_b / den + unrealized / rden
+                        for x in range(X):
+                            for s3 in target_sets:
+                                q = q_cols[(x, s3)]
+                                lhs = float(V @ q) / den
+                                rhs = float(R @ q) / rden
+                                label = f"{base} -> ({hs[x]},{_set_label(jc, s3)}) k={k}"
+                                checked.append(InstanceCheck(label, lhs, rhs,
+                                                             abs(lhs - rhs), allowed))
+    return LemmaCheckResult("strong_splitting", tuple(checked), tuple(skipped),
+                            unrealized, tol)
+
+
+def reference_hitting_time_lemmas(m, spec, N, horizon=8, tol=None, floor=None):
+    """The four hitting-time identities with one ``reference_occurrence_mass``
+    call per distinct request, each instance evaluated as it is enumerated."""
+    from itertools import product as iter_product
+
+    from chainmix.config import DEFAULT
+    from chainmix.errors import TruncationError
+    from chainmix.stopping_verifier import (
+        MASS_FLOOR,
+        InstanceCheck,
+        JointChain,
+        LemmaCheckResult,
+        _opt_label,
+        _pair_options,
+        _set_label,
+        _symbol_sets,
+    )
+
+    tol = DEFAULT.tol_exact if tol is None else tol
+    floor = DEFAULT.horizon_floor if floor is None else floor
+    jc = JointChain.from_hmm(m)
+    A = spec.mask(jc)
+    base_done, base_res = reference_occurrence_mass(jc, A, [None] * N, [None] * N, horizon)
+    if base_done < floor:
+        raise TruncationError(
+            f"{N} occurrences realized with mass {base_done:.6g} < floor {floor}; "
+            "increase the horizon or use the Monte Carlo mode"
+        )
+
+    cache = {}
+
+    def mass(occ, shifted):
+        key = (tuple(x if x is None else x.tobytes() for x in occ),
+               tuple(x if x is None else x.tobytes() for x in shifted),
+               len(occ))
+        if key not in cache:
+            cache[key] = reference_occurrence_mass(jc, A, list(occ), list(shifted), horizon)
+        return cache[key]
+
+    def ratio(num_occ, num_shift, den_occ, den_shift):
+        den, den_res = mass(den_occ, den_shift)
+        if den <= MASS_FLOOR:
+            return None
+        num, _ = mass(num_occ, num_shift)
+        tail = den_res / (den + den_res) if den_res > 0 else 0.0
+        return num / den, tail
+
+    def omask(opt):
+        x, es = opt
+        return jc.mask(hidden=x, symbols=es)
+
+    results = []
+    checked, skipped = [], []
+    if N >= 2:
+        opts = _pair_options(jc, A)
+        for cond in iter_product(opts, repeat=N - 1):
+            cond_occ = [omask(o) for o in cond] + [None]
+            lhs_den = (cond_occ, [None] * N)
+            x_prev = cond[-1][0]
+            slice_prev = jc.mask(hidden=x_prev) * A
+            rhs_cond = [None] * (N - 2) + [slice_prev, None]
+            cond_lab = " ".join(_opt_label(jc, o) for o in cond)
+            for tgt in opts:
+                tmask = omask(tgt) * A
+                lhs = ratio(cond_occ[:-1] + [tmask], [None] * N, *lhs_den)
+                rhs = ratio(rhs_cond[:-1] + [tmask], [None] * N, rhs_cond, [None] * N)
+                label = f"occ[{cond_lab}] -> {_opt_label(jc, tgt)}"
+                if lhs is None or rhs is None:
+                    skipped.append(label)
+                    continue
+                (l, tl), (r, tr) = lhs, rhs
+                checked.append(InstanceCheck(label, l, r, abs(l - r), tol + tl + tr))
+    results.append(LemmaCheckResult("generalized_strong_splitting", tuple(checked),
+                                    tuple(skipped), base_res, tol))
+
+    checked, skipped = [], []
+    if N >= 2:
+        X = len(jc.hidden_states)
+        full = tuple(range(jc.n_symbols))
+        cond_opts = [(x, full) for x in range(X)]
+        tgt_opts = _pair_options(jc) + [(x, full) for x in range(X)]
+        ones = np.ones(jc.n_pairs)
+        for cond in iter_product(cond_opts, repeat=N - 1):
+            cond_shift = [omask(o) for o in cond]
+            x_prev = cond[-1][0]
+            rhs_shift = [None] * (N - 2) + [jc.mask(hidden=x_prev)]
+            cond_lab = " ".join(_opt_label(jc, o) for o in cond)
+            for tgt in tgt_opts:
+                lhs = ratio([None] * N, cond_shift + [omask(tgt)],
+                            [None] * N, cond_shift + [ones])
+                rhs = ratio([None] * N, rhs_shift + [omask(tgt)],
+                            [None] * N, rhs_shift + [ones])
+                label = f"shift[{cond_lab}] -> {_opt_label(jc, tgt)}"
+                if lhs is None or rhs is None:
+                    skipped.append(label)
+                    continue
+                (l, tl), (r, tr) = lhs, rhs
+                checked.append(InstanceCheck(label, l, r, abs(l - r), tol + tl + tr))
+    results.append(LemmaCheckResult("shifted_strong_splitting", tuple(checked),
+                                    tuple(skipped), base_res, tol))
+
+    checked, skipped = [], []
+    for n in range(1, N + 1):
+        for x2 in range(len(jc.hidden_states)):
+            den_shift = [None] * (n - 1) + [jc.mask(hidden=x2)]
+            for es in _symbol_sets(jc.n_symbols):
+                num_shift = [None] * (n - 1) + [jc.mask(hidden=x2, symbols=es)]
+                got = ratio([None] * n, num_shift, [None] * n, den_shift)
+                f_val = float(m.readout[x2, list(es)].sum())
+                label = (f"tau={n} P(Y_(tau+1) in {_set_label(jc, es)} | "
+                         f"X_(tau+1)={jc.hidden_states[x2]})")
+                if got is None:
+                    skipped.append(label)
+                    continue
+                l, tail = got
+                checked.append(InstanceCheck(label, l, f_val, abs(l - f_val), tol + tail))
+    results.append(LemmaCheckResult("readout_at_stopping_time", tuple(checked),
+                                    tuple(skipped), base_res, tol))
+
+    checked, skipped = [], []
+    per_k = {}
+
+    def factor(kk, opt):
+        if (kk, opt) not in per_k:
+            den_shift = [None] * (kk - 1) + [jc.mask(hidden=opt[0])]
+            num_shift = [None] * (kk - 1) + [omask(opt)]
+            per_k[(kk, opt)] = ratio([None] * kk, num_shift, [None] * kk, den_shift)
+        return per_k[(kk, opt)]
+
+    for combo in iter_product(_pair_options(jc), repeat=N):
+        num_shift = [omask(o) for o in combo]
+        den_shift = [jc.mask(hidden=o[0]) for o in combo]
+        lhs = ratio([None] * N, num_shift, [None] * N, den_shift)
+        label = "prod[" + " ".join(_opt_label(jc, o) for o in combo) + "]"
+        factors = [factor(kk + 1, o) for kk, o in enumerate(combo)]
+        if lhs is None or any(f is None for f in factors):
+            skipped.append(label)
+            continue
+        l, tail_l = lhs
+        rhs = 1.0
+        tail_r = 0.0
+        for f, t in factors:
+            rhs *= f
+            tail_r += t
+        checked.append(InstanceCheck(label, l, rhs, abs(l - rhs), tol + tail_l + tail_r))
+    results.append(LemmaCheckResult("conditional_independence_product", tuple(checked),
+                                    tuple(skipped), base_res, tol))
+    return tuple(results)

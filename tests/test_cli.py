@@ -314,3 +314,51 @@ def test_recover_rejects_min_count_below_one(how, tmp_path, capsys):
     assert not out_file.exists()
     status, out, _ = run(capsys, "recover", str(trajs), "--min-count", "1")
     assert status == 0 and out.startswith("clusters 2\n")
+
+
+@pytest.mark.parametrize("permutations", ["0", "-5"])
+def test_exchangeability_rejects_permutations_below_one(permutations, tmp_path, capsys):
+    trajs = tmp_path / "t.txt"
+    trajs.write_text(" ".join(np.random.default_rng(3).choice(["a", "b"], 200)) + "\n")
+    status, out, err = run(capsys, "test-exchangeability", str(trajs),
+                           "--permutations", permutations)
+    assert status == 2
+    assert out == "" and "permutations must be >= 1" in err
+    status, _, _ = run(capsys, "test-exchangeability", str(trajs), "--permutations", "1")
+    assert status == 0
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "-1e-300"])
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_recover_rejects_bad_cluster_tol(tol, how, tmp_path, capsys):
+    # a NaN or negative tolerance used to merge nothing: one cluster per trajectory
+    trajs = tmp_path / "t.txt"
+    trajs.write_text("a b " * 100 + "\n" + "a b " * 100 + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"cluster_tol": %s}' % ("NaN" if tol == "nan" else tol))
+    extra = [f"--cluster-tol={tol}"] if how == "flag" else ["--config", str(cfg)]
+    status, out, err = run(capsys, "recover", str(trajs), "--min-count", "1", *extra)
+    assert status == 2
+    assert out == "" and "cluster_tol must be >= 0" in err
+    for ok in ("0", "inf"):
+        status, out, _ = run(capsys, "recover", str(trajs), "--min-count", "1",
+                             "--cluster-tol", ok)
+        assert status == 0 and out.startswith("clusters 1\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--lemma", "splitting", "--steps", "1"], "at least 2 time steps"),
+    (["--lemma", "splitting", "--steps", "0"], "at least 2 time steps"),
+    (["--lemma", "all", "--steps", "1"], "at least 2 time steps"),
+    (["--lemma", "strong-splitting", "--lag", "-1"], "lag k must be >= 0"),
+    (["--lemma", "all", "--lag", "-2"], "lag k must be >= 0"),
+    (["--lemma", "strong-splitting", "--horizon", "0"], "horizon >= 1"),
+])
+def test_verify_lemmas_rejects_vacuous_steps_and_negative_lag(argv, message, capsys):
+    # --steps 1 and --horizon 0 used to print "PASS (0 instances ...)"; a
+    # negative lag reached matrix_power, which inverts the transition matrix.
+    # stay_swap_hmm hits its target at time 0 surely, so no floor error intervenes.
+    model = Path(__file__).resolve().parent.parent / "models" / "stay_swap_hmm.json"
+    status, out, err = run(capsys, "verify-lemmas", "--model", str(model), *argv)
+    assert status == 2
+    assert out == "" and message in err

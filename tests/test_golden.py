@@ -22,6 +22,14 @@ stderr, a different cluster or cluster order, or a changed successors row
 shows up here. At each ``two_cell_partitioned`` tolerance some cluster holds
 two members farther apart than the tolerance, joined through single-linkage
 chains.
+
+The ``verify-lemmas`` digests and the ``repr`` digests of the exact
+strong-splitting and hitting-time checks were computed with the per-instance
+transfer-matrix propagations that ``tests/oracles.py`` keeps as
+``reference_occurrence_mass`` and ``reference_strong_splitting``, so a moved
+last bit in any lhs, rhs, gap or allowed value, a changed label, or a changed
+order of checked or skipped instances shows up here. The noisy HMM fails and
+prints FAIL lines.
 """
 
 import hashlib
@@ -32,8 +40,14 @@ import pytest
 
 from chainmix import fixtures
 from chainmix.cli import main
+from chainmix.model_io import save_model
 from chainmix.sim import RandomSource
-from chainmix.stopping_verifier import HittingTimeSpec, check_lemmas_mc
+from chainmix.stopping_verifier import (
+    HittingTimeSpec,
+    check_hitting_time_lemmas,
+    check_lemmas_mc,
+    check_strong_splitting,
+)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 IID = {"type": "iid_mixture", "alphabet": ["a", "b", "c"], "weights": [0.3, 0.7],
@@ -367,3 +381,108 @@ def test_successors_and_exchangeability_digest(sample, argv, model_dir, capsys):
     path = _sample(model_dir, capsys, sample)
     status, out, _ = _run(model_dir, capsys, [argv[0], path, *argv[1:]])
     assert (status, digest(out)) == SUCCESSORS_DIGESTS[(sample, argv)]
+
+
+BATTERY_ARGV = ("--model", "battery.json", "--lemma", "all", "--occurrences", "3",
+                "--horizon", "16", "--target-symbol", "a")
+VERIFY_DIGESTS = {
+    # argv after "verify-lemmas": (exit status, SHA-256 of stdout)
+    BATTERY_ARGV:
+        (0, "492b4f743d06f829269bd495e67ccd86f42e6d12b24267ae950eb787e25f6e94"),
+    BATTERY_ARGV + ("--json",):
+        (0, "92a6378abe61d2a13db3ebc2460257483b8fb6bd4263062fb20290fb3eb3fccc"),
+    ("--model", "noisy_hmm.json", "--lemma", "all", "--horizon", "12"):
+        (1, "82273143d5a69da6125162379774dc075372469e865788e355cb37a42cfba978"),
+    ("--model", "noisy_hmm.json", "--lemma", "all", "--horizon", "12", "--json"):
+        (1, "b985e4b34b2a35d7c0f3afec2df33903ad786b577be1109f631767d218f02ce5"),
+    ("--model", "stay_swap_hmm.json"):
+        (0, "98a44acbee2c267eb7f66f4fa340c022b93c6d98aa7424ce8006117aa141d72c"),
+    ("--model", "stay_swap_hmm.json", "--json"):
+        (0, "7c1144b67629be67e957b91353c7e8ee639af31c17d6a257921ad77a91139bb6"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY_DIGESTS))
+def test_verify_lemmas_stdout_digest(argv, model_dir, capsys):
+    # battery.json is the benchmark's exact-mode model
+    save_model(fixtures.iid_rows_three_state(), model_dir / "battery.json")
+    status, out, err = _run(model_dir, capsys, ["verify-lemmas", *argv])
+    assert err == ""
+    assert (status, digest(out)) == VERIFY_DIGESTS[argv]
+
+
+BATTERY = {name: (model, spec) for name, model, spec in fixtures.lemma_battery()}
+
+STRONG_SPLITTING_DIGESTS = {
+    # (battery model, lag k) at horizon 8: SHA-256 of repr of the result
+    ("two_state_cycle", 0): "99f4e85ba92a5a772b076874b85bbfe5637e3786711ed625650c446531212a81",
+    ("two_state_cycle", 1): "e63716655b0e3895cfa2ba6b310b3cdb96396c43e3547da886647e9c3afa51fe",
+    ("two_state_cycle", 2): "a04eed3850978ee29ad623de821657938ecb4dea84cf355a89d7a1d8c1c4d9a3",
+    ("three_cycle_aab", 0): "e155b59e06bd610bed1d0ed8522b13dd6309abf464c2b2566bccd09ff72fae12",
+    ("three_cycle_aab", 1): "e057c230b4a64bc4aba0730720127fc663ceaa81f06c7d51b8357c389dc4f6cf",
+    ("three_cycle_aab", 2): "dd23f7366ff44dd4c9a1aac57b3a0f793a86f07ff114d12a0b09b81da2a9e01c",
+    ("fast_cycle", 0): "90023e87e163c66c838b489ef85f82e4e7d685ad8c4524b9fb7c8de97928084d",
+    ("fast_cycle", 1): "96a00bbda91726bd1a3fba23aede23a4f7767c298de52e8bab106d083e9fd66b",
+    ("fast_cycle", 2): "f0beb96817c1b4ed3ef423ce9404415ee6e118a1ddbd85bab592888c1683cd1d",
+    ("identity_chain_pair", 0): "b28074a92afd7988a939e857a4dcbdcdb476264ad14d908d92b0cfdf2e8ff23c",
+    ("identity_chain_pair", 1): "794510751ef964e9e9440f444a56313bac2ac8084823ec78a73f676aa07fb280",
+    ("identity_chain_pair", 2): "5ca38b53a2eaa34d30464f9b955376dc546e27712594ece764f4c92bbde92882",
+    ("iid_rows_two_state", 0): "dcb5f75a5d8df1e52a491f6a6a139b5f5816506be7c7587098ccaf4c94df8246",
+    ("iid_rows_two_state", 1): "1535706276cd6c70adb490ea85187c301423c0f70c07807c27828ae229f9039b",
+    ("iid_rows_two_state", 2): "fb4527523575587e995790d7fb18c6afaad97c8cd533b098c3f27ae8349a3478",
+    ("iid_rows_three_state", 0): "2fcb66f06e3179a3077e8c14960c984745e755b16bb47dc80fb718752f94d4ec",
+    ("iid_rows_three_state", 1): "ee4cfc3ca0767850f47e039cfe9e11e90ea8c217734c55d8db1e2cd8920d5e15",
+    ("iid_rows_three_state", 2): "5e15e2edd21b6b1c9a781fe968bfe10b9b87c6a8c0071e952c84c42180f3b5eb",
+    ("block_identical_rows", 0): "712d289487f51ac5816a1b915b1ba1129e816dec135c0876a654b46269b7cead",
+    ("block_identical_rows", 1): "e7a3ff81ae0cabf8d2a2c8053b52881d02fd52413682e1739b65c1d513cb8593",
+    ("block_identical_rows", 2): "9b3450e60f9188175325ce4d495f36bc2046159fa017090dcd45383fc4ded1d9",
+    ("direct_sum_iid_blocks", 0): "0439e440a8d0fd8f645a3b3c3e3f04e80d25f2a9ff402748d1019e106dfa34f2",
+    ("direct_sum_iid_blocks", 1): "5c3fe05f8e33b9c9c743c03b62c646a0018ae0a9e9e1aae7ec277a3d89636107",
+    ("direct_sum_iid_blocks", 2): "1dff5ef7fbaed059f630e9e0586c6141924446b4ccc6185c5c5033b46717a90b",
+    ("two_state_three_symbols_iid", 0):
+        "ba2845d0ff4389b1e7311128c97f576ca267d171c955b1dd38c96b9ddd789358",
+    ("two_state_three_symbols_iid", 1):
+        "c383678c0e4baa8e19219bc33bed12e100a72d9251a2a1e3b904c84ae21fce9c",
+    ("two_state_three_symbols_iid", 2):
+        "e357124a9028e8b3b4b0f348cc80b64b04ed4c66da94b5a8a81387a3e089ef79",
+    ("near_uniform", 0): "924fb1aa45031058c9d7cb69bd1ebebcc6e3828aecac2dda062824ede64345af",
+    ("near_uniform", 1): "1ac19c86393a34930e8f94a8bd969683fcf7cec245a8b0e9c486afeb66d19864",
+    ("near_uniform", 2): "8b14140d8f1a3c662141ae7f1323e8441b335b7d7c8457a4a051438de53a9308",
+}
+
+
+@pytest.mark.parametrize("name, k", sorted(STRONG_SPLITTING_DIGESTS))
+def test_check_strong_splitting_repr_digest(name, k):
+    model, spec = BATTERY[name]
+    result = check_strong_splitting(model, spec, k, 8)
+    assert digest(repr(result)) == STRONG_SPLITTING_DIGESTS[name, k]
+
+
+def test_strong_splitting_negative_control_repr_digest():
+    result = check_strong_splitting(fixtures.splitting_negative_control(),
+                                    HittingTimeSpec.for_symbol("a"), 1, 8)
+    assert digest(repr(result)) == (
+        "b7dbefd38aa4b3eef158890a97b905846270ebb5bb1093c6a21029892c5fee13")
+
+
+HITTING_DIGESTS = {
+    # battery model, two occurrences at horizon 8: SHA-256 of repr of the results
+    "two_state_cycle": "d284f0917939e2ebca40f7c4c393bbfbb5ddcc5f06d8bbe0a487b56216c9cbdc",
+    "three_cycle_aab": "e144a2dd58c5c4408ec817614a71568aaa10ef55b98f4f0af3d31e5c9ba10622",
+    "fast_cycle": "d1e63d33b2ff0ef98b63c7d3882dd23d0485da4683e08188158b02aad3112da9",
+    "identity_chain_pair": "a6c456336777699c3f88df3422c5d2633ac307f195ea50fdf9177baa70109c59",
+    "iid_rows_two_state": "0691548a514a84dfa5547dbf3bc5f4d2a124924dfda71f56d2459b6985996aff",
+    "iid_rows_three_state": "4656ac81583d3e3f13b24f986f6a38a818f0f52304fb35bf92813db69cc0ed73",
+    "block_identical_rows": "01fb1d5e3abb6ced5c7a9ed4657dad5c106e094e760af72a715442ff4072559b",
+    "direct_sum_iid_blocks": "addeed1dcb159fc5229d828580697f51218506d46f6dc8945eec78e4aa62c29b",
+    "two_state_three_symbols_iid":
+        "c5415447bc1549252e3676cbefec8daf0594f1838caa793ab24eac420868e4d6",
+    "near_uniform": "fd01b3ad8b9cc09b48728c6fb03a5965bba3874dae52ba6d8c5a18150c0225f3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HITTING_DIGESTS))
+def test_check_hitting_time_lemmas_repr_digest(name):
+    model, spec = BATTERY[name]
+    results = check_hitting_time_lemmas(model, spec, 2, 8)
+    assert digest(repr(results)) == HITTING_DIGESTS[name]

@@ -1,0 +1,127 @@
+"""The batched exact lemma engine against the per-instance references.
+
+Every comparison is exact: floats with ``==`` and results through ``repr``,
+which shows every digit, the float types, the labels and the order of checked
+and skipped instances. The batched propagations must round exactly as the
+one-request, one-line, one-instance code that ``tests/oracles.py`` keeps.
+Models are random small HMMs (1-3 hidden states, 1-3 symbols, with and without
+zero entries) and, where a joint law suffices, their corrupted joints.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from chainmix.errors import TruncationError
+from chainmix.model_core import Alphabet, Distribution, HMMModel, StochasticMatrix
+from chainmix.stopping_verifier import (
+    HittingTimeSpec,
+    JointChain,
+    _MassRequests,
+    check_hitting_time_lemmas,
+    check_strong_splitting,
+    corrupted_previous_symbol_joint,
+)
+
+SYMBOLS = ["a", "b", "c"]
+
+
+def _rows(r, n, k, zeros):
+    """``n`` random distributions over ``k`` outcomes; with ``zeros``, about a
+    third of the entries are zero (never a whole row)."""
+    rows = r.dirichlet(np.ones(k), size=n)
+    if zeros:
+        kill = r.random((n, k)) < 0.35
+        kill[np.arange(n), r.integers(0, k, n)] = False
+        rows = np.where(kill, 0.0, rows)
+        rows /= rows.sum(axis=1, keepdims=True)
+    return rows
+
+
+def _hmm(seed, X, K, zeros):
+    r = np.random.default_rng(seed)
+    hidden = tuple(f"s{i}" for i in range(X))
+    return HMMModel(hidden, Alphabet.of(SYMBOLS[:K]), Distribution(_rows(r, 1, X, zeros)[0]),
+                    StochasticMatrix(_rows(r, X, X, zeros), hidden), _rows(r, X, K, zeros))
+
+
+def _spec(r, m, occurrences):
+    """A random target of one or two (hidden or *, symbol or *) pairs."""
+    targets = set()
+    for _ in range(int(r.integers(1, 3))):
+        hx = r.choice(["*", *m.hidden_states])
+        hy = r.choice(["*", *m.alphabet.emittable])
+        targets.add((str(hx), str(hy)))
+    return HittingTimeSpec(frozenset(targets), occurrences)
+
+
+def _outcome(fn, *args, **kwargs) -> str:
+    try:
+        return repr(fn(*args, **kwargs))
+    except (TruncationError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+models = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 3),
+                   st.booleans())
+
+
+@given(models, st.booleans(), st.integers(1, 3), st.integers(1, 10), st.integers(1, 8))
+@settings(max_examples=120, deadline=None)
+def test_occurrence_masses_equal_reference(model, corrupt, N, horizon, count):
+    seed, X, K, zeros = model
+    m = _hmm(seed, X, K, zeros)
+    jc = corrupted_previous_symbol_joint(m) if corrupt else JointChain.from_hmm(m)
+    r = np.random.default_rng(seed + 1)
+    P = jc.n_pairs
+
+    def mask():
+        return None if r.random() < 0.4 else (r.random(P) < 0.6).astype(float)
+
+    A = (r.random(P) < 0.5).astype(float)
+    A[r.integers(0, P)] = 1.0
+    requests = _MassRequests(P)
+    asked = []
+    for _ in range(count):
+        occ = [mask() for _ in range(N)]
+        shifted = [None] * N
+        if r.random() < 0.6:
+            shifted = [mask() for _ in range(N - 1)] + [(r.random(P) < 0.6).astype(float)]
+        asked.append((requests.add(occ, shifted), occ, shifted))
+    mass, residual = requests.evaluate(jc, A, horizon)
+    for row, occ, shifted in asked:
+        want = oracles.reference_occurrence_mass(jc, A, occ, shifted, horizon)
+        assert (mass[row], residual[row]) == want
+
+
+@given(models, st.booleans(), st.integers(0, 2), st.integers(1, 10), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_strong_splitting_equals_reference(model, corrupt, k, horizon, draw_seed):
+    seed, X, K, zeros = model
+    m = _hmm(seed, X, K, zeros)
+    target = corrupted_previous_symbol_joint(m) if corrupt else m
+    r = np.random.default_rng(draw_seed)
+    spec = _spec(r, m, 1)
+    n_values = None
+    if r.random() < 0.5:
+        n_values = [int(n) for n in r.integers(1, horizon + 1, int(r.integers(0, 4)))]
+    symbol_sets = None
+    if r.random() < 0.5:
+        symbol_sets = [tuple(int(e) for e in np.flatnonzero(r.random(K) < 0.6)) or (0,)
+                       for _ in range(int(r.integers(1, 4)))]
+    kwargs = dict(horizon=horizon, n_values=n_values, floor=0.0, symbol_sets=symbol_sets)
+    assert (_outcome(check_strong_splitting, target, spec, k, **kwargs)
+            == _outcome(oracles.reference_strong_splitting, target, spec, k, **kwargs))
+
+
+@given(models, st.integers(1, 3), st.integers(1, 10), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_hitting_time_lemmas_equal_reference(model, N, horizon, draw_seed):
+    seed, X, K, zeros = model
+    if N == 3:
+        X, K = min(X, 2), min(K, 2)     # keeps the N-fold product family small
+    m = _hmm(seed, X, K, zeros)
+    spec = _spec(np.random.default_rng(draw_seed), m, N)
+    assert (_outcome(check_hitting_time_lemmas, m, spec, N, horizon, floor=0.0)
+            == _outcome(oracles.reference_hitting_time_lemmas, m, spec, N, horizon,
+                        floor=0.0))

@@ -253,3 +253,29 @@ def test_no_testable_rows_error():
     arr = SuccessorsArray({"a": ("b",), "b": ()}, 2)
     with pytest.raises(NoTestableRowsError):
         partial_exchangeability_test(arr, 0.01, RandomSource(40))
+
+
+@pytest.mark.parametrize("permutations", [0, -5])
+def test_permutations_below_one_rejected(permutations):
+    # -5 used to give p = -0.5 and a rejection; 0 gave p = 1 from no test at all
+    row = list("ab" * 30)
+    with pytest.raises(ValueError, match="permutations must be >= 1"):
+        row_exchangeability_test(row, permutations, RandomSource(1))
+    arr = SuccessorsArray({"a": tuple(row), "b": ()}, len(row) + 1)
+    with pytest.raises(ValueError, match="permutations must be >= 1"):
+        partial_exchangeability_test(arr, 0.01, RandomSource(2), permutations=permutations)
+    assert row_exchangeability_test(row, 1, RandomSource(1)).p_value == 1.0
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1e-12, -1.0, float("-inf")])
+def test_cluster_tol_must_be_non_negative(tol):
+    ts = [Trajectory(tuple("abab" * 30)), Trajectory(tuple("abab" * 30))]
+    with pytest.raises(ValueError, match="cluster_tol must be >= 0"):
+        lln_recover(ts, tol, min_count=1)
+
+
+@pytest.mark.parametrize("tol", [0.0, float("inf")])
+def test_cluster_tol_zero_and_inf_accepted(tol):
+    # identical estimates are at distance 0, so both tolerances merge them
+    ts = [Trajectory(tuple("abab" * 30)), Trajectory(tuple("abab" * 30))]
+    assert len(lln_recover(ts, tol, min_count=1).support) == 1

@@ -316,3 +316,58 @@ def test_hidden_after_visits_requires_trace():
     t = sample(two_state_noisy(), 50, RandomSource(5))
     with pytest.raises(ValueError):
         hidden_after_visits(t, "a")
+
+
+# ---------------------------------------------------------------------------
+# Argument ranges
+
+
+@pytest.mark.parametrize("N", [1, 0, -1])
+def test_splitting_needs_two_steps(N):
+    with pytest.raises(ValueError, match="at least 2 time steps"):
+        check_splitting(two_state_noisy(), N)
+
+
+def test_strong_splitting_rejects_negative_lag():
+    with pytest.raises(ValueError, match="lag k must be >= 0"):
+        check_strong_splitting(two_state_noisy(), HittingTimeSpec.for_symbol("a"), k=-1)
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_strong_splitting_needs_a_free_time(horizon):
+    # stay_swap_hmm's first symbol is the target surely, so the floor holds at horizon 0
+    from chainmix.model_io import load_model
+    from pathlib import Path
+
+    m = load_model(Path(__file__).resolve().parent.parent / "models" / "stay_swap_hmm.json")
+    with pytest.raises(ValueError, match="horizon >= 1"):
+        check_strong_splitting(m, HittingTimeSpec.for_symbol("a"), 1, horizon=horizon)
+    assert check_strong_splitting(m, HittingTimeSpec.for_symbol("a"), 1, horizon=1).checked
+
+
+@pytest.mark.parametrize("n_values", [[0], [1, 9], [-1]])
+def test_strong_splitting_free_times_in_range(n_values):
+    with pytest.raises(ValueError, match="must lie in 1..horizon"):
+        check_strong_splitting(two_state_noisy(), HittingTimeSpec.for_symbol("a"), 1,
+                               horizon=8, n_values=n_values)
+    res = check_strong_splitting(two_state_noisy(), HittingTimeSpec.for_symbol("a"), 1,
+                                 horizon=8, n_values=[1, 8])
+    assert res.passed and {c.label.split()[0] for c in res.checked} == {"n=1", "n=8"}
+
+
+# ---------------------------------------------------------------------------
+# The battery script: all three exact checks on every battery model
+
+
+def test_lemma_battery_script_passes_at_defaults(capsys):
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "scripts" / "lemma_battery.py"
+    spec = importlib.util.spec_from_file_location("lemma_battery", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main([]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("battery: PASS\n")
+    assert "FAIL (expected)" in out and out.count(" PASS instances=") == 60
