@@ -18,6 +18,7 @@ from .model_core import (
     hmm_law,
     iid_mixture_law,
     markov_mixture_law,
+    model_law,
     partitioned_mixture_law,
     validate_model,
 )

@@ -28,12 +28,6 @@ class ClassDecomposition:
     transient: tuple[int, ...]
     stationary: tuple[Distribution, ...]
 
-    def class_of(self, state: int) -> int | None:
-        for h, members in enumerate(self.classes):
-            if state in members:
-                return h
-        return None
-
 
 def adjacency(rows: np.ndarray, tol: float = EDGE_TOL) -> list[list[int]]:
     return [[int(w) for w in np.flatnonzero(row > tol)] for row in rows]

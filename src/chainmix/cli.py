@@ -52,24 +52,6 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _model_law(model, N: int, budget) -> model_core.FiniteLaw:
-    if isinstance(model, HMMModel):
-        return model_core.hmm_law(model, N, budget)
-    if isinstance(model, IIDMixtureModel):
-        return model_core.iid_mixture_law(model, N, budget)
-    if isinstance(model, MarkovMixtureModel):
-        return model_core.markov_mixture_law(model, N, budget)
-    if isinstance(model, PartitionedKernelMixture):
-        return model_core.partitioned_mixture_law(model, N, budget)
-    raise ModelFormatError(f"no law operation for {type(model).__name__}")
-
-
-def _starts_at_y0(model) -> str | None:
-    if isinstance(model, (MarkovMixtureModel, PartitionedKernelMixture)):
-        return model.y0
-    return None
-
-
 def comparable_laws(a, b, N: int, budget, drop_first: bool = False):
     """Laws of the two models over a common string set.
 
@@ -80,8 +62,8 @@ def comparable_laws(a, b, N: int, budget, drop_first: bool = False):
     """
     laws = []
     for m in (a, b):
-        law = _model_law(m, N, budget)
-        y0 = _starts_at_y0(m)
+        law = model_core.model_law(m, N, budget)
+        y0 = getattr(m, "y0", None)
         if drop_first:
             if y0 is None:
                 law = exact_law.marginalize_first(law)
@@ -119,7 +101,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 
 def cmd_law(args, cfg: RunConfig) -> int:
     model = load_model(args.model)
-    law = _model_law(model, args.horizon, cfg.enum_budget)
+    law = model_core.model_law(model, args.horizon, cfg.enum_budget)
     if args.json:
         _emit_json({"length": law.length,
                     "entries": [[list(s), p] for s, p in law.entries()]})
@@ -188,13 +170,8 @@ def _matrices_for_analysis(model):
     if isinstance(model, MarkovMixtureModel):
         return [(f"component {h}", c) for h, c in enumerate(model.components)]
     if isinstance(model, PartitionedKernelMixture):
-        cell_of = model.cell_index_array
-        out = []
-        for h in range(model.n_components):
-            rows = model.kernels[h][cell_of - 1]
-            out.append((f"component {h} (symbol chain)",
-                        StochasticMatrix(rows, model.alphabet.emittable)))
-        return out
+        return [(f"component {h} (symbol chain)", StochasticMatrix(rows, model.alphabet.emittable))
+                for h, rows in enumerate(model.kernels[:, model.cell_index_array - 1])]
     raise ModelFormatError(f"{type(model).__name__} has no underlying matrix to analyze")
 
 
@@ -363,7 +340,7 @@ def cmd_verify_lemmas(args, cfg: RunConfig) -> int:
         samples = cfg.mc_samples if args.samples is None else args.samples
         results.extend(check_lemmas_mc(model, spec, samples,
                                        RandomSource(args.seed),
-                                       horizon=args.horizon))
+                                       horizon=args.horizon, floor=cfg.horizon_floor))
     else:
         if args.lemma in ("splitting", "all"):
             results.append(check_splitting(model, args.steps, cfg.tol_exact))

@@ -64,27 +64,25 @@ def laws_equal(a: FiniteLaw, b: FiniteLaw, tol: float) -> LawComparison:
 
 def marginalize_last(a: FiniteLaw) -> FiniteLaw:
     """Sum out the final symbol; length drops by one."""
-    if a.length < 2:
-        raise LawMismatchError("cannot marginalize a length-1 law")
-    k = a.alphabet.size
-    if a.dense is not None:
-        return FiniteLaw.from_flat(a.alphabet, a.length - 1, a.dense.reshape(-1, k).sum(axis=1))
-    out: dict = {}
-    for idx, p in a.sparse.items():
-        out[idx[:-1]] = out.get(idx[:-1], 0.0) + p
-    return FiniteLaw(a.alphabet, a.length - 1, sparse=out)
+    return _sum_out(a, first=False)
 
 
 def marginalize_first(a: FiniteLaw) -> FiniteLaw:
     """Sum out the first symbol; length drops by one."""
+    return _sum_out(a, first=True)
+
+
+def _sum_out(a: FiniteLaw, first: bool) -> FiniteLaw:
     if a.length < 2:
         raise LawMismatchError("cannot marginalize a length-1 law")
     k = a.alphabet.size
     if a.dense is not None:
-        return FiniteLaw.from_flat(a.alphabet, a.length - 1, a.dense.reshape(k, -1).sum(axis=0))
+        table = a.dense.reshape(k, -1) if first else a.dense.reshape(-1, k)
+        return FiniteLaw.from_flat(a.alphabet, a.length - 1, table.sum(axis=0 if first else 1))
+    rest = slice(1, None) if first else slice(None, -1)
     out: dict = {}
     for idx, p in a.sparse.items():
-        out[idx[1:]] = out.get(idx[1:], 0.0) + p
+        out[idx[rest]] = out.get(idx[rest], 0.0) + p
     return FiniteLaw(a.alphabet, a.length - 1, sparse=out)
 
 

@@ -75,32 +75,11 @@ def block_identical_rows() -> HMMModel:
     return hmm(["u", "v", "w"], ["a", "b", "c"], pi, P, f)
 
 
-def three_state_noisy() -> HMMModel:
-    return hmm(["s0", "s1", "s2"], ["a", "b", "c"], [0.2, 0.5, 0.3],
-               [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]],
-               [[0.2, 0.7, 0.1], [0.1, 0.8, 0.1], [0.15, 0.7, 0.15]])
-
-
 def fast_cycle() -> HMMModel:
     """Slightly lazy deterministic-readout 3-cycle; short return times."""
     return hmm(["s0", "s1", "s2"], ["a", "b", "c"], [1, 0, 0],
                [[0.2, 0.8, 0], [0, 0.2, 0.8], [0.8, 0, 0.2]],
                np.eye(3))
-
-
-def two_state_three_symbols() -> HMMModel:
-    return hmm(["s0", "s1"], ["a", "b", "c"], [0.6, 0.4],
-               [[0.1, 0.9], [0.8, 0.2]],
-               [[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
-
-
-def direct_sum_pair() -> HMMModel:
-    """Direct sum of a 2-state noisy chain and an absorbing singleton."""
-    P = np.zeros((3, 3))
-    P[:2, :2] = [[0.3, 0.7], [0.6, 0.4]]
-    P[2, 2] = 1.0
-    f = [[0.95, 0.05], [0.3, 0.7], [0.6, 0.4]]
-    return hmm(["s0", "s1", "t0"], ["a", "b"], [0.45, 0.15, 0.4], P, f)
 
 
 def near_uniform() -> HMMModel:

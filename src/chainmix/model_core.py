@@ -8,11 +8,13 @@ Four generative model classes over a shared finite alphabet:
 * ``PartitionedKernelMixture`` chain whose kernel depends on the current symbol only
   through the cell of a fixed partition (finite stand-in for a general state space)
 
-Each class gets an exact law operation producing a :class:`FiniteLaw` -- the full
-probability table over bounded-horizon strings, the universal comparison object.
-String conventions follow the generative definitions: i.i.d. mixtures and HMMs
-produce laws over ``(Y_0, ..., Y_N)``; Markov and partitioned mixtures fix
-``Y_0 = y0`` and produce laws over ``(Y_1, ..., Y_N)``.
+Each class gets an exact law operation producing a :class:`FiniteLaw`, the
+universal comparison object; :func:`model_law` dispatches on the model type.
+Laws are enumerated over live prefixes only: work and memory follow the strings
+of positive probability, not the ``K^length`` table the budget counts. String
+conventions follow the generative definitions: i.i.d. mixtures and HMMs produce
+laws over ``(Y_0, ..., Y_N)``; Markov and partitioned mixtures fix ``Y_0 = y0``
+and produce laws over ``(Y_1, ..., Y_N)``.
 
 The fictitious symbol ``@del`` occupies alphabet index 0 everywhere. No model may
 emit it; it exists for successors-array padding semantics and partition cell 0.
@@ -28,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import DEFAULT
-from .errors import EnumerationBudgetError, InvalidModelError
+from .errors import EnumerationBudgetError, InvalidModelError, ModelFormatError
 
 DELTA = "@del"            # reserved fictitious symbol, always alphabet index 0
 SUM_TOL = 1e-12           # distribution / stochastic-row sum tolerance
@@ -246,7 +248,8 @@ class PartitionedKernelMixture:
 
 @dataclass(frozen=True)
 class FiniteLaw:
-    """Exact probability table over all strings of a fixed length.
+    """Exact probability table over all strings of a fixed length, built from its
+    live entries (:meth:`from_ranks`): the law bodies never hold the dead strings.
 
     Stored densely as a flat array indexed by rank (row-major, first symbol most
     significant, see :func:`rank_digits`) or, when the table has few nonzeros,
@@ -261,15 +264,26 @@ class FiniteLaw:
     sparse: dict | None = None
 
     @classmethod
+    def from_ranks(cls, alphabet: Alphabet, length: int, ranks, probs) -> "FiniteLaw":
+        """Build from ascending int64 ``ranks`` and their probabilities (``ranks``
+        None: ``probs`` is the full table), dropping zeros such as underflowed
+        products; sparse when fewer than ``SPARSE_FRACTION`` of the strings are live."""
+        probs = np.asarray(probs, dtype=float)
+        live = probs != 0.0
+        ranks = np.flatnonzero(live) if ranks is None else np.asarray(ranks, dtype=np.int64)[live]
+        probs, size = probs[live], alphabet.size ** length
+        if ranks.size < SPARSE_FRACTION * size:
+            return cls(alphabet, length, sparse=rank_table(ranks, probs, alphabet.size, length))
+        if ranks.size < size:
+            flat = np.zeros(size)
+            flat[ranks] = probs
+            probs = flat
+        probs.setflags(write=False)
+        return cls(alphabet, length, dense=probs)
+
+    @classmethod
     def from_flat(cls, alphabet: Alphabet, length: int, flat: np.ndarray) -> "FiniteLaw":
-        flat = np.asarray(flat, dtype=float)
-        nonzero = np.flatnonzero(flat)
-        if nonzero.size < SPARSE_FRACTION * flat.size:
-            return cls(alphabet, length,
-                       sparse=rank_table(nonzero, flat[nonzero], alphabet.size, length))
-        flat = flat.copy()
-        flat.setflags(write=False)
-        return cls(alphabet, length, dense=flat)
+        return cls.from_ranks(alphabet, length, None, flat)
 
     @classmethod
     def from_probs(cls, alphabet: Alphabet, length: int, probs: dict) -> "FiniteLaw":
@@ -367,23 +381,12 @@ def validate_model(model) -> list[str]:
     Accepts any of the model classes plus ``Alphabet``, ``Distribution``,
     ``StochasticMatrix`` and ``FiniteLaw``. Violations are returned, never raised.
     """
-    if isinstance(model, Alphabet):
-        return _check_alphabet(model)
-    if isinstance(model, Distribution):
-        return _check_distribution(model.weights, "distribution")
-    if isinstance(model, StochasticMatrix):
-        return _check_matrix(model, "matrix")
-    if isinstance(model, FiniteLaw):
-        return _check_law(model)
-    if isinstance(model, HMMModel):
-        return _check_hmm(model)
-    if isinstance(model, MarkovMixtureModel):
-        return _check_markov_mixture(model)
-    if isinstance(model, IIDMixtureModel):
-        return _check_iid_mixture(model)
-    if isinstance(model, PartitionedKernelMixture):
-        return _check_partitioned(model)
-    return [f"unknown model type {type(model).__name__}"]
+    check = {Alphabet: _check_alphabet, FiniteLaw: _check_law, HMMModel: _check_hmm,
+             MarkovMixtureModel: _check_markov_mixture, IIDMixtureModel: _check_iid_mixture,
+             PartitionedKernelMixture: _check_partitioned,
+             Distribution: lambda d: _check_distribution(d.weights, "distribution"),
+             StochasticMatrix: lambda m: _check_matrix(m, "matrix")}.get(type(model))
+    return [f"unknown model type {type(model).__name__}"] if check is None else check(model)
 
 
 def require_valid(model):
@@ -577,58 +580,102 @@ def _check_budget(entries: int, budget) -> None:
         )
 
 
-def iid_mixture_law(m: IIDMixtureModel, N: int, budget=None) -> FiniteLaw:
-    """Exact law of ``(Y_0, ..., Y_N)``: ``sum_h mu_h prod_n p_h(y_n)``."""
+def _check_law_input(m, N: int, entries: int, budget) -> None:
     require_valid(m)
     if N < 1:
         raise ValueError("horizon N must be >= 1")
-    k, L = m.alphabet.size, N + 1
-    _check_budget(k ** L, budget)
-    flat = np.zeros(k ** L)
-    for mu, comp in zip(m.weights.weights, m.components):
-        t = comp.weights
-        for _ in range(L - 1):
-            t = np.multiply.outer(t, comp.weights).ravel()
-        flat += mu * t
-    return FiniteLaw.from_flat(m.alphabet, L, flat)
+    _check_budget(entries, budget)
+
+
+def _extend(ranks, k: int):
+    """Ranks of the one-symbol extensions of the prefixes at ``ranks``, ascending."""
+    return None if ranks is None else ((ranks * k)[:, None] + np.arange(k)).ravel()
+
+
+def _prune(live: np.ndarray, ranks, values: np.ndarray) -> tuple:
+    """The frontier ``(ranks, values)`` without the prefixes where ``live`` is false.
+    A frontier holds the live prefixes of one length: their ascending int64 ranks,
+    or None while every prefix is live at its own rank, and their values."""
+    if live.all():
+        return ranks, values
+    return (np.flatnonzero(live) if ranks is None else ranks[live]), values[live]
+
+
+def _chain_mixture_law(alphabet: Alphabet, length: int, weights, firsts, rows) -> FiniteLaw:
+    """Law of ``sum_h weights[h] firsts[h][s_1] rows[h][s_1, s_2] ... rows[h][s_{n-1}, s_n]``
+    over the strings ``s`` of ``length`` symbols.
+
+    Each component extends its frontier left to right, dropping exact zeros
+    after every step; the terms then accumulate in component order as
+    ``0.0 + mu_h t_h``, the floats a sum of full tables gives.
+    """
+    k = alphabet.size
+    terms = []
+    for first, P in zip(firsts, rows):
+        ranks, vals = _prune(first != 0.0, None, first)
+        for _ in range(length - 1):
+            if ranks is None:      # every prefix live: row z of P extends every k-th value
+                vals = (vals.reshape(-1, k)[:, :, None] * P).ravel()
+            else:
+                vals = (vals[:, None] * np.take(P, ranks % k, axis=0)).ravel()
+            ranks, vals = _prune(vals != 0.0, _extend(ranks, k), vals)
+        terms.append((ranks, vals))
+    live = None
+    if all(ranks is not None for ranks, _ in terms):
+        # a stable sort merges the ascending runs; np.unique would hash them
+        live = np.sort(np.concatenate([ranks for ranks, _ in terms]), kind="stable")
+        live = live[np.diff(live, prepend=-1) != 0]
+    acc = np.zeros(k ** length if live is None else live.size)
+    for mu, (ranks, vals) in zip(weights, terms):
+        if ranks is None or ranks.size == acc.size:
+            acc += mu * vals
+        else:
+            acc[ranks if live is None else np.searchsorted(live, ranks)] += mu * vals
+    return FiniteLaw.from_ranks(alphabet, length, live, acc)
+
+
+def iid_mixture_law(m: IIDMixtureModel, N: int, budget=None) -> FiniteLaw:
+    """Exact law of ``(Y_0, ..., Y_N)``: ``sum_h mu_h prod_n p_h(y_n)``."""
+    k = m.alphabet.size
+    _check_law_input(m, N, k ** (N + 1), budget)
+    ps = [c.weights for c in m.components]
+    return _chain_mixture_law(m.alphabet, N + 1, m.weights.weights, ps,
+                              [np.broadcast_to(p, (k, k)) for p in ps])
 
 
 def markov_mixture_law(m: MarkovMixtureModel, N: int, budget=None) -> FiniteLaw:
     """Exact law of ``(Y_1, ..., Y_N)`` given ``Y_0 = y0``:
     ``sum_h mu_h P^h[y0,y1] P^h[y1,y2] ... P^h[y_{N-1},yN]``."""
-    require_valid(m)
-    if N < 1:
-        raise ValueError("horizon N must be >= 1")
-    k = m.alphabet.size
-    _check_budget(k ** N, budget)
+    _check_law_input(m, N, m.alphabet.size ** N, budget)
     y0 = m.alphabet.emit_index(m.y0)
-    flat = np.zeros(k ** N)
-    for mu, comp in zip(m.weights.weights, m.components):
-        P = comp.rows
-        t = P[y0]
-        for _ in range(N - 1):
-            t = (t.reshape(-1, k)[:, :, None] * P[None, :, :]).ravel()
-        flat += mu * t
-    return FiniteLaw.from_flat(m.alphabet, N, flat)
+    return _chain_mixture_law(m.alphabet, N, m.weights.weights,
+                              [c.rows[y0] for c in m.components],
+                              [c.rows for c in m.components])
 
 
 def hmm_law(m: HMMModel, N: int, budget=None) -> FiniteLaw:
     """Exact law of ``(Y_0, ..., Y_N)`` by the forward recursion.
 
-    Maintains one forward vector over hidden states per string prefix
-    (``alpha[prefix] = P(prefix, X_n = .)``); hidden paths are never enumerated.
+    Maintains one forward vector over hidden states per live string prefix
+    (``alpha[prefix] = P(prefix, X_n = .)``), dropping all-zero ones before each
+    step; hidden paths are never enumerated. Until a drop, the products have the
+    full table's shapes and floats; after one, the BLAS may round a row of the
+    smaller matrix product a few ulp differently, never changing the live strings.
     """
-    require_valid(m)
-    if N < 1:
-        raise ValueError("horizon N must be >= 1")
     k, X, L = m.alphabet.size, m.n_hidden, N + 1
-    _check_budget(X * k ** L, budget)
+    _check_law_input(m, N, X * k ** L, budget)
     f = m.readout                              # (X, K)
+    ranks = None
     alphas = (m.pi.weights[:, None] * f).T     # (K, X): row y = pi * f[:, y]
     for _ in range(L - 1):
-        beta = alphas @ m.P.rows               # (K^k, X)
+        live = alphas[:, 0] != 0.0             # column by column: faster than any(axis=1)
+        for column in alphas.T[1:]:
+            live |= column != 0.0
+        ranks, alphas = _prune(live, ranks, alphas)
+        beta = alphas @ m.P.rows               # (live prefixes, X)
         alphas = (beta[:, None, :] * f.T[None, :, :]).reshape(-1, X)
-    return FiniteLaw.from_flat(m.alphabet, L, alphas.sum(axis=1))
+        ranks = _extend(ranks, k)
+    return FiniteLaw.from_ranks(m.alphabet, L, ranks, alphas.sum(axis=1))  # drops zero sums
 
 
 def partitioned_mixture_law(m: PartitionedKernelMixture, N: int, budget=None) -> FiniteLaw:
@@ -638,18 +685,19 @@ def partitioned_mixture_law(m: PartitionedKernelMixture, N: int, budget=None) ->
     over cell paths collapses: each string carries exactly the product
     ``mu_h t_h(1, y_1) t_h(j_1, y_2) ... t_h(j_{N-1}, y_N)`` with ``j_n = cell(y_n)``.
     """
-    require_valid(m)
-    if N < 1:
-        raise ValueError("horizon N must be >= 1")
-    k = m.alphabet.size
-    _check_budget(k ** N, budget)
-    cell_of = m.cell_index_array
-    flat = np.zeros(k ** N)
-    for h in range(m.n_components):
-        # effective symbol-to-symbol transition rows: row z = t_h(cell(z), .)
-        P = m.kernels[h][cell_of - 1]
-        t = m.kernels[h][0]                    # first step uses cell(y0) = 1
-        for _ in range(N - 1):
-            t = (t.reshape(-1, k)[:, :, None] * P[None, :, :]).ravel()
-        flat += m.weights[h] * t
-    return FiniteLaw.from_flat(m.alphabet, N, flat)
+    _check_law_input(m, N, m.alphabet.size ** N, budget)
+    # the first step uses cell(y0) = 1; row z of the symbol chain is t_h(cell(z), .)
+    return _chain_mixture_law(m.alphabet, N, m.weights.weights, m.kernels[:, 0],
+                              m.kernels[:, m.cell_index_array - 1])
+
+
+# law functions by name, looked up when called: a rebound one (a wrapper, a mock) is called
+LAWS = {IIDMixtureModel: "iid_mixture_law", MarkovMixtureModel: "markov_mixture_law",
+        HMMModel: "hmm_law", PartitionedKernelMixture: "partitioned_mixture_law"}
+
+
+def model_law(model, N: int, budget=None) -> FiniteLaw:
+    """Exact law of a model of any class: the law function ``LAWS`` names for its type."""
+    if type(model) not in LAWS:
+        raise ModelFormatError(f"no law operation for {type(model).__name__}")
+    return globals()[LAWS[type(model)]](model, N, budget)

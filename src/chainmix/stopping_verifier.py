@@ -328,6 +328,15 @@ def _gemv_rows(V: np.ndarray, M: np.ndarray) -> np.ndarray:
     return (V[..., None, :] @ M)[..., 0, :]
 
 
+def _require_realized(event: str, mass: float, floor: float | None,
+                      advice: str = "increase the horizon or use the Monte Carlo mode") -> None:
+    """Raise :class:`TruncationError` when ``event`` happens within the horizon
+    with mass below ``floor`` (default ``DEFAULT.horizon_floor``)."""
+    floor = DEFAULT.horizon_floor if floor is None else floor
+    if mass < floor:
+        raise TruncationError(f"{event} realized with mass {mass:.6g} < floor {floor}; {advice}")
+
+
 def check_strong_splitting(model, spec: HittingTimeSpec, k: int, horizon: int = 8,
                            n_values=None, tol: float | None = None,
                            floor: float | None = None,
@@ -347,7 +356,6 @@ def check_strong_splitting(model, spec: HittingTimeSpec, k: int, horizon: int = 
     target, so every value rounds exactly as a per-instance evaluation does.
     """
     tol = DEFAULT.tol_exact if tol is None else tol
-    floor = DEFAULT.horizon_floor if floor is None else floor
     if k < 0:
         raise ValueError("lag k must be >= 0")
     if horizon < 1:
@@ -363,11 +371,7 @@ def check_strong_splitting(model, spec: HittingTimeSpec, k: int, horizon: int = 
     for _ in range(horizon + 1):
         w.append((w[-1] * Ac) @ T)
     unrealized = float(w[horizon + 1].sum())
-    if 1.0 - unrealized < floor:
-        raise TruncationError(
-            f"first hitting time realized with mass {1 - unrealized:.6g} < floor {floor}; "
-            "increase the horizon or use the Monte Carlo mode"
-        )
+    _require_realized("first hitting time", 1.0 - unrealized, floor)
     # early[r]: mass of hitting by time r, summed in time order
     early = np.cumsum([w[r] * A for r in range(horizon + 1)], axis=0)
 
@@ -566,7 +570,6 @@ def check_hitting_time_lemmas(m, spec: HittingTimeSpec, N: int | None = None,
     propagations (:class:`_MassRequests`) that round as one per request does.
     """
     tol = DEFAULT.tol_exact if tol is None else tol
-    floor = DEFAULT.horizon_floor if floor is None else floor
     if not isinstance(m, HMMModel):
         raise TypeError("check_hitting_time_lemmas needs an HMMModel "
                         "(the read-out identity references its read-out rows)")
@@ -579,11 +582,7 @@ def check_hitting_time_lemmas(m, spec: HittingTimeSpec, N: int | None = None,
 
     base_done, base_res = (float(a[0]) for a in _occurrence_masses(
         jc, A, np.ones((1, N, jc.n_pairs)), None, horizon))
-    if base_done < floor:
-        raise TruncationError(
-            f"{N} occurrences realized with mass {base_done:.6g} < floor {floor}; "
-            "increase the horizon or use the Monte Carlo mode"
-        )
+    _require_realized(f"{N} occurrences", base_done, floor)
 
     requests = _MassRequests(jc.n_pairs)
     masks: dict = {}
@@ -695,13 +694,16 @@ def _sample_joint_paths(jc: JointChain, length: int, count: int,
 
 
 def check_lemmas_mc(m, spec: HittingTimeSpec, samples: int, src: RandomSource,
-                    horizon: int = 12, N: int | None = None) -> tuple[LemmaCheckResult, ...]:
+                    horizon: int = 12, N: int | None = None,
+                    floor: float | None = None) -> tuple[LemmaCheckResult, ...]:
     """Monte Carlo counterpart of :func:`check_hitting_time_lemmas`.
 
     Estimates each identity's two sides by empirical conditional frequencies
     over ``samples`` simulated joint paths; an instance passes when the gap is
     within three combined binomial standard errors. Instances whose conditioning
-    event never occurs are skipped with a count report.
+    event never occurs are skipped with a count report. Like the exact mode, it
+    raises :class:`TruncationError` when the share of paths realizing all ``N``
+    occurrences by the horizon is below ``floor``.
 
     Paths are sampled in lockstep (see :mod:`chainmix.sim`). Every frequency is
     an integer count over its denominator, read from count tables of the pairs
@@ -732,6 +734,7 @@ def check_lemmas_mc(m, spec: HittingTimeSpec, samples: int, src: RandomSource,
         done.append(d)
     full = done[N]
     residual = 1.0 - int(full.sum()) / samples
+    _require_realized(f"{N} occurrences", 1.0 - residual, floor, "increase the horizon")
 
     P, K, X = jc.n_pairs, jc.n_symbols, len(jc.hidden_states)
 

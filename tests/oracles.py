@@ -97,6 +97,72 @@ def partitioned_law_by_cell_paths(m, N):
     return out
 
 
+# ---------------------------------------------------------------------------
+# Reference law bodies: full K^length tables, every string enumerated, dead
+# ones included. The engine that extends only live prefixes must give the
+# same floats (mixtures, HMMs with nothing to prune) or a few ulp off them.
+
+
+def reference_from_flat(alphabet, length, flat):
+    """A full table's law: sparse below ``SPARSE_FRACTION`` nonzeros, else dense."""
+    from chainmix.model_core import SPARSE_FRACTION, FiniteLaw, rank_table
+
+    nonzero = np.flatnonzero(flat)
+    if nonzero.size < SPARSE_FRACTION * flat.size:
+        return FiniteLaw(alphabet, length,
+                         sparse=rank_table(nonzero, flat[nonzero], alphabet.size, length))
+    flat = flat.copy()
+    flat.setflags(write=False)
+    return FiniteLaw(alphabet, length, dense=flat)
+
+
+def reference_iid_mixture_law(m, N):
+    k, L = m.alphabet.size, N + 1
+    flat = np.zeros(k ** L)
+    for mu, comp in zip(m.weights.weights, m.components):
+        t = comp.weights
+        for _ in range(L - 1):
+            t = np.multiply.outer(t, comp.weights).ravel()
+        flat += mu * t
+    return reference_from_flat(m.alphabet, L, flat)
+
+
+def reference_markov_mixture_law(m, N):
+    k = m.alphabet.size
+    y0 = m.alphabet.emit_index(m.y0)
+    flat = np.zeros(k ** N)
+    for mu, comp in zip(m.weights.weights, m.components):
+        P = comp.rows
+        t = P[y0]
+        for _ in range(N - 1):
+            t = (t.reshape(-1, k)[:, :, None] * P[None, :, :]).ravel()
+        flat += mu * t
+    return reference_from_flat(m.alphabet, N, flat)
+
+
+def reference_hmm_law(m, N):
+    X, L = m.n_hidden, N + 1
+    f = m.readout
+    alphas = (m.pi.weights[:, None] * f).T
+    for _ in range(L - 1):
+        beta = alphas @ m.P.rows
+        alphas = (beta[:, None, :] * f.T[None, :, :]).reshape(-1, X)
+    return reference_from_flat(m.alphabet, L, alphas.sum(axis=1))
+
+
+def reference_partitioned_mixture_law(m, N):
+    k = m.alphabet.size
+    cell_of = m.cell_index_array
+    flat = np.zeros(k ** N)
+    for h in range(m.n_components):
+        P = m.kernels[h][cell_of - 1]
+        t = m.kernels[h][0]
+        for _ in range(N - 1):
+            t = (t.reshape(-1, k)[:, :, None] * P[None, :, :]).ravel()
+        flat += m.weights[h] * t
+    return reference_from_flat(m.alphabet, N, flat)
+
+
 def law_to_dict(law):
     return {s: p for s, p in law.entries()}
 

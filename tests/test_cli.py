@@ -290,6 +290,15 @@ def test_simulate_rejects_negative_seed_or_stream(mix_file, flag, capsys):
     assert out == "" and "[0, 2**64)" in err
 
 
+@pytest.mark.parametrize("mode", [["--mc", "--samples", "10000"], []])
+def test_verify_lemmas_horizon_below_the_realization_floor_is_an_error(mode, capsys):
+    model = Path(__file__).resolve().parent.parent / "models" / "noisy_hmm.json"
+    status, out, err = run(capsys, "verify-lemmas", "--model", str(model), "--lemma", "hitting",
+                           "--horizon", "0", *mode)
+    assert status == 2
+    assert out == "" and "< floor 0.99" in err
+
+
 @pytest.mark.parametrize("mode", [["--mc"], []])
 def test_verify_lemmas_needs_an_occurrence(mode, capsys):
     model = Path(__file__).resolve().parent.parent / "models" / "noisy_hmm.json"

@@ -12,7 +12,10 @@ per-entry rank/digit conversions that ``tests/oracles.py`` keeps as the
 reference, so a change to line order, dict insertion order (and with it the
 summation order of ``tv`` and ``max_gap``) or a printed digit shows up here.
 They cover dense and sparse tables, lifted and marginalized laws, and unequal
-pairs that print a ``worst_string``.
+pairs that print a ``worst_string``. The ``sparse6`` horizon-8 and stay/swap
+horizon-20 digests were computed with the full-table law bodies that
+``tests/oracles.py`` keeps as ``reference_*_law``: tables of 1.7M and 2.1M
+strings, of which 124,511 and 2 are live.
 
 The ``recover``, ``successors`` and ``test-exchangeability`` digests were
 computed with the per-symbol successors and histogram loops and the pairwise
@@ -225,6 +228,14 @@ LAW_DIGESTS = {
         "7b2eab602786d002b5504ad96fde2f6a82a76220dc145398f7c7f0d8ac1cfade",
     ("sparse6.json", 6, True):
         "4541a14b70a0d54b3e1dd4e8b87cd7e7987e8c91f67b91e020e5bd5ac4551cd9",
+    ("sparse6.json", 8, False):
+        "f987eb55e487c90a893eeb6d4937dc2a9714692198677137312138462fb5f6b9",
+    ("sparse6.json", 8, True):
+        "eb77cd2cc86c21861368feae3da03983550fe3270992661733e8d8e6e566bc3c",
+    ("stay_swap_hmm.json", 20, False):
+        "bd94641e77620839255b79ac4f5044079102c4b3ccf7e1aba7f2737c002f4f92",
+    ("stay_swap_hmm.json", 20, True):
+        "4d55c5d24c7aafa3be11717a976fd76e653072d36b403f807c259983b5f228e3",
 }
 
 
@@ -238,6 +249,10 @@ def test_law_stdout_digest(model, horizon, as_json, model_dir, capsys):
 
 COMPARE_DIGESTS = {
     # argv after "compare": (exit status, SHA-256 of stdout)
+    ("stay_swap_mixture.json", "stay_swap_hmm.json", "--horizon", "20"):
+        (0, "83abbf083dae4fec305b2a65809bcd483062462e6372274a6e894f96fdac23f6"),
+    ("stay_swap_mixture.json", "stay_swap_hmm.json", "--horizon", "20", "--json"):
+        (0, "360a82ba1954464bbf95c8ae7d940a4bfc6702d01e34c3d300c4aa8ec23cfe08"),
     ("stay_swap_mixture.json", "stay_swap_hmm.json", "--horizon", "9"):
         (0, "83abbf083dae4fec305b2a65809bcd483062462e6372274a6e894f96fdac23f6"),
     ("stay_swap_mixture.json", "stay_swap_hmm.json", "--horizon", "9", "--json"):

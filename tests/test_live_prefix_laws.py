@@ -1,0 +1,188 @@
+"""Exact laws over live prefixes against the full-table reference bodies.
+
+The chain-mixture engine must give the reference's floats exactly, in the same
+dense or sparse form with the same dict order. The HMM forward pass must too
+while nothing is pruned; once rows are pruned the matrix product runs on fewer
+rows and may round a row's entries a few ulp differently, never changing the
+set of live strings.
+"""
+
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from chainmix import model_core
+from chainmix.cli import main
+from chainmix.errors import ModelFormatError
+from chainmix.model_io import load_model
+from chainmix.model_core import (
+    Alphabet,
+    Distribution,
+    FiniteLaw,
+    HMMModel,
+    IIDMixtureModel,
+    MarkovMixtureModel,
+    Partition,
+    PartitionedKernelMixture,
+    StochasticMatrix,
+    hmm_law,
+    iid_mixture_law,
+    markov_mixture_law,
+    model_law,
+    partitioned_mixture_law,
+    validate_model,
+)
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+SYMBOLS = ["a", "b", "c", "d"]
+
+
+def sparse_rows(r, n, k, zeros=True):
+    """``n`` random distributions over ``k`` entries, each with at least one
+    positive entry and, when ``zeros``, about a third of the entries exactly 0."""
+    rows = r.dirichlet(np.ones(k), size=n)
+    if zeros:
+        mask = r.random((n, k)) < 0.35
+        mask[np.arange(n), r.integers(0, k, size=n)] = False
+        rows = np.where(mask, 0.0, rows)
+        rows /= rows.sum(axis=1, keepdims=True)
+    return rows
+
+
+def symmetric_support_chain(r, k):
+    """Stochastic matrix whose support is symmetric, so every state is recurrent."""
+    support = r.random((k, k)) < 0.6
+    support |= support.T
+    empty = ~support.any(axis=1)
+    support[empty, empty] = True               # a self-loop for each empty row
+    rows = np.where(support, r.random((k, k)) + 0.05, 0.0)
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def random_mixture(kind, r, k, h):
+    alphabet = Alphabet.of(SYMBOLS[:k])
+    weights = Distribution(r.dirichlet(np.ones(h)))
+    if kind == "iid":
+        return IIDMixtureModel(alphabet, weights,
+                               tuple(Distribution(p) for p in sparse_rows(r, h, k)))
+    if kind == "markov":
+        comps = tuple(StochasticMatrix(symmetric_support_chain(r, k), alphabet.emittable)
+                      for _ in range(h))
+        return MarkovMixtureModel(alphabet, SYMBOLS[int(r.integers(0, k))], weights, comps)
+    j = int(r.integers(1, k + 1))
+    bounds = [0, *sorted(r.choice(np.arange(1, k), size=j - 1, replace=False).tolist()), k]
+    cells = tuple(tuple(SYMBOLS[a:b]) for a, b in zip(bounds, bounds[1:]))
+    kernels = sparse_rows(r, h * j, k).reshape(h, j, k)
+    return PartitionedKernelMixture(alphabet, Partition(cells), weights, kernels, cells[0][0])
+
+
+def random_hmm(r, x, k, zeros):
+    hidden = tuple(f"s{i}" for i in range(x))
+    return HMMModel(hidden, Alphabet.of(SYMBOLS[:k]),
+                    Distribution(sparse_rows(r, 1, x, zeros)[0]),
+                    StochasticMatrix(sparse_rows(r, x, x, zeros), hidden),
+                    sparse_rows(r, x, k, zeros))
+
+
+def live_ranks_and_probs(law):
+    """``(ranks, probs)`` of the nonzero entries, in the law's own order."""
+    k = law.alphabet.size
+    if law.sparse is not None:
+        digits = np.array(list(law.sparse), dtype=np.int64).reshape(-1, law.length)
+        return digits @ k ** np.arange(law.length - 1, -1, -1), np.array(list(law.sparse.values()))
+    ranks = np.flatnonzero(law.dense)
+    return ranks, law.dense[ranks]
+
+
+def assert_same_law(got, want):
+    assert (got.length, got.sparse is None) == (want.length, want.sparse is None)
+    if want.sparse is not None:
+        assert list(got.sparse.items()) == list(want.sparse.items())
+    else:
+        assert np.array_equal(got.dense, want.dense)
+        assert not got.dense.flags.writeable
+
+
+LAW_BODIES = {
+    "iid": (iid_mixture_law, oracles.reference_iid_mixture_law),
+    "markov": (markov_mixture_law, oracles.reference_markov_mixture_law),
+    "partitioned": (partitioned_mixture_law, oracles.reference_partitioned_mixture_law),
+}
+
+
+@given(st.sampled_from(sorted(LAW_BODIES)), st.integers(1, 4), st.integers(1, 3),
+       st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_mixture_laws_equal_the_full_table_bodies(kind, k, h, N, seed):
+    m = random_mixture(kind, np.random.default_rng(seed), k, h)
+    assert validate_model(m) == []
+    law, reference = LAW_BODIES[kind]
+    assert_same_law(law(m, N), reference(m, N))
+
+
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_positive_hmm_law_equals_the_full_table_body(x, k, N, seed):
+    m = random_hmm(np.random.default_rng(seed), x, k, zeros=False)
+    assert_same_law(hmm_law(m, N), oracles.reference_hmm_law(m, N))
+
+
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_pruned_hmm_law_has_the_full_table_live_set_within_ulps(x, k, N, seed):
+    m = random_hmm(np.random.default_rng(seed), x, k, zeros=True)
+    got, want = hmm_law(m, N), oracles.reference_hmm_law(m, N)
+    assert (got.length, got.sparse is None) == (want.length, want.sparse is None)
+    (got_ranks, got_probs), (want_ranks, want_probs) = (live_ranks_and_probs(got),
+                                                        live_ranks_and_probs(want))
+    assert np.array_equal(got_ranks, want_ranks)
+    np.testing.assert_array_max_ulp(got_probs, want_probs, maxulp=4 * got.length)
+
+
+def test_pruning_keeps_only_live_prefixes():
+    # two live strings out of 2**21, at ranks 0 (all a) and 2**21 - 1 (all b)
+    for path in ("stay_swap_mixture.json", "stay_swap_hmm.json"):
+        law = model_law(load_model(MODELS / path), 20)
+        assert law.sparse is not None and len(law.sparse) == 2
+
+
+def test_from_ranks_drops_zeros_and_picks_the_form():
+    ab = Alphabet.of(["a", "b"])
+    law = FiniteLaw.from_ranks(ab, 4, np.array([1, 4, 6]), np.array([0.5, 0.0, 0.5]))
+    assert list(law.sparse.items()) == [((0, 0, 0, 1), 0.5), ((0, 1, 1, 0), 0.5)]
+    dense = FiniteLaw.from_ranks(ab, 2, np.array([0, 2, 3]), np.array([0.25, 0.5, 0.25]))
+    assert dense.dense.tolist() == [0.25, 0.0, 0.5, 0.25]
+    assert not dense.dense.flags.writeable
+    full = np.full(4, 0.25)
+    assert_same_law(FiniteLaw.from_ranks(ab, 2, None, full), FiniteLaw.from_flat(ab, 2, full))
+    assert_same_law(FiniteLaw.from_ranks(ab, 2, None, full),
+                    oracles.reference_from_flat(ab, 2, full))
+
+
+def test_model_law_dispatches_on_the_model_type():
+    ab = Alphabet.of(["a", "b"])
+    m = IIDMixtureModel(ab, Distribution([1.0]), (Distribution([0.5, 0.5]),))
+    assert_same_law(model_law(m, 2), iid_mixture_law(m, 2))
+    assert set(model_core.LAWS) == {IIDMixtureModel, MarkovMixtureModel, HMMModel,
+                                    PartitionedKernelMixture}
+    with pytest.raises(ModelFormatError, match="no law operation for StochasticMatrix"):
+        model_law(StochasticMatrix(np.eye(2)), 2)
+
+
+def test_sparse_compare_memory_follows_live_strings(capsys):
+    # the full forward table of stay_swap_hmm at horizon 20 is 3 x 2**21 floats (150 MB)
+    argv = ["compare", str(MODELS / "stay_swap_mixture.json"),
+            str(MODELS / "stay_swap_hmm.json"), "--horizon", "20"]
+    tracemalloc.start()
+    try:
+        status = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert capsys.readouterr().out == "tv 0\nmax_gap 0\n"
+    assert peak < 16 * 2 ** 20

@@ -253,6 +253,17 @@ def test_mc_requires_enough_samples():
                         100, RandomSource(1))
 
 
+def test_mc_truncation_floor_enforced():
+    # at horizon 0 no path realizes two occurrences: residual 1
+    m, spec = two_state_noisy(), HittingTimeSpec.for_symbol("b", 2)
+    with pytest.raises(TruncationError, match="2 occurrences realized with mass 0 < floor 0.99"):
+        check_lemmas_mc(m, spec, 10_000, RandomSource(3), horizon=0)
+    res = check_lemmas_mc(m, spec, 10_000, RandomSource(3), horizon=0, floor=0.0)
+    assert all(r.residual == 1.0 for r in res)
+    with pytest.raises(TruncationError, match="< floor 0.999999"):
+        check_lemmas_mc(m, spec, 10_000, RandomSource(3), horizon=12, floor=0.999999)
+
+
 def test_mc_agrees_with_exact_where_both_run():
     m = iid_rows_two_state()
     spec = HittingTimeSpec.for_symbol("a", 2)
