@@ -9,9 +9,10 @@ Four generative model classes over a shared finite alphabet:
   through the cell of a fixed partition (finite stand-in for a general state space)
 
 Each class gets an exact law operation producing a :class:`FiniteLaw`, the
-universal comparison object; :func:`model_law` dispatches on the model type.
-Laws are enumerated over live prefixes only: work and memory follow the strings
-of positive probability, not the ``K^length`` table the budget counts. String
+universal comparison object, held as the sorted ranks and probabilities of its
+live strings; :func:`model_law` dispatches on the model type. Laws are
+enumerated over live prefixes only: work and memory follow the strings of
+positive probability, not the ``K^length`` table the budget counts. String
 conventions follow the generative definitions: i.i.d. mixtures and HMMs produce
 laws over ``(Y_0, ..., Y_N)``; Markov and partitioned mixtures fix ``Y_0 = y0``
 and produce laws over ``(Y_1, ..., Y_N)``.
@@ -24,6 +25,7 @@ All numeric arrays are indexed over the *emittable* symbols (alphabet minus
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,7 +37,6 @@ from .errors import EnumerationBudgetError, InvalidModelError, ModelFormatError
 DELTA = "@del"            # reserved fictitious symbol, always alphabet index 0
 SUM_TOL = 1e-12           # distribution / stochastic-row sum tolerance
 LAW_SUM_TOL = 1e-9        # enumeration rounding budget for law tables
-SPARSE_FRACTION = 0.25    # tables with fewer nonzeros than this fraction go sparse
 BLOCK = 4096              # ranks decoded at a time: bounds the codec's scratch arrays
 
 
@@ -248,38 +249,36 @@ class PartitionedKernelMixture:
 
 @dataclass(frozen=True)
 class FiniteLaw:
-    """Exact probability table over all strings of a fixed length, built from its
-    live entries (:meth:`from_ranks`): the law bodies never hold the dead strings.
-
-    Stored densely as a flat array indexed by rank (row-major, first symbol most
-    significant, see :func:`rank_digits`) or, when the table has few nonzeros,
-    sparsely as a dict from emit-index (digit) tuples of Python ints to
-    probabilities. Dicts built from ranks are filled in ascending rank, which is
-    alphabet order. ``length`` is the number of symbols per string.
+    """Exact probability table over the strings of ``length`` symbols, stored as its
+    live entries only: the ascending, unique ``ranks`` of the strings of positive
+    probability and their ``probs``, both read-only. A rank is the string's
+    emit-index digits in base ``K``, first symbol most significant (see
+    :func:`rank_digits`), so ascending rank is alphabet order. Ranks are int64
+    while ``K**length - 1`` fits in int64, and Python ints (``object``) beyond.
     """
 
     alphabet: Alphabet
     length: int
-    dense: np.ndarray | None = None
-    sparse: dict | None = None
+    ranks: np.ndarray
+    probs: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("ranks", rank_dtype(self.alphabet.size, self.length)),
+                            ("probs", float)):
+            values = np.asarray(getattr(self, name), dtype=dtype)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     @classmethod
     def from_ranks(cls, alphabet: Alphabet, length: int, ranks, probs) -> "FiniteLaw":
-        """Build from ascending int64 ``ranks`` and their probabilities (``ranks``
-        None: ``probs`` is the full table), dropping zeros such as underflowed
-        products; sparse when fewer than ``SPARSE_FRACTION`` of the strings are live."""
+        """Build from ascending ``ranks`` and their probabilities (``ranks`` None: ``probs``
+        is the full table), dropping zeros such as underflowed products; no copy if none."""
         probs = np.asarray(probs, dtype=float)
+        ranks = np.arange(probs.size) if ranks is None else np.asarray(ranks)
         live = probs != 0.0
-        ranks = np.flatnonzero(live) if ranks is None else np.asarray(ranks, dtype=np.int64)[live]
-        probs, size = probs[live], alphabet.size ** length
-        if ranks.size < SPARSE_FRACTION * size:
-            return cls(alphabet, length, sparse=rank_table(ranks, probs, alphabet.size, length))
-        if ranks.size < size:
-            flat = np.zeros(size)
-            flat[ranks] = probs
-            probs = flat
-        probs.setflags(write=False)
-        return cls(alphabet, length, dense=probs)
+        if not live.all():
+            ranks, probs = ranks[live], probs[live]
+        return cls(alphabet, length, ranks, probs)
 
     @classmethod
     def from_flat(cls, alphabet: Alphabet, length: int, flat: np.ndarray) -> "FiniteLaw":
@@ -288,87 +287,90 @@ class FiniteLaw:
     @classmethod
     def from_probs(cls, alphabet: Alphabet, length: int, probs: dict) -> "FiniteLaw":
         """Build from ``{tuple-of-symbol-labels: probability}``."""
-        table = {}
+        ranks, values = [], []
         for labels, p in probs.items():
             if len(labels) != length:
                 raise ValueError(f"string {labels!r} does not have length {length}")
             if p != 0.0:
-                table[tuple(alphabet.emit_index(s) for s in labels)] = float(p)
-        return cls(alphabet, length, sparse=table)
+                ranks.append(_rank(alphabet.size, [alphabet.emit_index(s) for s in labels]))
+                values.append(float(p))
+        ranks = np.array(ranks, dtype=rank_dtype(alphabet.size, length))
+        order = np.argsort(ranks, kind="stable")
+        return cls(alphabet, length, ranks[order], np.array(values)[order])
 
     @property
     def table_size(self) -> int:
         return self.alphabet.size ** self.length
 
     def prob(self, labels) -> float:
-        idx = tuple(self.alphabet.emit_index(s) for s in labels)
+        idx = [self.alphabet.emit_index(s) for s in labels]
         if len(idx) != self.length:
             raise ValueError(f"string has length {len(idx)}, law has length {self.length}")
-        if self.sparse is not None:
-            return self.sparse.get(idx, 0.0)
-        return float(self.dense.reshape((self.alphabet.size,) * self.length)[idx])
+        r = _rank(self.alphabet.size, idx)
+        i = int(np.searchsorted(self.ranks, r))
+        return float(self.probs[i]) if i < self.ranks.size and self.ranks[i] == r else 0.0
 
     def nonzero(self) -> dict:
-        """Nonzero entries as ``{emit-index tuple: probability}``."""
-        if self.sparse is not None:
-            return dict(self.sparse)
-        ranks = np.flatnonzero(self.dense)
-        return rank_table(ranks, self.dense[ranks], self.alphabet.size, self.length)
+        """Nonzero entries as ``{emit-index tuple: probability}``, in ascending rank."""
+        digits = rank_digits(self.ranks, self.alphabet.size, self.length)
+        return dict(zip(zip(*digits.T.tolist()), self.probs.tolist()))
+
+    # perfbench/tracing.py counts live entries as len(law.sparse): the ranks, not a dict
+    sparse = property(lambda self: self.ranks)
 
     def to_flat(self) -> np.ndarray:
-        if self.dense is not None:
-            return np.asarray(self.dense)
-        k = self.alphabet.size
-        flat = np.zeros(k ** self.length)
-        digits = np.array(list(self.sparse), dtype=np.int64).reshape(-1, self.length)
-        flat[digits @ k ** np.arange(self.length - 1, -1, -1)] = list(self.sparse.values())
+        flat = np.zeros(self.table_size)
+        flat[self.ranks] = self.probs
         return flat
 
     def total(self) -> float:
-        if self.sparse is not None:
-            return float(sum(self.sparse.values()))
-        return float(self.dense.sum())
+        """The correctly rounded sum of the probabilities."""
+        return math.fsum(self.probs)
 
     def labels_of(self, idx) -> tuple[str, ...]:
         em = self.alphabet.emittable
         return tuple(em[i] for i in idx)
 
     def label_blocks(self):
-        """Yield ``(label tuples, probabilities)`` of the nonzero entries in alphabet order,
-        ``BLOCK`` at a time. Sparse keys are sorted, never ranked: ranks may exceed int64."""
+        """Yield ``(label tuples, probabilities)`` of the live entries ``BLOCK`` at a time."""
         em = np.array(self.alphabet.emittable, dtype=object)
-        keys = np.flatnonzero(self.dense) if self.sparse is None else sorted(self.sparse)
-        for i in range(0, len(keys), BLOCK):
-            block = keys[i:i + BLOCK]
-            if self.sparse is None:
-                digits = rank_digits(block, self.alphabet.size, self.length)
-                yield zip(*em[digits].T.tolist()), self.dense[block].tolist()
-            else:
-                yield zip(*em[np.array(block)].T.tolist()), [self.sparse[s] for s in block]
+        for i in range(0, self.ranks.size, BLOCK):
+            digits = rank_digits(self.ranks[i:i + BLOCK], self.alphabet.size, self.length)
+            yield zip(*em[digits].T.tolist()), self.probs[i:i + BLOCK].tolist()
 
     def entries(self):
-        """Yield ``(label tuple, probability)`` for nonzero entries in alphabet order
-        (ascending rank), decoded ``BLOCK`` (4096) entries at a time."""
+        """Yield ``(label tuple, probability)`` of the live entries in alphabet order."""
         for labels, probs in self.label_blocks():
             yield from zip(labels, probs)
 
 
+def rank_dtype(k: int, length: int):
+    """int64 while the ranks of ``length``-symbol strings over ``k`` fit it, else object."""
+    return np.int64 if k ** length <= 2 ** 63 else object
+
+
+def _rank(k: int, digits) -> int:
+    """Rank of one emit-index string, as a Python int."""
+    return sum(d * k ** e for e, d in enumerate(reversed(digits)))
+
+
 def rank_digits(ranks, k: int, length: int) -> np.ndarray:
-    """``(n, length)`` matrix of the base-``k`` digits of int64 ``ranks``, most
-    significant first: the emit-index strings at those flat indices of a table."""
-    digits = np.asarray(ranks, dtype=np.int64)[:, None] // k ** np.arange(length - 1, -1, -1)
+    """``(n, length)`` int64 matrix of the base-``k`` digits of ``ranks``, most
+    significant first: the emit-index strings at those ranks."""
+    dtype = rank_dtype(k, length)
+    powers = np.array([k ** e for e in range(length - 1, -1, -1)], dtype=dtype)
+    digits = np.asarray(ranks, dtype=dtype)[:, None] // powers
     digits %= k
-    return digits
+    return digits.astype(np.int64, copy=False)
 
 
-def rank_table(ranks: np.ndarray, probs: np.ndarray, k: int, length: int) -> dict:
-    """``{emit-index tuple: probability}`` keyed in the order of ``ranks``, ``BLOCK`` at a
-    time. Zipping digit columns makes the key tuples without a list per row."""
-    table = {}
-    for i in range(0, len(ranks), BLOCK):
-        columns = rank_digits(ranks[i:i + BLOCK], k, length).T.tolist()
-        table.update(zip(zip(*columns), probs[i:i + BLOCK].tolist()))
-    return table
+def rank_union(*rank_arrays) -> np.ndarray:
+    """Ascending union of ascending rank arrays: a stable sort merges the runs (no hashing)."""
+    ranks = np.concatenate(rank_arrays)
+    ranks.sort(kind="stable")
+    keep = np.ones(ranks.size, dtype=bool)
+    keep[1:] = ranks[1:] != ranks[:-1]
+    return ranks[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +447,19 @@ def _check_matrix(m: StochasticMatrix, name: str) -> list[str]:
 
 def _check_law(law: FiniteLaw) -> list[str]:
     out = _check_alphabet(law.alphabet)
-    if (law.dense is None) == (law.sparse is None):
-        return out + ["law: exactly one of dense/sparse must be set"]
-    values = law.dense if law.dense is not None else np.array(list(law.sparse.values()) or [0.0])
-    if np.any(values < 0):
+    ranks, probs = law.ranks, law.probs
+    if ranks.ndim != 1 or ranks.shape != probs.shape:
+        return out + [f"law: ranks of shape {ranks.shape}, probabilities of shape {probs.shape}"]
+    if np.any(ranks[1:] <= ranks[:-1]):
+        out.append("law: ranks are not strictly ascending")
+    if ranks.size and (ranks.min() < 0 or ranks.max() >= law.table_size):
+        out.append(f"law: ranks outside [0, {law.table_size})")
+    if np.any(probs < 0):
         out.append("law: negative probability entry")
-    total = law.total()
-    if abs(total - 1.0) > LAW_SUM_TOL:
-        out.append(f"law: table sums to {total:.12g}")
+    if not np.all(np.isfinite(probs)):
+        out.append("law: non-finite probability entry")
+    elif abs(law.total() - 1.0) > LAW_SUM_TOL:
+        out.append(f"law: table sums to {law.total():.12g}")
     return out
 
 
@@ -572,33 +579,30 @@ def _reachable_cells(table: np.ndarray, cell_of: np.ndarray, J: int) -> set[int]
 # Exact finite-horizon laws
 
 
-def _check_budget(entries: int, budget) -> None:
-    budget = DEFAULT.enum_budget if budget is None else int(budget)
-    if entries > budget:
-        raise EnumerationBudgetError(
-            f"enumeration needs {entries} table entries, exceeding the budget of {budget}"
-        )
-
-
-def _check_law_input(m, N: int, entries: int, budget) -> None:
+def _check_law_input(m, N: int, length: int, budget, per_string: int = 1) -> None:
+    """Refuse a bad model or horizon, ``per_string * K**length`` entries over the budget,
+    and strings whose ranks overflow int64."""
     require_valid(m)
     if N < 1:
         raise ValueError("horizon N must be >= 1")
-    _check_budget(entries, budget)
+    k, budget = m.alphabet.size, DEFAULT.enum_budget if budget is None else int(budget)
+    if per_string * k ** length > budget:
+        raise EnumerationBudgetError(f"enumeration needs {per_string * k ** length} table "
+                                     f"entries, exceeding the budget of {budget}")
+    if rank_dtype(k, length) is not np.int64:
+        raise EnumerationBudgetError(f"strings of {length} symbols over {k} have "
+                                     f"ranks up to {k ** length - 1}, beyond int64")
 
 
-def _extend(ranks, k: int):
+def _extend(ranks: np.ndarray, k: int) -> np.ndarray:
     """Ranks of the one-symbol extensions of the prefixes at ``ranks``, ascending."""
-    return None if ranks is None else ((ranks * k)[:, None] + np.arange(k)).ravel()
+    return ((ranks * k)[:, None] + np.arange(k)).ravel()
 
 
-def _prune(live: np.ndarray, ranks, values: np.ndarray) -> tuple:
+def _prune(live: np.ndarray, ranks: np.ndarray, values: np.ndarray) -> tuple:
     """The frontier ``(ranks, values)`` without the prefixes where ``live`` is false.
-    A frontier holds the live prefixes of one length: their ascending int64 ranks,
-    or None while every prefix is live at its own rank, and their values."""
-    if live.all():
-        return ranks, values
-    return (np.flatnonzero(live) if ranks is None else ranks[live]), values[live]
+    A frontier holds the live prefixes of one length: their ascending ranks and values."""
+    return (ranks, values) if live.all() else (ranks[live], values[live])
 
 
 def _chain_mixture_law(alphabet: Alphabet, length: int, weights, firsts, rows) -> FiniteLaw:
@@ -612,32 +616,29 @@ def _chain_mixture_law(alphabet: Alphabet, length: int, weights, firsts, rows) -
     k = alphabet.size
     terms = []
     for first, P in zip(firsts, rows):
-        ranks, vals = _prune(first != 0.0, None, first)
-        for _ in range(length - 1):
-            if ranks is None:      # every prefix live: row z of P extends every k-th value
+        ranks, vals = _prune(first != 0.0, np.arange(k), first)
+        for n in range(1, length):
+            if ranks.size == k ** n:   # every prefix live: row z of P extends every k-th value
                 vals = (vals.reshape(-1, k)[:, :, None] * P).ravel()
             else:
                 vals = (vals[:, None] * np.take(P, ranks % k, axis=0)).ravel()
             ranks, vals = _prune(vals != 0.0, _extend(ranks, k), vals)
         terms.append((ranks, vals))
-    live = None
-    if all(ranks is not None for ranks, _ in terms):
-        # a stable sort merges the ascending runs; np.unique would hash them
-        live = np.sort(np.concatenate([ranks for ranks, _ in terms]), kind="stable")
-        live = live[np.diff(live, prepend=-1) != 0]
-    acc = np.zeros(k ** length if live is None else live.size)
+    full = [ranks for ranks, _ in terms if ranks.size == k ** length]   # already the union
+    live = full[0] if full else rank_union(*(ranks for ranks, _ in terms))
+    acc = np.zeros(live.size)
     for mu, (ranks, vals) in zip(weights, terms):
-        if ranks is None or ranks.size == acc.size:
+        if ranks.size == acc.size:
             acc += mu * vals
         else:
-            acc[ranks if live is None else np.searchsorted(live, ranks)] += mu * vals
+            acc[np.searchsorted(live, ranks)] += mu * vals
     return FiniteLaw.from_ranks(alphabet, length, live, acc)
 
 
 def iid_mixture_law(m: IIDMixtureModel, N: int, budget=None) -> FiniteLaw:
     """Exact law of ``(Y_0, ..., Y_N)``: ``sum_h mu_h prod_n p_h(y_n)``."""
     k = m.alphabet.size
-    _check_law_input(m, N, k ** (N + 1), budget)
+    _check_law_input(m, N, N + 1, budget)
     ps = [c.weights for c in m.components]
     return _chain_mixture_law(m.alphabet, N + 1, m.weights.weights, ps,
                               [np.broadcast_to(p, (k, k)) for p in ps])
@@ -646,7 +647,7 @@ def iid_mixture_law(m: IIDMixtureModel, N: int, budget=None) -> FiniteLaw:
 def markov_mixture_law(m: MarkovMixtureModel, N: int, budget=None) -> FiniteLaw:
     """Exact law of ``(Y_1, ..., Y_N)`` given ``Y_0 = y0``:
     ``sum_h mu_h P^h[y0,y1] P^h[y1,y2] ... P^h[y_{N-1},yN]``."""
-    _check_law_input(m, N, m.alphabet.size ** N, budget)
+    _check_law_input(m, N, N, budget)
     y0 = m.alphabet.emit_index(m.y0)
     return _chain_mixture_law(m.alphabet, N, m.weights.weights,
                               [c.rows[y0] for c in m.components],
@@ -663,9 +664,9 @@ def hmm_law(m: HMMModel, N: int, budget=None) -> FiniteLaw:
     smaller matrix product a few ulp differently, never changing the live strings.
     """
     k, X, L = m.alphabet.size, m.n_hidden, N + 1
-    _check_law_input(m, N, X * k ** L, budget)
+    _check_law_input(m, N, L, budget, per_string=X)
     f = m.readout                              # (X, K)
-    ranks = None
+    ranks = np.arange(k)
     alphas = (m.pi.weights[:, None] * f).T     # (K, X): row y = pi * f[:, y]
     for _ in range(L - 1):
         live = alphas[:, 0] != 0.0             # column by column: faster than any(axis=1)
@@ -685,7 +686,7 @@ def partitioned_mixture_law(m: PartitionedKernelMixture, N: int, budget=None) ->
     over cell paths collapses: each string carries exactly the product
     ``mu_h t_h(1, y_1) t_h(j_1, y_2) ... t_h(j_{N-1}, y_N)`` with ``j_n = cell(y_n)``.
     """
-    _check_law_input(m, N, m.alphabet.size ** N, budget)
+    _check_law_input(m, N, N, budget)
     # the first step uses cell(y0) = 1; row z of the symbol chain is t_h(cell(z), .)
     return _chain_mixture_law(m.alphabet, N, m.weights.weights, m.kernels[:, 0],
                               m.kernels[:, m.cell_index_array - 1])

@@ -11,6 +11,7 @@ exact lemma engine must reproduce.
 """
 
 from bisect import bisect_right
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -101,19 +102,47 @@ def partitioned_law_by_cell_paths(m, N):
 # Reference law bodies: full K^length tables, every string enumerated, dead
 # ones included. The engine that extends only live prefixes must give the
 # same floats (mixtures, HMMs with nothing to prune) or a few ulp off them.
+# They return the two-form law that the sorted (rank, prob) arrays replaced:
+# a dense flat table, or a dict of emit-index tuples below SPARSE_FRACTION.
+
+SPARSE_FRACTION = 0.25    # tables with fewer nonzeros than this fraction went sparse
+
+
+@dataclass(frozen=True)
+class TwoFormLaw:
+    alphabet: object
+    length: int
+    dense: np.ndarray | None = None
+    sparse: dict | None = None
+
+
+def rank_table(ranks, probs, k, length):
+    """``{emit-index tuple: probability}`` keyed in the order of ``ranks``."""
+    return {reference_unrank(int(r), k, length): float(p) for r, p in zip(ranks, probs)}
 
 
 def reference_from_flat(alphabet, length, flat):
     """A full table's law: sparse below ``SPARSE_FRACTION`` nonzeros, else dense."""
-    from chainmix.model_core import SPARSE_FRACTION, FiniteLaw, rank_table
-
     nonzero = np.flatnonzero(flat)
     if nonzero.size < SPARSE_FRACTION * flat.size:
-        return FiniteLaw(alphabet, length,
-                         sparse=rank_table(nonzero, flat[nonzero], alphabet.size, length))
+        return TwoFormLaw(alphabet, length,
+                          sparse=rank_table(nonzero, flat[nonzero], alphabet.size, length))
     flat = flat.copy()
     flat.setflags(write=False)
-    return FiniteLaw(alphabet, length, dense=flat)
+    return TwoFormLaw(alphabet, length, dense=flat)
+
+
+def reference_live(law):
+    """``(ranks, probs)`` of a two-form law's nonzero entries in its own order, or a
+    ``FiniteLaw``'s arrays."""
+    if not isinstance(law, TwoFormLaw):
+        return law.ranks, law.probs
+    if law.sparse is None:
+        ranks = np.flatnonzero(law.dense)
+        return ranks, law.dense[ranks]
+    k = law.alphabet.size
+    ranks = [sum(d * k ** (law.length - 1 - i) for i, d in enumerate(idx)) for idx in law.sparse]
+    return np.array(ranks, dtype=np.int64), np.array(list(law.sparse.values()))
 
 
 def reference_iid_mixture_law(m, N):
@@ -303,9 +332,11 @@ def reference_rank_table(flat, k, length):
 
 
 def reference_nonzero(law):
-    if law.sparse is not None:
-        return dict(law.sparse)
-    return reference_rank_table(law.dense, law.alphabet.size, law.length)
+    """``{emit-index tuple: probability}`` of a law's live entries, one rank at a time."""
+    if isinstance(law, TwoFormLaw):
+        return dict(law.sparse) if law.sparse is not None else reference_rank_table(
+            law.dense, law.alphabet.size, law.length)
+    return rank_table(law.ranks, law.probs, law.alphabet.size, law.length)
 
 
 def reference_entries(law):
@@ -314,6 +345,48 @@ def reference_entries(law):
     nz = reference_nonzero(law)
     for idx in sorted(nz):
         yield tuple(em[i] for i in idx), nz[idx]
+
+
+# The comparison algebra of the two-form law, on ``{emit-index tuple: prob}``
+# dicts: the dict branch every mixed or sparse comparison took.
+
+
+def reference_gaps(na, nb):
+    """``{string: |a(s) - b(s)|}`` over the union of the live strings."""
+    return {s: abs(na.get(s, 0.0) - nb.get(s, 0.0)) for s in na.keys() | nb.keys()}
+
+
+def reference_laws_equal(na, nb):
+    """``(max_gap, worst string)``: the first strictly larger gap in ascending
+    string order, so ties go to the lowest string; ``(0.0, None)`` if no gap."""
+    max_gap, worst = 0.0, None
+    for s in sorted(na.keys() | nb.keys()):
+        g = abs(na.get(s, 0.0) - nb.get(s, 0.0))
+        if g > max_gap:
+            max_gap, worst = g, s
+    return max_gap, worst
+
+
+def reference_sum_out(na, first):
+    """Sum out the first (or last) symbol, each group added in ascending string order."""
+    rest = slice(1, None) if first else slice(None, -1)
+    out = {}
+    for idx in sorted(na):
+        out[idx[rest]] = out.get(idx[rest], 0.0) + na[idx]
+    return out
+
+
+def reference_condition_on_first(na, e):
+    """Conditional law of the rest given first symbol ``e``; None without mass."""
+    picked = {idx[1:]: p for idx, p in sorted(na.items()) if idx[0] == e}
+    mass = sum(picked.values())
+    if mass <= 1e-12:
+        return None
+    return {idx: p / mass for idx, p in picked.items()}
+
+
+def reference_lift(na, e):
+    return {(e, *s): p for s, p in na.items()}
 
 
 def reference_extract(t, alphabet=None):

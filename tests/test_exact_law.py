@@ -108,6 +108,7 @@ def test_tv_is_a_metric(s1, s2, s3):
 
 
 def test_mixed_sparse_dense_comparison():
-    dense = FiniteLaw(AB, 2, dense=np.array([0.25, 0.25, 0.25, 0.25]))
+    # every string live against one live string
+    dense = FiniteLaw.from_flat(AB, 2, np.array([0.25, 0.25, 0.25, 0.25]))
     sparse = law_of({("a", "a"): 1.0})
     assert total_variation(dense, sparse) == pytest.approx(0.75, abs=1e-15)

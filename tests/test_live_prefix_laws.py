@@ -1,7 +1,7 @@
 """Exact laws over live prefixes against the full-table reference bodies.
 
-The chain-mixture engine must give the reference's floats exactly, in the same
-dense or sparse form with the same dict order. The HMM forward pass must too
+The chain-mixture engine must give the reference's floats exactly, at the same
+live ranks in ascending order. The HMM forward pass must too
 while nothing is pruned; once rows are pruned the matrix product runs on fewer
 rows and may round a row's entries a few ulp differently, never changing the
 set of live strings.
@@ -88,23 +88,12 @@ def random_hmm(r, x, k, zeros):
                     sparse_rows(r, x, k, zeros))
 
 
-def live_ranks_and_probs(law):
-    """``(ranks, probs)`` of the nonzero entries, in the law's own order."""
-    k = law.alphabet.size
-    if law.sparse is not None:
-        digits = np.array(list(law.sparse), dtype=np.int64).reshape(-1, law.length)
-        return digits @ k ** np.arange(law.length - 1, -1, -1), np.array(list(law.sparse.values()))
-    ranks = np.flatnonzero(law.dense)
-    return ranks, law.dense[ranks]
-
-
 def assert_same_law(got, want):
-    assert (got.length, got.sparse is None) == (want.length, want.sparse is None)
-    if want.sparse is not None:
-        assert list(got.sparse.items()) == list(want.sparse.items())
-    else:
-        assert np.array_equal(got.dense, want.dense)
-        assert not got.dense.flags.writeable
+    """``got`` holds exactly ``want``'s live entries, as read-only int64 ranks."""
+    want_ranks, want_probs = oracles.reference_live(want)
+    assert got.length == want.length and got.ranks.dtype == np.int64
+    assert np.array_equal(got.ranks, want_ranks) and np.array_equal(got.probs, want_probs)
+    assert not got.ranks.flags.writeable and not got.probs.flags.writeable
 
 
 LAW_BODIES = {
@@ -136,27 +125,27 @@ def test_positive_hmm_law_equals_the_full_table_body(x, k, N, seed):
 def test_pruned_hmm_law_has_the_full_table_live_set_within_ulps(x, k, N, seed):
     m = random_hmm(np.random.default_rng(seed), x, k, zeros=True)
     got, want = hmm_law(m, N), oracles.reference_hmm_law(m, N)
-    assert (got.length, got.sparse is None) == (want.length, want.sparse is None)
-    (got_ranks, got_probs), (want_ranks, want_probs) = (live_ranks_and_probs(got),
-                                                        live_ranks_and_probs(want))
-    assert np.array_equal(got_ranks, want_ranks)
-    np.testing.assert_array_max_ulp(got_probs, want_probs, maxulp=4 * got.length)
+    want_ranks, want_probs = oracles.reference_live(want)
+    assert got.length == want.length
+    assert np.array_equal(got.ranks, want_ranks)
+    np.testing.assert_array_max_ulp(got.probs, want_probs, maxulp=4 * got.length)
 
 
 def test_pruning_keeps_only_live_prefixes():
-    # two live strings out of 2**21, at ranks 0 (all a) and 2**21 - 1 (all b)
+    # two live strings out of 2**20 (mixture) and 2**21 (HMM)
     for path in ("stay_swap_mixture.json", "stay_swap_hmm.json"):
         law = model_law(load_model(MODELS / path), 20)
-        assert law.sparse is not None and len(law.sparse) == 2
+        assert law.ranks.size == 2
 
 
-def test_from_ranks_drops_zeros_and_picks_the_form():
+def test_from_ranks_drops_zeros():
     ab = Alphabet.of(["a", "b"])
     law = FiniteLaw.from_ranks(ab, 4, np.array([1, 4, 6]), np.array([0.5, 0.0, 0.5]))
-    assert list(law.sparse.items()) == [((0, 0, 0, 1), 0.5), ((0, 1, 1, 0), 0.5)]
-    dense = FiniteLaw.from_ranks(ab, 2, np.array([0, 2, 3]), np.array([0.25, 0.5, 0.25]))
-    assert dense.dense.tolist() == [0.25, 0.0, 0.5, 0.25]
-    assert not dense.dense.flags.writeable
+    assert list(law.nonzero().items()) == [((0, 0, 0, 1), 0.5), ((0, 1, 1, 0), 0.5)]
+    assert law.ranks.tolist() == [1, 6] and law.probs.tolist() == [0.5, 0.5]
+    most = FiniteLaw.from_ranks(ab, 2, np.array([0, 2, 3]), np.array([0.25, 0.5, 0.25]))
+    assert most.to_flat().tolist() == [0.25, 0.0, 0.5, 0.25]
+    assert not most.ranks.flags.writeable and not most.probs.flags.writeable
     full = np.full(4, 0.25)
     assert_same_law(FiniteLaw.from_ranks(ab, 2, None, full), FiniteLaw.from_flat(ab, 2, full))
     assert_same_law(FiniteLaw.from_ranks(ab, 2, None, full),

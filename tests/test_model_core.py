@@ -309,16 +309,17 @@ def test_hmm_budget_counts_hidden_states():
 
 
 def test_finite_law_sparse_dense_agree():
+    # a flat table with 1 nonzero of 8 and the same law from its one live string
     flat = np.zeros(8)
     flat[5] = 1.0
-    sparse = FiniteLaw.from_flat(ab(), 3, flat)
-    assert sparse.sparse is not None     # 1 nonzero of 8 -> sparse storage
-    dense = FiniteLaw(ab(), 3, dense=flat)
+    from_flat = FiniteLaw.from_flat(ab(), 3, flat)
+    from_probs = FiniteLaw.from_probs(ab(), 3, {("b", "a", "b"): 1.0})
+    assert from_flat.ranks.tolist() == from_probs.ranks.tolist() == [5]
     for s in [("a", "a", "a"), ("b", "a", "b"), ("a", "b", "a")]:
-        assert sparse.prob(s) == dense.prob(s)
-    assert dict(sparse.entries()) == dict(dense.entries())
-    # a half-full table stays dense
-    assert FiniteLaw.from_flat(ab(), 3, np.full(8, 0.125)).dense is not None
+        assert from_flat.prob(s) == from_probs.prob(s) == (1.0 if s == ("b", "a", "b") else 0.0)
+    assert dict(from_flat.entries()) == dict(from_probs.entries()) == {("b", "a", "b"): 1.0}
+    full = FiniteLaw.from_flat(ab(), 3, np.full(8, 0.125))
+    assert full.ranks.tolist() == list(range(8)) and full.total() == 1.0
 
 
 def _ordered_items(table):
@@ -330,7 +331,7 @@ def _ordered_items(table):
        st.sampled_from([1, 3, model_core.BLOCK]), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_codec_matches_per_entry_reference(k, length, live, block, seed):
-    # tables of at most 6**4 entries; live shares on both sides of SPARSE_FRACTION
+    # tables of at most 6**4 entries; live shares on both sides of 1/4
     while k ** length > 6 ** 4:
         length -= 1
     r = rng(seed)
@@ -339,21 +340,18 @@ def test_codec_matches_per_entry_reference(k, length, live, block, seed):
     with mock.patch.object(model_core, "BLOCK", block):
         law = FiniteLaw.from_flat(alphabet, length, flat)
         expected = oracles.reference_rank_table(flat, k, length)
-        if law.sparse is not None:
-            assert _ordered_items(law.sparse) == _ordered_items(expected)
-        forms = [law, FiniteLaw(alphabet, length, dense=flat),
-                 FiniteLaw(alphabet, length, sparse=dict(reversed(expected.items())))]
-        for f in forms:
-            assert _ordered_items(f.nonzero()) == _ordered_items(oracles.reference_nonzero(f))
+        labelled = {tuple(alphabet.emittable[d] for d in idx): p for idx, p in expected.items()}
+        for f in [law, FiniteLaw.from_probs(alphabet, length, dict(reversed(labelled.items())))]:
+            assert _ordered_items(f.nonzero()) == _ordered_items(expected)
             assert list(f.entries()) == list(oracles.reference_entries(f))
             assert np.array_equal(f.to_flat(), flat)
             lifted = lift_with_prefix(f, alphabet.emittable[-1])
-            assert _ordered_items(lifted.sparse) == _ordered_items(
-                {(k - 1, *idx): p for idx, p in oracles.reference_nonzero(f).items()})
-        other = FiniteLaw(alphabet, length, dense=r.random(k ** length))
-        i = int(np.argmax(np.abs(flat - other.dense)))
+            assert _ordered_items(lifted.nonzero()) == _ordered_items(
+                {(k - 1, *idx): p for idx, p in expected.items()})
+        other = FiniteLaw.from_flat(alphabet, length, r.random(k ** length))
+        i = int(np.argmax(np.abs(flat - other.to_flat())))
         em = alphabet.emittable
-        assert laws_equal(forms[1], other, -1.0).worst_string == tuple(
+        assert laws_equal(law, other, -1.0).worst_string == tuple(
             em[d] for d in oracles.reference_unrank(i, k, length))
 
 
