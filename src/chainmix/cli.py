@@ -3,14 +3,16 @@
 Exit status: 0 = success / check passed, 1 = a check failed (validation
 violations, law mismatch beyond tolerance, rejected exchangeability, failed
 lemma instance), 2 = usage or input error. Data goes to stdout, diagnostics to
-stderr; ``--json`` switches reports to machine-readable JSON. No subcommand
-mutates its input files.
+stderr; ``--json`` switches reports to machine-readable JSON. A reader that
+closes stdout early (``| head``) is not an error. No subcommand mutates its
+input files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -106,8 +108,7 @@ def cmd_law(args, cfg: RunConfig) -> int:
         _emit_json({"length": law.length,
                     "entries": [[list(s), p] for s, p in law.entries()]})
     else:
-        for labels, probs in law.label_blocks():
-            sys.stdout.write("".join(f"{' '.join(s)} {p:.17g}\n" for s, p in zip(labels, probs)))
+        sys.stdout.writelines(law.text_blocks())
     return 0
 
 
@@ -463,9 +464,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    status = 0
     try:
         cfg = load_config(args.config) if args.config else DEFAULT
-        return args.handler(args, cfg)
+        status = args.handler(args, cfg)
+        sys.stdout.flush()   # a reader that went away shows up here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader stopped early (``| head``): not an error. The unflushed rest goes
+        # to os.devnull, so the interpreter's final flush stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return status
     except (ModelFormatError, TruncationError, InvalidModelError, FileNotFoundError,
             ChainmixError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

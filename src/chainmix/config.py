@@ -18,7 +18,7 @@ from .errors import ModelFormatError
 class RunConfig:
     tol_exact: float = 1e-12      # algebraic identities (law equalities, round trips)
     tol_sum: float = 1e-9         # rounding budget for enumerated probability tables
-    enum_budget: int = 20_000_000  # max table entries for any exact enumeration
+    enum_budget: int = 20_000_000  # max entries of one law step (live prefixes x values) or paths
     min_row_count: int = 100      # minimum visits before a successors row is estimated
     cluster_tol: float = 0.1      # single-linkage threshold for mixing-measure recovery
     alpha: float = 0.01           # level for exchangeability tests

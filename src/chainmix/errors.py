@@ -14,7 +14,7 @@ class InvalidModelError(ChainmixError):
 
 
 class EnumerationBudgetError(ChainmixError):
-    """An exact enumeration would exceed the configured table budget."""
+    """An exact enumeration would exceed the configured enumeration budget."""
 
 
 class LawMismatchError(ChainmixError):

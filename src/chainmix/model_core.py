@@ -12,7 +12,8 @@ Each class gets an exact law operation producing a :class:`FiniteLaw`, the
 universal comparison object, held as the sorted ranks and probabilities of its
 live strings; :func:`model_law` dispatches on the model type. Laws are
 enumerated over live prefixes only: work and memory follow the strings of
-positive probability, not the ``K^length`` table the budget counts. String
+positive probability, not the ``K^length`` table, and the budget counts the
+entries of each extension of the live prefixes before it is allocated. String
 conventions follow the generative definitions: i.i.d. mixtures and HMMs produce
 laws over ``(Y_0, ..., Y_N)``; Markov and partitioned mixtures fix ``Y_0 = y0``
 and produce laws over ``(Y_1, ..., Y_N)``.
@@ -247,7 +248,7 @@ class PartitionedKernelMixture:
         return self.kernels[h, j - 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteLaw:
     """Exact probability table over the strings of ``length`` symbols, stored as its
     live entries only: the ascending, unique ``ranks`` of the strings of positive
@@ -261,6 +262,16 @@ class FiniteLaw:
     length: int
     ranks: np.ndarray
     probs: np.ndarray
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        """Exact value equality: the same alphabet, length, live ranks and probabilities."""
+        if not isinstance(other, FiniteLaw):
+            return NotImplemented
+        return (self.alphabet == other.alphabet and self.length == other.length
+                and np.array_equal(self.ranks, other.ranks)
+                and np.array_equal(self.probs, other.probs))
 
     def __post_init__(self):
         for name, dtype in (("ranks", rank_dtype(self.alphabet.size, self.length)),
@@ -331,17 +342,39 @@ class FiniteLaw:
         em = self.alphabet.emittable
         return tuple(em[i] for i in idx)
 
-    def label_blocks(self):
-        """Yield ``(label tuples, probabilities)`` of the live entries ``BLOCK`` at a time."""
+    def entries(self):
+        """Yield ``(label tuple, probability)`` of the live entries in alphabet order."""
         em = np.array(self.alphabet.emittable, dtype=object)
         for i in range(0, self.ranks.size, BLOCK):
             digits = rank_digits(self.ranks[i:i + BLOCK], self.alphabet.size, self.length)
-            yield zip(*em[digits].T.tolist()), self.probs[i:i + BLOCK].tolist()
+            yield from zip(zip(*em[digits].T.tolist()), self.probs[i:i + BLOCK].tolist())
 
-    def entries(self):
-        """Yield ``(label tuple, probability)`` of the live entries in alphabet order."""
-        for labels, probs in self.label_blocks():
-            yield from zip(labels, probs)
+    def text_blocks(self):
+        """Yield the live entries as text lines, ``BLOCK`` at a time and in alphabet order:
+        the symbols joined by spaces, then the probability as ``%.17g``.
+
+        The labels of the last ``m`` symbols come from one table (the largest ``m``
+        with ``K**m <= BLOCK``); the rest of a rank is a prefix, decoded and joined
+        once per run of equal prefixes. Each block is one ``%`` call, labels passed
+        as arguments (a label may contain ``%``).
+        """
+        k, em, m = self.alphabet.size, np.array(self.alphabet.emittable, dtype=object), 0
+        while m < self.length and k ** (m + 1) <= BLOCK:
+            m += 1
+        sep = " " if 0 < m < self.length else ""
+        suffixes = np.array([sep + " ".join(s) for s in
+                             em[rank_digits(np.arange(k ** m), k, m)].tolist()], dtype=object)
+        for i in range(0, self.ranks.size, BLOCK):
+            ranks = self.ranks[i:i + BLOCK]
+            prefixes, rest = ranks // k ** m, (ranks % k ** m).astype(np.int64)
+            starts = np.flatnonzero(np.r_[True, prefixes[1:] != prefixes[:-1]])
+            heads = [" ".join(s) for s in
+                     em[rank_digits(prefixes[starts], k, self.length - m)].tolist()]
+            cells = np.empty(2 * ranks.size, dtype=object)
+            cells[0::2] = np.repeat(np.array(heads, dtype=object),
+                                    np.diff(np.r_[starts, ranks.size])) + suffixes[rest]
+            cells[1::2] = self.probs[i:i + BLOCK]
+            yield ("%s %.17g\n" * ranks.size) % tuple(cells)
 
 
 def rank_dtype(k: int, length: int):
@@ -579,19 +612,26 @@ def _reachable_cells(table: np.ndarray, cell_of: np.ndarray, J: int) -> set[int]
 # Exact finite-horizon laws
 
 
-def _check_law_input(m, N: int, length: int, budget, per_string: int = 1) -> None:
-    """Refuse a bad model or horizon, ``per_string * K**length`` entries over the budget,
-    and strings whose ranks overflow int64."""
+def _check_law_input(m, N: int, length: int, budget, per_string: int = 1) -> int:
+    """Refuse a bad model or horizon, strings whose ranks overflow int64, and a first
+    frontier over the budget; return the budget every later frontier is checked against."""
     require_valid(m)
     if N < 1:
         raise ValueError("horizon N must be >= 1")
     k, budget = m.alphabet.size, DEFAULT.enum_budget if budget is None else int(budget)
-    if per_string * k ** length > budget:
-        raise EnumerationBudgetError(f"enumeration needs {per_string * k ** length} table "
-                                     f"entries, exceeding the budget of {budget}")
     if rank_dtype(k, length) is not np.int64:
         raise EnumerationBudgetError(f"strings of {length} symbols over {k} have "
                                      f"ranks up to {k ** length - 1}, beyond int64")
+    _check_frontier(per_string * k, 1, budget)
+    return budget
+
+
+def _check_frontier(entries: int, length: int, budget: int) -> None:
+    """Refuse, before it is allocated, a frontier of ``entries`` values at prefix
+    ``length`` that exceeds the budget: live prefixes times values per prefix."""
+    if entries > budget:
+        raise EnumerationBudgetError(f"enumeration needs {entries} entries at length "
+                                     f"{length}, exceeding the budget of {budget}")
 
 
 def _extend(ranks: np.ndarray, k: int) -> np.ndarray:
@@ -605,25 +645,30 @@ def _prune(live: np.ndarray, ranks: np.ndarray, values: np.ndarray) -> tuple:
     return (ranks, values) if live.all() else (ranks[live], values[live])
 
 
-def _chain_mixture_law(alphabet: Alphabet, length: int, weights, firsts, rows) -> FiniteLaw:
+def _chain_mixture_law(alphabet: Alphabet, length: int, weights, firsts, rows,
+                       budget: int) -> FiniteLaw:
     """Law of ``sum_h weights[h] firsts[h][s_1] rows[h][s_1, s_2] ... rows[h][s_{n-1}, s_n]``
     over the strings ``s`` of ``length`` symbols.
 
     Each component extends its frontier left to right, dropping exact zeros
-    after every step; the terms then accumulate in component order as
+    after every step; an extension that would take the entries held (the terms
+    of the components done, kept until the merge, and the new frontier) past
+    ``budget`` is refused. The terms then accumulate in component order as
     ``0.0 + mu_h t_h``, the floats a sum of full tables gives.
     """
     k = alphabet.size
-    terms = []
+    terms, held = [], 0
     for first, P in zip(firsts, rows):
         ranks, vals = _prune(first != 0.0, np.arange(k), first)
         for n in range(1, length):
+            _check_frontier(held + ranks.size * k, n + 1, budget)
             if ranks.size == k ** n:   # every prefix live: row z of P extends every k-th value
                 vals = (vals.reshape(-1, k)[:, :, None] * P).ravel()
             else:
                 vals = (vals[:, None] * np.take(P, ranks % k, axis=0)).ravel()
             ranks, vals = _prune(vals != 0.0, _extend(ranks, k), vals)
         terms.append((ranks, vals))
+        held += ranks.size
     full = [ranks for ranks, _ in terms if ranks.size == k ** length]   # already the union
     live = full[0] if full else rank_union(*(ranks for ranks, _ in terms))
     acc = np.zeros(live.size)
@@ -638,20 +683,20 @@ def _chain_mixture_law(alphabet: Alphabet, length: int, weights, firsts, rows) -
 def iid_mixture_law(m: IIDMixtureModel, N: int, budget=None) -> FiniteLaw:
     """Exact law of ``(Y_0, ..., Y_N)``: ``sum_h mu_h prod_n p_h(y_n)``."""
     k = m.alphabet.size
-    _check_law_input(m, N, N + 1, budget)
+    budget = _check_law_input(m, N, N + 1, budget)
     ps = [c.weights for c in m.components]
     return _chain_mixture_law(m.alphabet, N + 1, m.weights.weights, ps,
-                              [np.broadcast_to(p, (k, k)) for p in ps])
+                              [np.broadcast_to(p, (k, k)) for p in ps], budget)
 
 
 def markov_mixture_law(m: MarkovMixtureModel, N: int, budget=None) -> FiniteLaw:
     """Exact law of ``(Y_1, ..., Y_N)`` given ``Y_0 = y0``:
     ``sum_h mu_h P^h[y0,y1] P^h[y1,y2] ... P^h[y_{N-1},yN]``."""
-    _check_law_input(m, N, N, budget)
+    budget = _check_law_input(m, N, N, budget)
     y0 = m.alphabet.emit_index(m.y0)
     return _chain_mixture_law(m.alphabet, N, m.weights.weights,
                               [c.rows[y0] for c in m.components],
-                              [c.rows for c in m.components])
+                              [c.rows for c in m.components], budget)
 
 
 def hmm_law(m: HMMModel, N: int, budget=None) -> FiniteLaw:
@@ -664,15 +709,16 @@ def hmm_law(m: HMMModel, N: int, budget=None) -> FiniteLaw:
     smaller matrix product a few ulp differently, never changing the live strings.
     """
     k, X, L = m.alphabet.size, m.n_hidden, N + 1
-    _check_law_input(m, N, L, budget, per_string=X)
+    budget = _check_law_input(m, N, L, budget, per_string=X)
     f = m.readout                              # (X, K)
     ranks = np.arange(k)
     alphas = (m.pi.weights[:, None] * f).T     # (K, X): row y = pi * f[:, y]
-    for _ in range(L - 1):
+    for n in range(1, L):
         live = alphas[:, 0] != 0.0             # column by column: faster than any(axis=1)
         for column in alphas.T[1:]:
             live |= column != 0.0
         ranks, alphas = _prune(live, ranks, alphas)
+        _check_frontier(X * ranks.size * k, n + 1, budget)
         beta = alphas @ m.P.rows               # (live prefixes, X)
         alphas = (beta[:, None, :] * f.T[None, :, :]).reshape(-1, X)
         ranks = _extend(ranks, k)
@@ -686,10 +732,10 @@ def partitioned_mixture_law(m: PartitionedKernelMixture, N: int, budget=None) ->
     over cell paths collapses: each string carries exactly the product
     ``mu_h t_h(1, y_1) t_h(j_1, y_2) ... t_h(j_{N-1}, y_N)`` with ``j_n = cell(y_n)``.
     """
-    _check_law_input(m, N, N, budget)
+    budget = _check_law_input(m, N, N, budget)
     # the first step uses cell(y0) = 1; row z of the symbol chain is t_h(cell(z), .)
     return _chain_mixture_law(m.alphabet, N, m.weights.weights, m.kernels[:, 0],
-                              m.kernels[:, m.cell_index_array - 1])
+                              m.kernels[:, m.cell_index_array - 1], budget)
 
 
 # law functions by name, looked up when called: a rebound one (a wrapper, a mock) is called

@@ -347,6 +347,12 @@ def reference_entries(law):
         yield tuple(em[i] for i in idx), nz[idx]
 
 
+def reference_law_text(law):
+    """The ``law`` command's output written one line at a time: the labels joined by
+    spaces, then the probability as ``{p:.17g}``."""
+    return "".join(f"{' '.join(s)} {p:.17g}\n" for s, p in reference_entries(law))
+
+
 # The comparison algebra of the two-form law, on ``{emit-index tuple: prob}``
 # dicts: the dict branch every mixed or sparse comparison took.
 

@@ -18,7 +18,9 @@ tables with every string live and with few live, lifted and marginalized
 laws, and unequal pairs that print a ``worst_string``. The ``sparse6``
 horizon-8 and stay/swap horizon-20 digests were computed with the full-table
 law bodies that ``tests/oracles.py`` keeps as ``reference_*_law``: tables of
-1.7M and 2.1M strings, of which 124,511 and 2 are live.
+1.7M and 2.1M strings, of which 124,511 and 2 are live. The ``noisy_hmm``
+horizon-16 digest (131,072 lines, 32 blocks of the block writer) was computed
+with the one-line-at-a-time writer kept as ``reference_law_text``.
 
 The ``recover``, ``successors`` and ``test-exchangeability`` digests were
 computed with the per-symbol successors and histogram loops and the pairwise
@@ -239,6 +241,9 @@ LAW_DIGESTS = {
         "bd94641e77620839255b79ac4f5044079102c4b3ccf7e1aba7f2737c002f4f92",
     ("stay_swap_hmm.json", 20, True):
         "4d55c5d24c7aafa3be11717a976fd76e653072d36b403f807c259983b5f228e3",
+    # the laws benchmark's dense law: 131,072 lines, 32 blocks
+    ("noisy_hmm.json", 16, False):
+        "533e844113cd8d1dfae4ea07a754ebe9e6277491f3c0f10c7d8ba721ea33b0cb",
 }
 
 

@@ -1,0 +1,117 @@
+"""The ``law`` command's text, written a block at a time.
+
+``FiniteLaw.text_blocks`` must give, byte for byte, the one-line-at-a-time
+writer that ``tests/oracles.py`` keeps as ``reference_law_text``: on one to six
+symbols, labels of several characters, non-ASCII, ``%`` and braces; lengths
+inside and past the suffix table; laws of more than one block whose runs of
+equal prefixes cross a block boundary; all-live laws and sparse ones. A reader
+that stops reading ``law`` output early is not an error.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from chainmix.model_core import BLOCK, Alphabet, FiniteLaw
+
+ROOT = Path(__file__).resolve().parent.parent
+MODELS = ROOT / "models"
+
+LABELS = st.text(alphabet="ab%{}s.é€", min_size=1, max_size=3).filter(lambda s: s != "@del")
+
+
+def random_law(r, alphabet, length, live):
+    """Each string live with probability ``live`` (at least one), values over many
+    decades, some of them round (``0.5``, ``1``) and some subnormal."""
+    size = alphabet.size ** length
+    ranks = np.flatnonzero(r.random(size) < live)
+    if ranks.size == 0:
+        ranks = r.integers(0, size, size=1)
+    probs = r.random(ranks.size) * 10.0 ** r.integers(-320, 1, size=ranks.size)
+    probs[r.random(ranks.size) < 0.1] = r.choice([0.5, 1.0, 0.1, 5e-324])
+    return FiniteLaw.from_ranks(alphabet, length, ranks, probs)
+
+
+def assert_text_is_reference(law):
+    blocks = list(law.text_blocks())
+    n = law.ranks.size
+    assert [b.count("\n") for b in blocks] == [min(BLOCK, n - i) for i in range(0, n, BLOCK)]
+    assert "".join(blocks) == oracles.reference_law_text(law)
+
+
+@given(st.lists(LABELS, min_size=1, max_size=6, unique=True), st.integers(1, 14),
+       st.sampled_from([0.02, 0.3, 0.7, 1.0]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_text_blocks_equal_the_line_writer(labels, length, live, seed):
+    k = len(labels)
+    while length > 1 and k ** length > 20_000:
+        length -= 1
+    law = random_law(np.random.default_rng(seed), Alphabet.of(labels), length, live)
+    assert_text_is_reference(law)
+
+
+@pytest.mark.parametrize("labels, length, live, suffix, crossed", [
+    (["a", "b"], 13, 1.0, 2 ** 12, 0),             # two full blocks, one prefix each
+    (["x", "%s", "{}"], 9, 0.5, 3 ** 7, 2),        # 9,771 lines, prefix runs of ~1,100
+    (["é", "€€", "%d", "{0}"], 7, 0.6, 4 ** 6, 2),  # one-symbol prefixes
+    (["u", "v", "w", "x", "y", "z"], 6, 0.4, 6 ** 4, 4),
+    (["p", "q", "r", "s", "t"], 5, 1.0, 5 ** 5, 0),  # L == m: no prefix at all
+    (["only"], 9, 1.0, 1, 0),                      # K = 1: one string
+])
+def test_text_blocks_across_block_boundaries(labels, length, live, suffix, crossed):
+    # ``suffix`` is K**m, the suffix table's size; ``crossed`` counts the block
+    # boundaries that fall inside a run of equal prefixes
+    law = random_law(np.random.default_rng(len(labels) * 100 + length), Alphabet.of(labels),
+                     length, live)
+    prefixes = law.ranks // suffix
+    assert sum(prefixes[i - 1] == prefixes[i]
+               for i in range(BLOCK, law.ranks.size, BLOCK)) == crossed
+    assert_text_is_reference(law)
+
+
+def test_text_blocks_past_the_suffix_table():
+    # 4,097 symbols: not even one symbol's labels fit a block, so m = 0 and every
+    # string is its own prefix
+    alphabet = Alphabet.of([f"s{i}%" for i in range(BLOCK + 1)])
+    r = np.random.default_rng(4097)
+    ranks = np.unique(r.integers(0, (BLOCK + 1) ** 2, size=5000))
+    assert_text_is_reference(FiniteLaw.from_ranks(alphabet, 2, ranks, r.random(ranks.size)))
+
+
+def test_text_blocks_beyond_int64_ranks():
+    # 41 ternary symbols: ranks are Python ints, prefixes of 34 symbols
+    r = np.random.default_rng(41)
+    strings = {tuple(r.choice(["a", "b%", "c"], size=41)): p for p in r.random(300)}
+    law = FiniteLaw.from_probs(Alphabet.of(["a", "b%", "c"]), 41, strings)
+    assert law.ranks.dtype == object
+    assert_text_is_reference(law)
+
+
+@pytest.mark.parametrize("horizon, lines_read, flags", [
+    # 131,072 lines (4.6 MB) against a 64 kB pipe: the writer meets the closed pipe
+    (16, 1, []),
+    (16, 1, ["-u"]),
+    # 16 lines: buffered, they reach the closed pipe only at the last flush
+    (3, 0, []),
+    (3, 0, ["-u"]),
+])
+def test_law_into_a_closed_pipe_exits_0_silently(horizon, lines_read, flags):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.Popen([sys.executable, *flags, "-m", "chainmix.cli", "law",
+                             str(MODELS / "noisy_hmm.json"), "--horizon", str(horizon)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    read = [proc.stdout.readline() for _ in range(lines_read)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+    assert all(line.startswith(b"a a a ") for line in read)

@@ -4,7 +4,8 @@ The chain-mixture engine must give the reference's floats exactly, at the same
 live ranks in ascending order. The HMM forward pass must too
 while nothing is pruned; once rows are pruned the matrix product runs on fewer
 rows and may round a row's entries a few ulp differently, never changing the
-set of live strings.
+set of live strings. The budget counts the entries a step over the live
+prefixes would hold, not the table, and refuses before allocating them.
 """
 
 import tracemalloc
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from chainmix import model_core
 from chainmix.cli import main
-from chainmix.errors import ModelFormatError
+from chainmix.errors import EnumerationBudgetError, ModelFormatError
 from chainmix.model_io import load_model
 from chainmix.model_core import (
     Alphabet,
@@ -175,3 +176,32 @@ def test_sparse_compare_memory_follows_live_strings(capsys):
     assert status == 0
     assert capsys.readouterr().out == "tv 0\nmax_gap 0\n"
     assert peak < 16 * 2 ** 20
+
+
+def test_budget_counts_live_entries(capsys):
+    # 2 of the 2**31 strings are live; the parent refused the table of 6,442,450,944 entries
+    assert main(["law", str(MODELS / "stay_swap_hmm.json"), "--horizon", "30"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[:3] for line in out] == [["a", "a", "a"], ["a", "b", "a"]]
+    # each component has one live prefix, extended to 2 entries; the first
+    # component's term (1 entry) is held while the second extends
+    m = load_model(MODELS / "stay_swap_mixture.json")
+    assert markov_mixture_law(m, 30, budget=3).ranks.size == 2
+    with pytest.raises(EnumerationBudgetError, match="needs 3 entries at length 2"):
+        markov_mixture_law(m, 30, budget=2)
+
+
+@pytest.mark.parametrize("model", ["noisy_hmm.json", "separated_mixture.json"])
+def test_refused_dense_law_stays_within_the_budget(model):
+    # every string is live: the table at horizon 40 has 2**41 (hmm) or 2**40 strings;
+    # a step holds at most ``budget`` ranks and values besides the frontier it extends
+    budget = 2 ** 18
+    m = load_model(MODELS / model)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationBudgetError, match="exceeding the budget of 262144"):
+            model_law(m, 40, budget)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * budget

@@ -27,7 +27,13 @@ from chainmix.exact_law import (
     marginalize_last,
     total_variation,
 )
-from chainmix.model_core import Alphabet, FiniteLaw, markov_mixture_law, validate_model
+from chainmix.model_core import (
+    Alphabet,
+    FiniteLaw,
+    markov_mixture_law,
+    model_law,
+    validate_model,
+)
 from chainmix.model_io import load_model
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -182,3 +188,20 @@ def test_trace_counts_the_printed_entries(model, horizon, traced, capsys):
     metrics = tracing.pass_metrics(tracer, 0)
     assert metrics[f"model_core.{traced}.calls"] == 1
     assert metrics["model_core.law.live_entries"] == printed
+
+
+def test_law_equality_is_exact_value_equality():
+    a = Alphabet.of(["a", "b"])
+    uniform = FiniteLaw.from_flat(a, 2, np.full(4, .25))
+    assert (uniform == FiniteLaw.from_flat(a, 2, np.array([.5, 0, 0, .5]))) is False
+    law = model_law(load_model(MODELS / "two_cell_partitioned.json"), 4)
+    rebuilt = FiniteLaw.from_probs(law.alphabet, law.length, dict(law.entries()))
+    assert rebuilt is not law and (law == rebuilt) is True
+    nudged = law.probs.copy()
+    nudged[-1] = np.nextafter(nudged[-1], 1.0)
+    assert law != FiniteLaw(law.alphabet, law.length, law.ranks, nudged)
+    assert uniform != FiniteLaw.from_flat(Alphabet.of(["a", "c"]), 2, np.full(4, .25))
+    assert uniform != FiniteLaw.from_flat(a, 1, np.full(2, .5))
+    assert uniform != "uniform" and uniform.__eq__(uniform.to_flat()) is NotImplemented
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(uniform)
