@@ -341,7 +341,8 @@ def cmd_verify_lemmas(args, cfg: RunConfig) -> int:
         samples = cfg.mc_samples if args.samples is None else args.samples
         results.extend(check_lemmas_mc(model, spec, samples,
                                        RandomSource(args.seed),
-                                       horizon=args.horizon, floor=cfg.horizon_floor))
+                                       horizon=args.horizon, floor=cfg.horizon_floor,
+                                       alpha=cfg.alpha, budget=cfg.enum_budget))
     else:
         if args.lemma in ("splitting", "all"):
             results.append(check_splitting(model, args.steps, cfg.tol_exact))
@@ -352,7 +353,7 @@ def cmd_verify_lemmas(args, cfg: RunConfig) -> int:
         if args.lemma in ("hitting", "all"):
             results.extend(check_hitting_time_lemmas(
                 model, spec, args.occurrences, args.horizon,
-                tol=cfg.tol_exact, floor=cfg.horizon_floor))
+                tol=cfg.tol_exact, floor=cfg.horizon_floor, budget=cfg.enum_budget))
     report = _lemma_report(results)
     if args.json:
         _emit_json({"results": report, "passed": all(r["passed"] for r in report)})

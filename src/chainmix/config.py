@@ -18,10 +18,11 @@ from .errors import ModelFormatError
 class RunConfig:
     tol_exact: float = 1e-12      # algebraic identities (law equalities, round trips)
     tol_sum: float = 1e-9         # rounding budget for enumerated probability tables
-    enum_budget: int = 20_000_000  # max entries of one law step (live prefixes x values) or paths
+    enum_budget: int = 20_000_000  # max law-step entries (live prefixes x values), paths,
+                                   # or hitting-lemma rows x (N + 1) x pairs x horizon
     min_row_count: int = 100      # minimum visits before a successors row is estimated
     cluster_tol: float = 0.1      # single-linkage threshold for mixing-measure recovery
-    alpha: float = 0.01           # level for exchangeability tests
+    alpha: float = 0.01           # family-wise level: exchangeability tests, MC lemma checks
     mc_samples: int = 100_000     # default Monte Carlo sample count
     horizon_floor: float = 0.99   # required realization mass for truncated stopping times
 

@@ -23,14 +23,17 @@ required occurrences happen within a finite horizon; the unrealized mass is
 measured exactly and added to each instance's pass tolerance. An independent
 path-enumeration oracle (:func:`event_probability`) covers small instances.
 
-The exact strong-splitting and hitting-time checks evaluate each family of
-instances as one batched propagation, with NumPy calls that round exactly as
-per-instance products and sums do, so every value is the per-instance float.
+The hitting-time identities are one instance table of ratios of occurrence-mass
+requests, with two evaluators: exact batched propagations that round as
+per-instance products and sums do (as strong splitting's do), and Monte Carlo
+path counts judged by Bonferroni bounds over every instance checked.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product as iter_product
 
 import numpy as np
@@ -477,7 +480,8 @@ def _occurrence_masses(jc: JointChain, A: np.ndarray, occ: np.ndarray, shifted,
 
 
 class _MassRequests:
-    """The distinct occurrence-mass requests of one check, evaluated together.
+    """The distinct occurrence-mass requests of one check, evaluated together:
+    exactly (:meth:`evaluate`) or as sampled path counts (:meth:`count`).
 
     ``add`` takes per-occurrence constraint lists (``None``: unconstrained; the
     shifted list is all ``None`` or constrains the final occurrence) and returns
@@ -509,31 +513,40 @@ class _MassRequests:
                     jc, A, masks[:, 0], masks[:, 1] if shifted else None, horizon)
         return mass.tolist(), residual.tolist()
 
+    def count(self, tables) -> list[int]:
+        """Path count of every row; ``tables[N, shifted]`` counts the pairs at (one
+        step after) each of the first ``N`` occurrences over the paths realizing them."""
+        counts = [0] * len(self.rows)
+        for (N, shifted, blob), row in self.rows.items():
+            occ, *shift = np.frombuffer(blob).reshape(-1, N, len(self.ones)).astype(np.int64)
+            # a table holds the pairs at or after the occurrences: no request constrains both
+            assert not shift or occ.all()
+            tab = tables[N, shifted]
+            for mk in (shift[0] if shifted else occ)[::-1]:
+                tab = tab @ mk
+            counts[row] = int(tab)
+        return counts
 
-def _instance_checks(table, mass, residual, tol) -> tuple[tuple, tuple]:
+
+def _instance_checks(table, ratio, allowed, skip_label=lambda label, ratios: label):
     """Checked instances and skipped labels of an instance table, in table order.
 
-    A row is ``(label, lhs, factors, const)``: ratios ``(numerator, denominator)``
-    of request rows, rhs = ``const`` times the factors. A denominator mass at or
-    below ``MASS_FLOOR`` skips the row; each ratio adds its unrealized share to ``tol``."""
-    def ratio(num, den):
-        d, res = mass[den], residual[den]
-        if d <= MASS_FLOOR:
-            return None
-        return mass[num] / d, (res / (d + res) if res > 0 else 0.0)
-
+    A row is ``(label, lhs, factors, const)``: ratios ``(numerator, denominator)`` of
+    request rows, rhs = ``const`` times the factors. ``ratio`` gives ``(value, spread)``
+    or None, which skips the row as ``skip_label(label, ratios)``; the pass bound is
+    ``allowed(lhs spread, sum of factor spreads)``."""
     checked, skipped = [], []
     for label, lhs, factors, const in table:
         terms = [ratio(*lhs), *(ratio(*f) for f in factors)]
         if any(term is None for term in terms):
-            skipped.append(label)
+            skipped.append(skip_label(label, (lhs, *factors)))
             continue
-        (l, tail_l), *rest = terms
-        rhs, tail_r = const, 0.0
-        for f, t in rest:
+        (l, spread_l), *rest = terms
+        rhs, spread_r = const, 0.0
+        for f, s in rest:
             rhs *= f
-            tail_r += t
-        checked.append(InstanceCheck(label, l, rhs, abs(l - rhs), tol + tail_l + tail_r))
+            spread_r += s
+        checked.append(InstanceCheck(label, l, rhs, abs(l - rhs), allowed(spread_l, spread_r)))
     return tuple(checked), tuple(skipped)
 
 
@@ -552,26 +565,14 @@ def _pair_options(jc: JointChain, restrict_mask=None):
     return opts
 
 
-def check_hitting_time_lemmas(m, spec: HittingTimeSpec, N: int | None = None,
-                              horizon: int = 8, tol: float | None = None,
-                              floor: float | None = None) -> tuple[LemmaCheckResult, ...]:
-    """The four identities across the first ``N`` hitting times of the target set.
-
-    Returns one result per identity: ``generalized_strong_splitting``, its
-    ``shifted_strong_splitting`` (+1) variant, ``readout_at_stopping_time``
-    (the emission one step after a stopping time is the plain read-out), and
-    ``conditional_independence_product``. Requires an :class:`HMMModel` since
-    the read-out identity references the model's read-out rows. All masses are
-    truncated at the horizon; each instance's tolerance is inflated by the
-    conditional unrealized mass.
-
-    Each identity becomes an instance table of ratios of mass requests, and the
-    distinct requests of all four are evaluated together in batched
-    propagations (:class:`_MassRequests`) that round as one per request does.
-    """
-    tol = DEFAULT.tol_exact if tol is None else tol
+def _lemma_tables(m, spec: HittingTimeSpec, N: int | None, horizon: int, budget):
+    """``(jc, A, N, requests, tables)``: the joint chain, target mask and occurrence
+    count of a hitting-time check, and the instance tables of its four identities
+    (see :func:`_instance_checks`) over their mass requests. Before any row is
+    built, refuses (:class:`EnumerationBudgetError`) rows times ``N + 1`` slots,
+    pairs and ``horizon`` steps past ``budget`` (default ``DEFAULT.enum_budget``)."""
     if not isinstance(m, HMMModel):
-        raise TypeError("check_hitting_time_lemmas needs an HMMModel "
+        raise TypeError("the hitting-time lemmas need an HMMModel "
                         "(the read-out identity references its read-out rows)")
     require_valid(m)
     jc = JointChain.from_hmm(m)
@@ -579,45 +580,46 @@ def check_hitting_time_lemmas(m, spec: HittingTimeSpec, N: int | None = None,
     N = spec.occurrences if N is None else N
     if N < 1:
         raise ValueError("need at least one occurrence")
-
-    base_done, base_res = (float(a[0]) for a in _occurrence_masses(
-        jc, A, np.ones((1, N, jc.n_pairs)), None, horizon))
-    _require_realized(f"{N} occurrences", base_done, floor)
+    X, K = len(jc.hidden_states), jc.n_symbols
+    a_opts, sets = _pair_options(jc, A), _symbol_sets(K)
+    rows = ((N >= 2) * (len(a_opts) ** N + X ** (N - 1) * (X * K + X))
+            + N * X * len(sets) + (X * K) ** N)
+    budget = DEFAULT.enum_budget if budget is None else int(budget)
+    cost = rows * (N + 1) * jc.n_pairs * horizon
+    if cost > budget:
+        raise EnumerationBudgetError(
+            f"the hitting-time lemmas at {N} occurrences need {rows} instances, "
+            f"{cost} slot-pair-steps at horizon {horizon}, exceeding the budget of {budget}")
 
     requests = _MassRequests(jc.n_pairs)
-    masks: dict = {}
     none = [None] * N
+    requests.add(none, none)        # row 0: the N occurrences, unconstrained
 
     def ratio(num_occ, num_shift, den_occ, den_shift):
         return requests.add(num_occ, num_shift), requests.add(den_occ, den_shift)
 
+    @cache
     def omask(opt):
         """Mask of an (hidden, symbol-set) option; symbol set None: any symbol."""
-        if opt not in masks:
-            masks[opt] = jc.mask(hidden=opt[0], symbols=opt[1])
-        return masks[opt]
+        return jc.mask(hidden=opt[0], symbols=opt[1])
 
-    per_k: dict = {}
-
+    @cache
     def factor(kk, opt):
         """P(pair one step after occurrence kk in opt | its hidden state)."""
-        if (kk, opt) not in per_k:
-            per_k[(kk, opt)] = ratio([None] * kk, [None] * (kk - 1) + [omask(opt)],
-                                     [None] * kk, [None] * (kk - 1) + [omask((opt[0], None))])
-        return per_k[(kk, opt)]
+        return ratio([None] * kk, [None] * (kk - 1) + [omask(opt)],
+                     [None] * kk, [None] * (kk - 1) + [omask((opt[0], None))])
 
     tables: dict = {}
 
     # (1) generalized strong splitting, constraints at the occurrences themselves
     table = tables["generalized_strong_splitting"] = []
     if N >= 2:
-        opts = _pair_options(jc, A)
-        for cond in iter_product(opts, repeat=N - 1):
+        for cond in iter_product(a_opts, repeat=N - 1):
             cond_occ = [omask(o) for o in cond] + [None]
             slice_prev = omask((cond[-1][0], None)) * A
             rhs_cond = [None] * (N - 2) + [slice_prev, None]
             cond_lab = " ".join(_opt_label(jc, o) for o in cond)
-            for tgt in opts:
+            for tgt in a_opts:
                 tmask = omask(tgt) * A
                 table.append((f"occ[{cond_lab}] -> {_opt_label(jc, tgt)}",
                               ratio(cond_occ[:-1] + [tmask], none, cond_occ, none),
@@ -629,10 +631,9 @@ def check_hitting_time_lemmas(m, spec: HittingTimeSpec, N: int | None = None,
     # next occurrence, which the identity does not quotient out.
     table = tables["shifted_strong_splitting"] = []
     if N >= 2:
-        X = len(jc.hidden_states)
-        full = tuple(range(jc.n_symbols))
+        full = tuple(range(K))
         cond_opts = [(x, full) for x in range(X)]
-        tgt_opts = _pair_options(jc) + [(x, full) for x in range(X)]
+        tgt_opts = _pair_options(jc) + cond_opts
         ones = requests.ones
         for cond in iter_product(cond_opts, repeat=N - 1):
             cond_shift = [omask(o) for o in cond]
@@ -647,8 +648,8 @@ def check_hitting_time_lemmas(m, spec: HittingTimeSpec, N: int | None = None,
     # (3) read-out one step after the n-th hitting time equals the read-out row
     table = tables["readout_at_stopping_time"] = []
     for n in range(1, N + 1):
-        for x2 in range(len(jc.hidden_states)):
-            for es in _symbol_sets(jc.n_symbols):
+        for x2 in range(X):
+            for es in sets:
                 table.append((f"tau={n} P(Y_(tau+1) in {_set_label(jc, es)} | "
                               f"X_(tau+1)={jc.hidden_states[x2]})",
                               factor(n, (x2, es)), (), float(m.readout[x2, list(es)].sum())))
@@ -666,10 +667,41 @@ def check_hitting_time_lemmas(m, spec: HittingTimeSpec, N: int | None = None,
                       ratio(none, [omask(o) for o in combo],
                             none, [omask((o[0], None)) for o in combo]),
                       tuple(factor(kk + 1, o) for kk, o in enumerate(combo)), 1.0))
+    return jc, A, N, requests, tables
 
+
+def check_hitting_time_lemmas(m, spec: HittingTimeSpec, N: int | None = None,
+                              horizon: int = 8, tol: float | None = None,
+                              floor: float | None = None,
+                              budget=None) -> tuple[LemmaCheckResult, ...]:
+    """The four identities across the first ``N`` hitting times of the target set.
+
+    Returns one result per identity: ``generalized_strong_splitting``, its
+    ``shifted_strong_splitting`` (+1) variant, ``readout_at_stopping_time``
+    (the emission one step after a stopping time is the plain read-out), and
+    ``conditional_independence_product``. Requires an :class:`HMMModel` since
+    the read-out identity references the model's read-out rows. All masses are
+    truncated at the horizon; each instance's tolerance is inflated by the
+    conditional unrealized mass. Tables past ``budget`` are refused (see
+    :func:`_lemma_tables`).
+
+    Each identity becomes an instance table of ratios of mass requests, and the
+    distinct requests of all four are evaluated together in batched
+    propagations (:class:`_MassRequests`) that round as one per request does.
+    """
+    tol = DEFAULT.tol_exact if tol is None else tol
+    jc, A, N, requests, tables = _lemma_tables(m, spec, N, horizon, budget)
     mass, residual = requests.evaluate(jc, A, horizon)
-    return tuple(LemmaCheckResult(lemma, *_instance_checks(table, mass, residual, tol),
-                                  base_res, tol)
+    _require_realized(f"{N} occurrences", mass[0], floor)
+
+    def ratio(num, den):
+        d, res = mass[den], residual[den]
+        if d <= MASS_FLOOR:
+            return None
+        return mass[num] / d, (res / (d + res) if res > 0 else 0.0)
+
+    return tuple(LemmaCheckResult(lemma, *_instance_checks(
+                     table, ratio, lambda tail_l, tail_r: tol + tail_l + tail_r), residual[0], tol)
                  for lemma, table in tables.items())
 
 
@@ -695,142 +727,60 @@ def _sample_joint_paths(jc: JointChain, length: int, count: int,
 
 def check_lemmas_mc(m, spec: HittingTimeSpec, samples: int, src: RandomSource,
                     horizon: int = 12, N: int | None = None,
-                    floor: float | None = None) -> tuple[LemmaCheckResult, ...]:
-    """Monte Carlo counterpart of :func:`check_hitting_time_lemmas`.
+                    floor: float | None = None, alpha: float | None = None,
+                    budget=None) -> tuple[LemmaCheckResult, ...]:
+    """Monte Carlo counterpart of :func:`check_hitting_time_lemmas`, over the same
+    instance tables: each mass request becomes the count of the ``samples``
+    joint paths (sampled in lockstep, see :mod:`chainmix.sim`) that realize it.
 
-    Estimates each identity's two sides by empirical conditional frequencies
-    over ``samples`` simulated joint paths; an instance passes when the gap is
-    within three combined binomial standard errors. Instances whose conditioning
-    event never occurs are skipped with a count report. Like the exact mode, it
-    raises :class:`TruncationError` when the share of paths realizing all ``N``
-    occurrences by the horizon is below ``floor``.
-
-    Paths are sampled in lockstep (see :mod:`chainmix.sim`). Every frequency is
-    an integer count over its denominator, read from count tables of the pairs
-    at (and one step after) the first ``N`` occurrences.
+    An instance passes when its gap is within ``z`` combined binomial standard
+    errors of its lhs and factors, ``z`` two-sided Bonferroni at level ``alpha``
+    (default ``DEFAULT.alpha``) over all instances checked. A zero denominator
+    count skips the instance, labelled with its counts. Like the exact mode, it
+    refuses tables past ``budget`` (before sampling) and a share of paths
+    realizing the ``N`` occurrences by the horizon below ``floor``.
     """
     if samples < 10_000:
         raise ValueError("Monte Carlo mode needs at least 10^4 samples")
-    if not isinstance(m, HMMModel):
-        raise TypeError("check_lemmas_mc needs an HMMModel")
-    require_valid(m)
-    jc = JointChain.from_hmm(m)
-    A = spec.mask(jc)
-    N = spec.occurrences if N is None else N
-    if N < 1:
-        raise ValueError("need at least one occurrence")
+    alpha = DEFAULT.alpha if alpha is None else alpha
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    jc, A, N, requests, tables = _lemma_tables(m, spec, N, horizon, budget)
     paths = _sample_joint_paths(jc, horizon + 2, samples, src)
 
-    # occurrence k (1-based) is at the first t <= horizon where k target visits have happened
     visits = np.cumsum((A > 0)[paths[:, :horizon + 1]], axis=1, dtype=np.int32)
-    done = [np.ones(samples, dtype=bool)]           # done[k]: k occurrences realized
-    occ_pair = np.full((samples, N), -1, dtype=np.int64)
-    shift_pair = np.full((samples, N), -1, dtype=np.int64)
-    for kk in range(N):
-        d = visits[:, -1] > kk
-        t = np.argmax(visits[d] > kk, axis=1)
-        occ_pair[d, kk] = paths[d, t]
-        shift_pair[d, kk] = paths[d, t + 1]
-        done.append(d)
-    full = done[N]
-    residual = 1.0 - int(full.sum()) / samples
+    hits = visits[:, -1]                            # occurrences realized by the horizon
+    # occurrence k is at the first t <= horizon with k visits; counted only if k <= hits
+    t = np.stack([np.argmax(visits > kk, axis=1) for kk in range(N)], axis=1)
+    at, after = np.take_along_axis(paths, t, 1), np.take_along_axis(paths, t + 1, 1)
+    P = jc.n_pairs
+    counts = requests.count({
+        (n, shifted): np.bincount((after if shifted else at)[hits >= n, :n]
+                                  @ P ** np.arange(n - 1, -1, -1),     # row-major rank
+                                  minlength=P ** n).reshape((P,) * n)
+        for n in range(1, N + 1) for shifted in (False, True)})
+    residual = 1.0 - counts[0] / samples
     _require_realized(f"{N} occurrences", 1.0 - residual, floor, "increase the horizon")
 
-    P, K, X = jc.n_pairs, jc.n_symbols, len(jc.hidden_states)
+    def ratio(num, den):
+        n = counts[den]
+        if n == 0:
+            return None
+        p = counts[num] / n
+        return p, max(math.sqrt(p * (1 - p) / n), 1.0 / n) ** 2
 
-    def table(pairs):
-        """Counts of the N-tuples of pairs over the paths that realize all N occurrences."""
-        idx = pairs[full] @ P ** np.arange(N - 1, -1, -1)    # row-major rank
-        return np.bincount(idx, minlength=P ** N).reshape((P,) * N)
+    checks = sum(all(counts[den] for _, den in (lhs, *factors))
+                 for table in tables.values() for _, lhs, factors, _ in table)
+    from statistics import NormalDist       # here: keeps it off every command's start-up
+    z = NormalDist().inv_cdf(1.0 - alpha / (2 * max(checks, 1)))
 
-    occ_table, shift_table = table(occ_pair), table(shift_pair)
-    # shift_counts[n - 1][x, e]: pair one step after occurrence n, over paths realizing n
-    shift_counts = [np.bincount(shift_pair[done[n], n - 1], minlength=P).reshape(X, K)
-                    for n in range(1, N + 1)]
+    def skip_label(label, ratios):
+        return f"{label} (den counts {'/'.join(str(counts[den]) for _, den in ratios)})"
 
-    def count(tab, masks):
-        """Paths in ``tab`` whose k-th pair lies in ``masks[k]`` (None: any pair)."""
-        for mk in reversed(masks):
-            tab = tab.sum(axis=-1) if mk is None else tab @ mk
-        return int(tab)
-
-    def omask(x, es=None):
-        """Integer 0/1 mask of the pairs with hidden state ``x`` and a symbol in ``es``."""
-        return (jc.mask(hidden=x, symbols=es) > 0).astype(np.int64)
-
-    def se(p, n):
-        return max(np.sqrt(max(p * (1 - p), 0.0) / n), 1.0 / n)
-
-    def splitting(lemma, tab, tag, cond_opts, tgt_opts):
-        """P(N-th pair in tgt | earlier pairs in cond) against conditioning on
-        the hidden state of the (N-1)-th pair alone."""
-        checked, skipped = [], []
-        for cond in iter_product(cond_opts, repeat=N - 1) if N >= 2 else ():
-            sel = [omask(*o) for o in cond]
-            rsel = [None] * (N - 2) + [omask(cond[-1][0])]
-            nl, nr = count(tab, sel + [None]), count(tab, rsel + [None])
-            cond_lab = " ".join(_opt_label(jc, o) for o in cond)
-            for tgt in tgt_opts:
-                label = f"{tag}[{cond_lab}] -> {_opt_label(jc, tgt)}"
-                if nl == 0 or nr == 0:
-                    skipped.append(f"{label} (den counts {nl}/{nr})")
-                    continue
-                l = count(tab, sel + [omask(*tgt)]) / nl
-                r = count(tab, rsel + [omask(*tgt)]) / nr
-                allowed = 3.0 * float(np.hypot(se(l, nl), se(r, nr)))
-                checked.append(InstanceCheck(label, l, r, abs(l - r), allowed))
-        return lemma, checked, skipped
-
-    # (1) generalized strong splitting on occurrence pairs; (2) its shifted
-    # variant, with hidden-only conditioning as in the exact mode
-    opts = _pair_options(jc, A)
-    hidden_opts = [(x, tuple(range(K))) for x in range(X)]
-    results = [splitting("generalized_strong_splitting", occ_table, "occ", opts, opts),
-               splitting("shifted_strong_splitting", shift_table, "shift", hidden_opts,
-                         _pair_options(jc) + hidden_opts)]
-
-    # (3) read-out at stopping times
-    checked, skipped = [], []
-    for n in range(1, N + 1):
-        for x2 in range(X):
-            nl = int(shift_counts[n - 1][x2].sum())
-            for e in range(K):
-                f_val = float(m.readout[x2, e])
-                label = (f"tau={n} P(Y_(tau+1)={jc.alphabet.emittable[e]} | "
-                         f"X_(tau+1)={jc.hidden_states[x2]})")
-                if nl == 0:
-                    skipped.append(f"{label} (den count 0)")
-                    continue
-                l = int(shift_counts[n - 1][x2, e]) / nl
-                allowed = 3.0 * se(f_val, nl)
-                checked.append(InstanceCheck(label, l, f_val, abs(l - f_val), allowed))
-    results.append(("readout_at_stopping_time", checked, skipped))
-
-    # (4) conditional independence product
-    checked, skipped = [], []
-    for combo in iter_product(_pair_options(jc), repeat=N):
-        label = "prod[" + " ".join(_opt_label(jc, o) for o in combo) + "]"
-        nl = count(shift_table, [omask(o[0]) for o in combo])
-        if nl == 0:
-            skipped.append(f"{label} (den count 0)")
-            continue
-        l = count(shift_table, [omask(*o) for o in combo]) / nl
-        rhs, var_sum = 1.0, 0.0
-        for kk, o in enumerate(combo):
-            counts = shift_counts[kk].ravel()
-            nd = int(counts @ omask(o[0]))
-            if nd == 0:
-                skipped.append(f"{label} (a factor's den count is 0)")
-                break
-            f = int(counts @ omask(*o)) / nd
-            rhs *= f
-            var_sum += se(f, nd) ** 2
-        else:
-            allowed = 3.0 * float(np.sqrt(se(l, nl) ** 2 + var_sum))
-            checked.append(InstanceCheck(label, l, rhs, abs(l - rhs), allowed))
-    results.append(("conditional_independence_product", checked, skipped))
-    return tuple(LemmaCheckResult(lemma, tuple(c), tuple(s), residual, float("nan"))
-                 for lemma, c, s in results)
+    return tuple(LemmaCheckResult(lemma, *_instance_checks(
+                     table, ratio, lambda var_l, var_r: z * math.sqrt(var_l + var_r), skip_label),
+                     residual, float("nan"))
+                 for lemma, table in tables.items())
 
 
 # ---------------------------------------------------------------------------

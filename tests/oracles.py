@@ -7,7 +7,9 @@ The reference samplers draw one trajectory at a time with scalar binary
 searches, in the documented draw order the lockstep samplers must reproduce.
 The reference verifiers propagate one request, line and instance at a time:
 they are the per-instance transfer-matrix code whose every float the batched
-exact lemma engine must reproduce.
+exact lemma engine must reproduce. The reference Monte Carlo verifier
+enumerates its four families by hand over count tables, so the shared
+instance tables' path counts have an independent check.
 """
 
 from bisect import bisect_right
@@ -811,3 +813,146 @@ def reference_hitting_time_lemmas(m, spec, N, horizon=8, tol=None, floor=None):
     results.append(LemmaCheckResult("conditional_independence_product", tuple(checked),
                                     tuple(skipped), base_res, tol))
     return tuple(results)
+
+
+def reference_lemmas_mc(m, spec, samples, src, horizon=12, N=None, floor=None):
+    """The Monte Carlo hitting-time checks as four hand-written families over
+    count tables, each instance passing at three combined binomial standard
+    errors. Its read-out family conditions on single symbols where the shared
+    instance tables use symbol sets; every other instance has the same label,
+    and its lhs and rhs are the same integer-count ratios as ``check_lemmas_mc``."""
+    from itertools import product as iter_product
+
+    from chainmix.model_core import HMMModel, require_valid
+    from chainmix.stopping_verifier import (
+        InstanceCheck,
+        JointChain,
+        LemmaCheckResult,
+        _opt_label,
+        _pair_options,
+        _require_realized,
+        _sample_joint_paths,
+    )
+
+    if samples < 10_000:
+        raise ValueError("Monte Carlo mode needs at least 10^4 samples")
+    if not isinstance(m, HMMModel):
+        raise TypeError("check_lemmas_mc needs an HMMModel")
+    require_valid(m)
+    jc = JointChain.from_hmm(m)
+    A = spec.mask(jc)
+    N = spec.occurrences if N is None else N
+    if N < 1:
+        raise ValueError("need at least one occurrence")
+    paths = _sample_joint_paths(jc, horizon + 2, samples, src)
+
+    # occurrence k (1-based) is at the first t <= horizon where k target visits have happened
+    visits = np.cumsum((A > 0)[paths[:, :horizon + 1]], axis=1, dtype=np.int32)
+    done = [np.ones(samples, dtype=bool)]           # done[k]: k occurrences realized
+    occ_pair = np.full((samples, N), -1, dtype=np.int64)
+    shift_pair = np.full((samples, N), -1, dtype=np.int64)
+    for kk in range(N):
+        d = visits[:, -1] > kk
+        t = np.argmax(visits[d] > kk, axis=1)
+        occ_pair[d, kk] = paths[d, t]
+        shift_pair[d, kk] = paths[d, t + 1]
+        done.append(d)
+    full = done[N]
+    residual = 1.0 - int(full.sum()) / samples
+    _require_realized(f"{N} occurrences", 1.0 - residual, floor, "increase the horizon")
+
+    P, K, X = jc.n_pairs, jc.n_symbols, len(jc.hidden_states)
+
+    def table(pairs):
+        """Counts of the N-tuples of pairs over the paths that realize all N occurrences."""
+        idx = pairs[full] @ P ** np.arange(N - 1, -1, -1)    # row-major rank
+        return np.bincount(idx, minlength=P ** N).reshape((P,) * N)
+
+    occ_table, shift_table = table(occ_pair), table(shift_pair)
+    # shift_counts[n - 1][x, e]: pair one step after occurrence n, over paths realizing n
+    shift_counts = [np.bincount(shift_pair[done[n], n - 1], minlength=P).reshape(X, K)
+                    for n in range(1, N + 1)]
+
+    def count(tab, masks):
+        """Paths in ``tab`` whose k-th pair lies in ``masks[k]`` (None: any pair)."""
+        for mk in reversed(masks):
+            tab = tab.sum(axis=-1) if mk is None else tab @ mk
+        return int(tab)
+
+    def omask(x, es=None):
+        """Integer 0/1 mask of the pairs with hidden state ``x`` and a symbol in ``es``."""
+        return (jc.mask(hidden=x, symbols=es) > 0).astype(np.int64)
+
+    def se(p, n):
+        return max(np.sqrt(max(p * (1 - p), 0.0) / n), 1.0 / n)
+
+    def splitting(lemma, tab, tag, cond_opts, tgt_opts):
+        """P(N-th pair in tgt | earlier pairs in cond) against conditioning on
+        the hidden state of the (N-1)-th pair alone."""
+        checked, skipped = [], []
+        for cond in iter_product(cond_opts, repeat=N - 1) if N >= 2 else ():
+            sel = [omask(*o) for o in cond]
+            rsel = [None] * (N - 2) + [omask(cond[-1][0])]
+            nl, nr = count(tab, sel + [None]), count(tab, rsel + [None])
+            cond_lab = " ".join(_opt_label(jc, o) for o in cond)
+            for tgt in tgt_opts:
+                label = f"{tag}[{cond_lab}] -> {_opt_label(jc, tgt)}"
+                if nl == 0 or nr == 0:
+                    skipped.append(f"{label} (den counts {nl}/{nr})")
+                    continue
+                l = count(tab, sel + [omask(*tgt)]) / nl
+                r = count(tab, rsel + [omask(*tgt)]) / nr
+                allowed = 3.0 * float(np.hypot(se(l, nl), se(r, nr)))
+                checked.append(InstanceCheck(label, l, r, abs(l - r), allowed))
+        return lemma, checked, skipped
+
+    # (1) generalized strong splitting on occurrence pairs; (2) its shifted
+    # variant, with hidden-only conditioning as in the exact mode
+    opts = _pair_options(jc, A)
+    hidden_opts = [(x, tuple(range(K))) for x in range(X)]
+    results = [splitting("generalized_strong_splitting", occ_table, "occ", opts, opts),
+               splitting("shifted_strong_splitting", shift_table, "shift", hidden_opts,
+                         _pair_options(jc) + hidden_opts)]
+
+    # (3) read-out at stopping times
+    checked, skipped = [], []
+    for n in range(1, N + 1):
+        for x2 in range(X):
+            nl = int(shift_counts[n - 1][x2].sum())
+            for e in range(K):
+                f_val = float(m.readout[x2, e])
+                label = (f"tau={n} P(Y_(tau+1)={jc.alphabet.emittable[e]} | "
+                         f"X_(tau+1)={jc.hidden_states[x2]})")
+                if nl == 0:
+                    skipped.append(f"{label} (den count 0)")
+                    continue
+                l = int(shift_counts[n - 1][x2, e]) / nl
+                allowed = 3.0 * se(f_val, nl)
+                checked.append(InstanceCheck(label, l, f_val, abs(l - f_val), allowed))
+    results.append(("readout_at_stopping_time", checked, skipped))
+
+    # (4) conditional independence product
+    checked, skipped = [], []
+    for combo in iter_product(_pair_options(jc), repeat=N):
+        label = "prod[" + " ".join(_opt_label(jc, o) for o in combo) + "]"
+        nl = count(shift_table, [omask(o[0]) for o in combo])
+        if nl == 0:
+            skipped.append(f"{label} (den count 0)")
+            continue
+        l = count(shift_table, [omask(*o) for o in combo]) / nl
+        rhs, var_sum = 1.0, 0.0
+        for kk, o in enumerate(combo):
+            counts = shift_counts[kk].ravel()
+            nd = int(counts @ omask(o[0]))
+            if nd == 0:
+                skipped.append(f"{label} (a factor's den count is 0)")
+                break
+            f = int(counts @ omask(*o)) / nd
+            rhs *= f
+            var_sum += se(f, nd) ** 2
+        else:
+            allowed = 3.0 * float(np.sqrt(se(l, nl) ** 2 + var_sum))
+            checked.append(InstanceCheck(label, l, rhs, abs(l - rhs), allowed))
+    results.append(("conditional_independence_product", checked, skipped))
+    return tuple(LemmaCheckResult(lemma, tuple(c), tuple(s), residual, float("nan"))
+                 for lemma, c, s in results)

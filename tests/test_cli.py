@@ -1,11 +1,14 @@
 import json
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chainmix.cli import main
+from chainmix import stopping_verifier
 from chainmix.fixtures import (
+    iid_rows_three_state,
     separated_recovery_mixture,
     two_component_mixture,
     two_state_noisy,
@@ -371,3 +374,50 @@ def test_verify_lemmas_rejects_vacuous_steps_and_negative_lag(argv, message, cap
     status, out, err = run(capsys, "verify-lemmas", "--model", str(model), *argv)
     assert status == 2
     assert out == "" and message in err
+
+
+@pytest.mark.parametrize("mode", [["--mc"], []])
+def test_verify_lemmas_refuses_an_instance_table_past_the_budget(mode, tmp_path, capsys,
+                                                                 monkeypatch):
+    # 60,369 instances at 5 occurrences: refused before any mass or path
+    def never(*args):
+        raise AssertionError("evaluated past the budget")
+
+    monkeypatch.setattr(stopping_verifier, "_occurrence_masses", never)
+    monkeypatch.setattr(stopping_verifier, "_sample_joint_paths", never)
+    battery = tmp_path / "battery.json"
+    save_model(iid_rows_three_state(), battery)
+    start = time.perf_counter()
+    status, out, err = run(capsys, "verify-lemmas", "--model", str(battery), "--lemma",
+                           "hitting", "--occurrences", "5", "--horizon", "16",
+                           "--target-symbol", "a", *mode)
+    assert time.perf_counter() - start < 1.0
+    assert status == 2
+    assert out == "" and "need 60369 instances" in err and "budget" in err
+
+
+@pytest.mark.parametrize("seed", [19, 22, 47, 71])
+def test_verify_lemmas_mc_is_family_wise(seed, tmp_path, capsys):
+    # the benchmark's MC command failed at these seeds with per-instance 3 sigma
+    # bounds; the noisy HMM's real boundary terms still fail at each of them
+    battery = tmp_path / "battery.json"
+    save_model(iid_rows_three_state(), battery)
+    status, out, _ = run(capsys, "verify-lemmas", "--model", str(battery), "--lemma", "hitting",
+                         "--mc", "--samples", "100000", "--seed", str(seed),
+                         "--target-symbol", "a")
+    assert status == 0, out
+    noisy = Path(__file__).resolve().parent.parent / "models" / "noisy_hmm.json"
+    status, out, _ = run(capsys, "verify-lemmas", "--model", str(noisy), "--lemma", "all",
+                         "--mc", "--seed", str(seed))
+    assert status == 1
+    assert "conditional_independence_product: FAIL" in out
+
+
+def test_verify_lemmas_mc_reads_alpha_from_the_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 0}))
+    noisy = Path(__file__).resolve().parent.parent / "models" / "noisy_hmm.json"
+    status, out, err = run(capsys, "verify-lemmas", "--model", str(noisy), "--mc",
+                           "--lemma", "hitting", "--config", str(cfg))
+    assert status == 2
+    assert out == "" and "alpha must lie in (0, 1)" in err

@@ -6,12 +6,21 @@ and skipped instances. The batched propagations must round exactly as the
 one-request, one-line, one-instance code that ``tests/oracles.py`` keeps.
 Models are random small HMMs (1-3 hidden states, 1-3 symbols, with and without
 zero entries) and, where a joint law suffices, their corrupted joints.
+
+The Monte Carlo checks count sampled paths over the exact mode's instance
+tables: their label sets equal the exact ones, and every instance the
+hand-written families of ``reference_lemmas_mc`` also check has the same lhs
+and rhs, bit for bit.
 """
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from chainmix import fixtures
 from chainmix.errors import TruncationError
 from chainmix.model_core import Alphabet, Distribution, HMMModel, StochasticMatrix
 from chainmix.stopping_verifier import (
@@ -19,9 +28,11 @@ from chainmix.stopping_verifier import (
     JointChain,
     _MassRequests,
     check_hitting_time_lemmas,
+    check_lemmas_mc,
     check_strong_splitting,
     corrupted_previous_symbol_joint,
 )
+from chainmix.sim import RandomSource
 
 SYMBOLS = ["a", "b", "c"]
 
@@ -125,3 +136,58 @@ def test_hitting_time_lemmas_equal_reference(model, N, horizon, draw_seed):
     assert (_outcome(check_hitting_time_lemmas, m, spec, N, horizon, floor=0.0)
             == _outcome(oracles.reference_hitting_time_lemmas, m, spec, N, horizon,
                         floor=0.0))
+
+
+READOUT = "readout_at_stopping_time"
+
+
+def _labels(skipped, pattern):
+    return {re.sub(pattern, "", s) for s in skipped}
+
+
+def _mc_against_reference(m, spec, samples, seed, horizon) -> int:
+    """Compare one MC run with the reference families and the exact label sets;
+    returns how many instances both MC versions check."""
+    got = check_lemmas_mc(m, spec, samples, RandomSource(seed), horizon, floor=0.0)
+    ref = oracles.reference_lemmas_mc(m, spec, samples, RandomSource(seed), horizon, floor=0.0)
+    exact = check_hitting_time_lemmas(m, spec, spec.occurrences, horizon, floor=0.0)
+    shared = 0
+    for g, r, e in zip(got, ref, exact, strict=True):
+        assert g.lemma == r.lemma == e.lemma
+        checked = {c.label: repr((c.lhs, c.rhs)) for c in g.checked}
+        skipped = _labels(g.skipped, r" \(den counts [\d/]+\)$")
+        assert checked.keys() | skipped == {c.label for c in e.checked} | set(e.skipped)
+        for c in r.checked:
+            if c.label in checked:
+                assert checked[c.label] == repr((c.lhs, c.rhs)), c.label
+                shared += 1
+        if g.lemma != READOUT:       # the reference reads out single symbols, not sets
+            assert {c.label for c in r.checked} == checked.keys()
+            assert _labels(r.skipped, r" \((den counts? [\d/]+|a factor's den count is 0)\)$") \
+                == skipped
+    return shared
+
+
+TWO_SYMBOLS = HittingTimeSpec(frozenset({("*", "a"), ("*", "b")}), occurrences=2)
+
+
+@pytest.mark.parametrize("model, spec, samples, seed, horizon", [
+    # the golden MC digest cases
+    ("iid_rows_three_state", TWO_SYMBOLS, 20_000, 3, 12),
+    ("iid_rows_three_state", TWO_SYMBOLS, 20_000, 4, 12),
+    ("direct_sum_iid_blocks", HittingTimeSpec.for_symbol("a", 2), 20_000, 5, 12),
+    ("direct_sum_iid_blocks", HittingTimeSpec.for_symbol("a", 3), 20_000, 6, 12),
+    # the benchmark's MC command
+    ("iid_rows_three_state", HittingTimeSpec.for_symbol("a", 2), 100_000, 19, 8),
+])
+def test_mc_counts_the_exact_tables(model, spec, samples, seed, horizon):
+    assert _mc_against_reference(getattr(fixtures, model)(), spec, samples, seed, horizon) > 0
+
+
+@given(models, st.integers(1, 2), st.integers(1, 10), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_mc_on_random_models_counts_the_exact_tables(model, N, horizon, draw_seed):
+    seed, X, K, zeros = model
+    m = _hmm(seed, X, K, zeros)
+    _mc_against_reference(m, _spec(np.random.default_rng(draw_seed), m, N), 10_000,
+                          draw_seed, horizon)

@@ -1,3 +1,5 @@
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
@@ -279,6 +281,41 @@ def test_mc_agrees_with_exact_where_both_run():
                 assert abs(c.lhs - exact[key]) <= max(c.allowed, 0.02), key
                 compared += 1
     assert compared > 20
+
+
+@pytest.mark.parametrize("model, spec, horizon", [
+    (iid_rows_two_state(), HittingTimeSpec.for_symbol("a", 1), 6),
+    (iid_rows_two_state(), HittingTimeSpec.for_symbol("a", 3), 6),
+    (direct_sum_iid_blocks(), HittingTimeSpec.for_symbol("a", 2), 9),
+    (two_state_noisy(), HittingTimeSpec(frozenset({("*", "a"), ("s0", "b")}), 2), 5),
+])
+def test_instance_budget_is_the_table_size(model, spec, horizon):
+    # the closed-form row count is the tables' size: the budget that exactly
+    # covers it runs in both modes, one less is refused in both
+    N = spec.occurrences
+    exact = check_hitting_time_lemmas(model, spec, N, horizon, floor=0.0)
+    rows = sum(len(r.checked) + len(r.skipped) for r in exact)
+    need = rows * (N + 1) * JointChain.from_hmm(model).n_pairs * horizon
+    check_hitting_time_lemmas(model, spec, N, horizon, floor=0.0, budget=need)
+    check_lemmas_mc(model, spec, 10_000, RandomSource(1), horizon, floor=0.0, budget=need)
+    with pytest.raises(EnumerationBudgetError, match=f"need {rows} instances"):
+        check_hitting_time_lemmas(model, spec, N, horizon, floor=0.0, budget=need - 1)
+    with pytest.raises(EnumerationBudgetError, match=f"need {rows} instances"):
+        check_lemmas_mc(model, spec, 10_000, RandomSource(1), horizon, floor=0.0,
+                        budget=need - 1)
+
+
+def test_mc_allowed_is_bonferroni_over_all_checked_instances():
+    # allowed = z * combined standard error, z two-sided at alpha / (instances checked)
+    m, spec = direct_sum_iid_blocks(), HittingTimeSpec.for_symbol("a", 2)
+    runs = {a: check_lemmas_mc(m, spec, 20_000, RandomSource(4), alpha=a) for a in (0.01, 0.3)}
+    count = sum(len(r.checked) for r in runs[0.01])
+    z = {a: NormalDist().inv_cdf(1 - a / (2 * count)) for a in runs}
+    for r1, r2 in zip(runs[0.01], runs[0.3], strict=True):
+        for c1, c2 in zip(r1.checked, r2.checked, strict=True):
+            assert c1.allowed / z[0.01] == pytest.approx(c2.allowed / z[0.3], rel=1e-12)
+    with pytest.raises(ValueError, match="alpha"):
+        check_lemmas_mc(m, spec, 20_000, RandomSource(4), alpha=0.0)
 
 
 # ---------------------------------------------------------------------------
