@@ -203,6 +203,14 @@ def _adjacent_equal_pairs(codes: np.ndarray) -> int:
     return int(np.count_nonzero(codes[:-1] == codes[1:]))
 
 
+def _require_level(level: float | None) -> float:
+    """The test level (default ``DEFAULT.alpha``), refused outside (0, 1)."""
+    level = DEFAULT.alpha if level is None else level
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {level}")
+    return level
+
+
 def test_row_exchangeability(row, permutations: int, src: RandomSource,
                              level: float | None = None) -> RowTestResult:
     """Permutation test of row exchangeability.
@@ -214,7 +222,7 @@ def test_row_exchangeability(row, permutations: int, src: RandomSource,
     """
     if permutations < 1:
         raise ValueError("permutations must be >= 1")
-    level = DEFAULT.alpha if level is None else level
+    level = _require_level(level)
     row = list(row)
     if len(row) < MIN_TEST_LENGTH:
         raise RowTooShortError(f"row of length {len(row)} is below the minimum "
@@ -242,7 +250,7 @@ def test_partial_exchangeability(arr: SuccessorsArray, level: float | None = Non
     The overall null (the source is partially exchangeable) is rejected iff any
     row rejects at the corrected level ``alpha / #tested``.
     """
-    level = DEFAULT.alpha if level is None else level
+    level = _require_level(level)
     src = RandomSource(0) if src is None else src
     testable = [(k, r) for k, r in sorted(arr.rows.items(), key=lambda kv: str(kv[0]))
                 if len(r) >= MIN_TEST_LENGTH]

@@ -32,6 +32,7 @@ path counts judged by Bonferroni bounds over every instance checked.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product as iter_product
@@ -163,24 +164,94 @@ class InstanceCheck:
         return self.gap <= self.allowed
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class InstanceTable(Sequence):
+    """Checked instances as read-only float64 columns and a label rule
+    ``label(i) -> str``; an :class:`InstanceCheck` is built only when indexed or
+    iterated. Compares, hashes and prints as the tuple of its instances."""
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    gap: np.ndarray
+    allowed: np.ndarray
+    label: Callable[[int], str]
+
+    def __post_init__(self):
+        for name in ("lhs", "rhs", "gap", "allowed"):
+            arr = np.array(getattr(self, name), dtype=np.float64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_rows(cls, rows, labels: list[str]) -> "InstanceTable":
+        """From ``(lhs, rhs, gap, allowed)`` rows and their labels."""
+        return cls(*np.array(rows, dtype=np.float64).reshape(-1, 4).T, labels.__getitem__)
+
+    def _check(self, i: int) -> InstanceCheck:
+        return InstanceCheck(self.label(i), self.lhs[i].item(), self.rhs[i].item(),
+                             self.gap[i].item(), self.allowed[i].item())
+
+    def __len__(self) -> int:
+        return len(self.gap)
+
+    def __getitem__(self, i):
+        rows = range(len(self))[i]
+        if isinstance(rows, range):
+            return tuple(map(self._check, rows))
+        return self._check(rows)
+
+    def __iter__(self):
+        cols = zip(self.lhs.tolist(), self.rhs.tolist(), self.gap.tolist(), self.allowed.tolist())
+        for i, values in enumerate(cols):
+            yield InstanceCheck(self.label(i), *values)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class LemmaCheckResult:
+    """One identity's checked instances (an :class:`InstanceTable`; a sequence
+    of :class:`InstanceCheck` is converted to one) and skipped labels."""
+
     lemma: str
-    checked: tuple[InstanceCheck, ...]
+    checked: InstanceTable
     skipped: tuple[str, ...]
     residual: float
     tolerance: float
 
+    def __post_init__(self):
+        if not isinstance(self.checked, InstanceTable):
+            rows = [(c.lhs, c.rhs, c.gap, c.allowed) for c in self.checked]
+            object.__setattr__(self, "checked", InstanceTable.from_rows(
+                rows, [c.label for c in self.checked]))
+
+    def _failing(self) -> np.ndarray:
+        return ~(self.checked.gap <= self.checked.allowed)     # a NaN gap fails
+
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checked)
+        return not self._failing().any()
 
     @property
     def max_gap(self) -> float:
-        return max((c.gap for c in self.checked), default=0.0)
+        """The largest gap, as Python's ``max`` finds it: a NaN first gap wins
+        and later NaNs are passed over; 0.0 when nothing was checked."""
+        gap = self.checked.gap
+        if len(gap) == 0:
+            return 0.0
+        return gap[0].item() if math.isnan(gap[0]) else np.fmax.reduce(gap).item()
 
     def failures(self) -> list[InstanceCheck]:
-        return [c for c in self.checked if not c.passed]
+        return [self.checked[i] for i in np.flatnonzero(self._failing())]
 
 
 # ---------------------------------------------------------------------------
@@ -259,65 +330,77 @@ def check_splitting(model, N: int = 3, tol: float | None = None,
 
     against ``P(X_n=x, Y_n in S_n | X_{n-1}=x_{n-1})``. Zero-mass conditioning
     events are reported as skipped. Needs ``N >= 2``: no instance has ``n < 2``.
+
+    Runs one batch per depth: the live conditioning trails of times ``1..d``
+    are the rows of one array, masked by every option at once and advanced by
+    rounding-exact vector-matrix products (:func:`_gemv_rows`). The trails of
+    depth ``n - 1`` condition the instances of ``n``, which come out in trail
+    order, as do the skipped labels: a trail cut off at an inner depth is
+    reported in its prefix's place.
     """
     tol = DEFAULT.tol_exact if tol is None else tol
     if N < 2:
         raise ValueError("splitting needs at least 2 time steps")
     jc = as_joint(model)
-    X, K = len(jc.hidden_states), jc.n_symbols
-    sets = _symbol_sets(K, symbol_sets)
-    combos = [(x, es) for x in range(X) for es in sets]
-    masks = {(x, es): jc.mask(hidden=x, symbols=es) for x, es in combos}
-    targets = list(masks.items())
+    X, K, T = len(jc.hidden_states), jc.n_symbols, jc.trans
+    combos = [(x, es) for x in range(X) for es in _symbol_sets(K, symbol_sets)]
+    C = len(combos)
+    masks = np.array([jc.mask(hidden=x, symbols=es) for x, es in combos])
+    x_of = np.array([x for x, _ in combos])
+    combo_labels = [f"(x={jc.hidden_states[x]},S={_set_label(jc, es)})" for x, es in combos]
+    targets = [combos.index(o) for o in dict.fromkeys(combos)]    # each option once
+    target_masks = masks[targets]
+    target_labels = [f" -> {combo_labels[t]}" for t in targets]
 
-    checked: list[InstanceCheck] = []
-    skipped: list[str] = []
-
-    def combo_label(x, es):
-        return f"(x={jc.hidden_states[x]},S={_set_label(jc, es)})"
-
+    marginal = jc.init @ T             # law of the pair at time n - 1
+    vec, trails = marginal[None], [""]  # live trails of times 1..n-2, advanced to time n-1
+    # the trails and inner-depth skips in trail order: live row i as i, skip j as ~j
+    order, cut = np.zeros(1, dtype=np.int64), []
+    cols, leaf_n, leaf_trails, skipped = [], [], [], []
     for n in range(2, N + 1):
-        marginal = jc.init.copy()
-        for _ in range(n - 1):
-            marginal = marginal @ jc.trans
-        rhs_table = {}
-        for x_prev in range(X):
-            u = marginal * jc.mask(hidden=x_prev)
-            den = float(u.sum())
-            if den <= MASS_FLOOR:
-                rhs_table[x_prev] = None
-                continue
-            v = u @ jc.trans
-            rhs_table[x_prev] = {key: float((v * mask).sum()) / den for key, mask in targets}
+        # depth n - 1: mask every live trail by every option
+        nxt = vec[:, None, :] * masks
+        mass = nxt.sum(axis=-1).ravel()
+        keep = mass > MASS_FLOOR
+        live, dead = np.flatnonzero(keep), np.flatnonzero(~keep)
+        children = np.empty(len(mass), dtype=np.int64)
+        children[live] = np.arange(len(live))
+        children[dead] = ~np.arange(len(cut), len(cut) + len(dead))
+        cut += [f"cond[{trails[r]} {combo_labels[c]} ...]" for r, c in zip(*divmod(dead, C))]
+        fans = np.where(order >= 0, C, 1)
+        expanded = np.repeat(order, fans)
+        expanded[np.repeat(order >= 0, fans)] = children
+        order = expanded
+        parent, c = divmod(live, C)
+        trails = [f"{trails[r]} {combo_labels[k]}".lstrip() for r, k in zip(parent, c)]
+        last_x, vec, den = x_of[c], _gemv_rows(nxt.reshape(-1, jc.n_pairs)[live], T), mass[live]
 
-        def descend(vec, depth, trail, x_prev):
-            if depth == n:
-                den = float(vec.sum())
-                cond = " ".join(trail)
-                if den <= MASS_FLOOR:
-                    skipped.append(f"n={n} cond[{cond}]")
-                    return
-                if rhs_table[x_prev] is None:
-                    skipped.append(f"n={n} cond[{cond}] (one-step side has no mass)")
-                    return
-                post = vec @ jc.trans
-                for key, mask in targets:
-                    lhs = float((post * mask).sum()) / den
-                    rhs = rhs_table[x_prev][key]
-                    label = f"n={n} cond[{cond}] -> {combo_label(*key)}"
-                    checked.append(InstanceCheck(label, lhs, rhs, abs(lhs - rhs), tol))
-                return
-            for (x, es) in combos:
-                nxt = vec * masks[(x, es)]
-                if float(nxt.sum()) <= MASS_FLOOR:
-                    skipped.append(f"n={n} cond[{' '.join(trail)} {combo_label(x, es)} ...]")
-                    continue
-                descend(nxt if depth == n - 1 else nxt @ jc.trans, depth + 1,
-                        trail + [combo_label(x, es)], x)
+        # time n: one-step predictions from X_(n-1) alone
+        u = marginal * np.array([jc.mask(hidden=x) for x in range(X)])
+        rden = u.sum(axis=-1)
+        rhs_ok = rden > MASS_FLOOR
+        rhs = ((_gemv_rows(u, T)[:, None, :] * target_masks).sum(axis=-1)
+               / np.where(rhs_ok, rden, 1.0)[:, None])
+        marginal = marginal @ T
 
-        descend(jc.init @ jc.trans, 1, [], -1)
+        report = order < 0
+        report[order >= 0] = ~rhs_ok[last_x]          # the live rows, in row order
+        for e in order[report].tolist():
+            skipped.append(f"n={n} " + (cut[~e] if e < 0 else
+                                        f"cond[{trails[e]}] (one-step side has no mass)"))
+        rows = np.flatnonzero(rhs_ok[last_x])
+        lhs = (vec[rows][:, None, :] * target_masks).sum(axis=-1) / den[rows][:, None]
+        gap = np.abs(lhs - rhs[last_x[rows]])
+        cols.append((lhs.ravel(), rhs[last_x[rows]].ravel(), gap.ravel(), np.full(gap.size, tol)))
+        leaf_n += [n] * len(rows)
+        leaf_trails += [trails[r] for r in rows.tolist()]
 
-    return LemmaCheckResult("splitting", tuple(checked), tuple(skipped), 0.0, tol)
+    def label(i: int) -> str:
+        j, target = divmod(i, len(targets))
+        return f"n={leaf_n[j]} cond[{leaf_trails[j]}]{target_labels[target]}"
+
+    values = (np.concatenate(c) for c in zip(*cols))
+    return LemmaCheckResult("splitting", InstanceTable(*values, label), tuple(skipped), 0.0, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +479,7 @@ def check_strong_splitting(model, spec: HittingTimeSpec, k: int, horizon: int = 
     rhs_ok = rden > MASS_FLOOR
     rhs = np.vecdot(R[:, None, :], Q) / np.where(rhs_ok, rden, 1.0)[:, None]
 
-    checked, skipped = [], []
+    cols, skipped = [], []              # cols: per n, (n, b, t, lhs, rhs, gap, allowed)
     for n in n_values:
         line = w[n] * M
         later = np.zeros_like(line)        # hits of each line after time n
@@ -414,15 +497,18 @@ def check_strong_splitting(model, spec: HittingTimeSpec, k: int, horizon: int = 
         b, t = np.nonzero(ok)
         d, xt = den[b, t], x_of[t]
         lhs = np.vecdot(V[b, t][:, None, :], Q) / d[:, None]
-        gap = np.abs(lhs - rhs[xt])
         allowed = tol + tail_b[b] / d + unrealized / rden[xt]
-        for bi, ti, ls, rs, gs, a in zip(b.tolist(), t.tolist(), lhs.tolist(),
-                                         rhs[xt].tolist(), gap.tolist(), allowed.tolist()):
-            base = f"n={n} bar={cond_labels[bi]} tilde={cond_labels[ti]}"
-            checked.extend(InstanceCheck(base + lab, l, r, g, a)
-                           for lab, l, r, g in zip(target_labels, ls, rs, gs))
-    return LemmaCheckResult("strong_splitting", tuple(checked), tuple(skipped),
-                            unrealized, tol)
+        cols.append((np.full(len(b), n), b, t, lhs.ravel(), rhs[xt].ravel(),
+                     np.abs(lhs - rhs[xt]).ravel(), np.repeat(allowed, len(targets))))
+    n_of, b_of, t_of, *values = (np.concatenate(c) for c in zip(*cols)) if cols else [()] * 7
+
+    def label(i: int) -> str:
+        j, target = divmod(i, len(targets))
+        return (f"n={n_of[j]} bar={cond_labels[b_of[j]]} tilde={cond_labels[t_of[j]]}"
+                + target_labels[target])
+
+    return LemmaCheckResult("strong_splitting", InstanceTable(*values, label),
+                            tuple(skipped), unrealized, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -529,13 +615,14 @@ class _MassRequests:
 
 
 def _instance_checks(table, ratio, allowed, skip_label=lambda label, ratios: label):
-    """Checked instances and skipped labels of an instance table, in table order.
+    """Checked instances (an :class:`InstanceTable`) and skipped labels of an
+    instance table, in table order.
 
     A row is ``(label, lhs, factors, const)``: ratios ``(numerator, denominator)`` of
     request rows, rhs = ``const`` times the factors. ``ratio`` gives ``(value, spread)``
     or None, which skips the row as ``skip_label(label, ratios)``; the pass bound is
     ``allowed(lhs spread, sum of factor spreads)``."""
-    checked, skipped = [], []
+    rows, labels, skipped = [], [], []
     for label, lhs, factors, const in table:
         terms = [ratio(*lhs), *(ratio(*f) for f in factors)]
         if any(term is None for term in terms):
@@ -546,8 +633,9 @@ def _instance_checks(table, ratio, allowed, skip_label=lambda label, ratios: lab
         for f, s in rest:
             rhs *= f
             spread_r += s
-        checked.append(InstanceCheck(label, l, rhs, abs(l - rhs), allowed(spread_l, spread_r)))
-    return tuple(checked), tuple(skipped)
+        rows.append((l, rhs, abs(l - rhs), allowed(spread_l, spread_r)))
+        labels.append(label)
+    return InstanceTable.from_rows(rows, labels), tuple(skipped)
 
 
 def _pair_options(jc: JointChain, restrict_mask=None):
@@ -781,19 +869,3 @@ def check_lemmas_mc(m, spec: HittingTimeSpec, samples: int, src: RandomSource,
                      table, ratio, lambda var_l, var_r: z * math.sqrt(var_l + var_r), skip_label),
                      residual, float("nan"))
                  for lemma, table in tables.items())
-
-
-# ---------------------------------------------------------------------------
-# Trajectory-level helpers
-
-
-def hidden_after_visits(t, symbol: str) -> tuple[str, ...]:
-    """The hidden-state sequence sampled at the steps right after each visit to
-    ``symbol`` (needs a hidden trace); the induced chain of the successors row."""
-    if t.hidden is None:
-        raise ValueError("trajectory has no hidden trace")
-    out = []
-    for i in range(len(t) - 1):
-        if t.symbols[i] == symbol:
-            out.append(t.hidden[i + 1])
-    return tuple(out)

@@ -573,6 +573,79 @@ def reference_occurrence_mass(jc, A, occ_masks, shifted_masks, horizon):
     return done, residual
 
 
+def reference_splitting(model, N=3, tol=None, symbol_sets=None):
+    """Splitting by the depth-first recursion over conditioning trails: one
+    vector, mask and instance at a time, in trail order."""
+    from chainmix.config import DEFAULT
+    from chainmix.stopping_verifier import (
+        MASS_FLOOR,
+        InstanceCheck,
+        LemmaCheckResult,
+        _set_label,
+        _symbol_sets,
+        as_joint,
+    )
+
+    tol = DEFAULT.tol_exact if tol is None else tol
+    if N < 2:
+        raise ValueError("splitting needs at least 2 time steps")
+    jc = as_joint(model)
+    X, K = len(jc.hidden_states), jc.n_symbols
+    sets = _symbol_sets(K, symbol_sets)
+    combos = [(x, es) for x in range(X) for es in sets]
+    masks = {(x, es): jc.mask(hidden=x, symbols=es) for x, es in combos}
+    targets = list(masks.items())
+
+    checked = []
+    skipped = []
+
+    def combo_label(x, es):
+        return f"(x={jc.hidden_states[x]},S={_set_label(jc, es)})"
+
+    for n in range(2, N + 1):
+        marginal = jc.init.copy()
+        for _ in range(n - 1):
+            marginal = marginal @ jc.trans
+        rhs_table = {}
+        for x_prev in range(X):
+            u = marginal * jc.mask(hidden=x_prev)
+            den = float(u.sum())
+            if den <= MASS_FLOOR:
+                rhs_table[x_prev] = None
+                continue
+            v = u @ jc.trans
+            rhs_table[x_prev] = {key: float((v * mask).sum()) / den for key, mask in targets}
+
+        def descend(vec, depth, trail, x_prev):
+            if depth == n:
+                den = float(vec.sum())
+                cond = " ".join(trail)
+                if den <= MASS_FLOOR:
+                    skipped.append(f"n={n} cond[{cond}]")
+                    return
+                if rhs_table[x_prev] is None:
+                    skipped.append(f"n={n} cond[{cond}] (one-step side has no mass)")
+                    return
+                post = vec @ jc.trans
+                for key, mask in targets:
+                    lhs = float((post * mask).sum()) / den
+                    rhs = rhs_table[x_prev][key]
+                    label = f"n={n} cond[{cond}] -> {combo_label(*key)}"
+                    checked.append(InstanceCheck(label, lhs, rhs, abs(lhs - rhs), tol))
+                return
+            for (x, es) in combos:
+                nxt = vec * masks[(x, es)]
+                if float(nxt.sum()) <= MASS_FLOOR:
+                    skipped.append(f"n={n} cond[{' '.join(trail)} {combo_label(x, es)} ...]")
+                    continue
+                descend(nxt if depth == n - 1 else nxt @ jc.trans, depth + 1,
+                        trail + [combo_label(x, es)], x)
+
+        descend(jc.init @ jc.trans, 1, [], -1)
+
+    return LemmaCheckResult("splitting", tuple(checked), tuple(skipped), 0.0, tol)
+
+
 def reference_strong_splitting(model, spec, k, horizon=8, n_values=None, tol=None,
                                floor=None, symbol_sets=None):
     """Strong splitting with one forward line per ``(n, x-, S1)`` and one

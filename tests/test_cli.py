@@ -421,3 +421,22 @@ def test_verify_lemmas_mc_reads_alpha_from_the_config(tmp_path, capsys):
                            "--lemma", "hitting", "--config", str(cfg))
     assert status == 2
     assert out == "" and "alpha must lie in (0, 1)" in err
+
+
+@pytest.mark.parametrize("alpha", ["-1", "nan", "0", "1", "2"])
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_exchangeability_rejects_alpha_outside_the_unit_interval(alpha, how, tmp_path, capsys):
+    # -1 and nan used to print "no rejection at level ..." (exit 0); 2 rejected a
+    # row whose p-value is far above any sensible level (exit 1)
+    trajs = tmp_path / "t.txt"
+    trajs.write_text(" ".join(np.random.default_rng(3).choice(["a", "b"], 300)) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"alpha": %s}' % ("NaN" if alpha == "nan" else alpha))
+    extra = [f"--alpha={alpha}"] if how == "flag" else ["--config", str(cfg)]
+    status, out, err = run(capsys, "test-exchangeability", str(trajs), "--permutations", "50",
+                           *extra)
+    assert status == 2
+    assert out == "" and "alpha must lie in (0, 1)" in err
+    status, out, _ = run(capsys, "test-exchangeability", str(trajs), "--permutations", "50",
+                         "--alpha", "0.5")
+    assert status in (0, 1) and "at level 0.5\n" in out

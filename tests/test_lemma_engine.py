@@ -29,6 +29,7 @@ from chainmix.stopping_verifier import (
     _MassRequests,
     check_hitting_time_lemmas,
     check_lemmas_mc,
+    check_splitting,
     check_strong_splitting,
     corrupted_previous_symbol_joint,
 )
@@ -105,6 +106,46 @@ def test_occurrence_masses_equal_reference(model, corrupt, N, horizon, count):
         assert (mass[row], residual[row]) == want
 
 
+def _draw_symbol_sets(r, K):
+    """None (the default sets) or one to three random nonempty symbol sets."""
+    if r.random() < 0.5:
+        return None
+    return [tuple(int(e) for e in np.flatnonzero(r.random(K) < 0.6)) or (0,)
+            for _ in range(int(r.integers(1, 4)))]
+
+
+FIXED_JOINTS = {"splitting_negative_control": fixtures.splitting_negative_control,
+                "two_state_cycle": fixtures.two_state_cycle}
+
+
+@given(st.one_of(models, st.sampled_from(sorted(FIXED_JOINTS))), st.booleans(),
+       st.integers(2, 4), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_splitting_equals_reference(model, corrupt, N, draw_seed):
+    # the level-by-level batch against the depth-first recursion: same floats,
+    # labels and order of checked and skipped instances
+    if isinstance(model, str):
+        target = FIXED_JOINTS[model]()
+    else:
+        seed, X, K, zeros = model
+        if N == 4:
+            X, K = min(X, 2), min(K, 2)     # keeps the 4-step trail tree small
+        m = _hmm(seed, X, K, zeros)
+        target = corrupted_previous_symbol_joint(m) if corrupt else m
+    symbol_sets = _draw_symbol_sets(np.random.default_rng(draw_seed), target.alphabet.size)
+    assert (_outcome(check_splitting, target, N, symbol_sets=symbol_sets)
+            == _outcome(oracles.reference_splitting, target, N, symbol_sets=symbol_sets))
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_JOINTS))
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_strong_splitting_of_fixed_joints_equals_reference(name, k):
+    target, spec = FIXED_JOINTS[name](), HittingTimeSpec.for_symbol("a")
+    assert (_outcome(check_strong_splitting, target, spec, k, horizon=8, floor=0.0)
+            == _outcome(oracles.reference_strong_splitting, target, spec, k, horizon=8,
+                        floor=0.0))
+
+
 @given(models, st.booleans(), st.integers(0, 2), st.integers(1, 10), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=120, deadline=None)
 def test_strong_splitting_equals_reference(model, corrupt, k, horizon, draw_seed):
@@ -116,10 +157,7 @@ def test_strong_splitting_equals_reference(model, corrupt, k, horizon, draw_seed
     n_values = None
     if r.random() < 0.5:
         n_values = [int(n) for n in r.integers(1, horizon + 1, int(r.integers(0, 4)))]
-    symbol_sets = None
-    if r.random() < 0.5:
-        symbol_sets = [tuple(int(e) for e in np.flatnonzero(r.random(K) < 0.6)) or (0,)
-                       for _ in range(int(r.integers(1, 4)))]
+    symbol_sets = _draw_symbol_sets(r, K)
     kwargs = dict(horizon=horizon, n_values=n_values, floor=0.0, symbol_sets=symbol_sets)
     assert (_outcome(check_strong_splitting, target, spec, k, **kwargs)
             == _outcome(oracles.reference_strong_splitting, target, spec, k, **kwargs))

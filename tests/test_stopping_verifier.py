@@ -23,7 +23,6 @@ from chainmix.stopping_verifier import (
     check_splitting,
     check_strong_splitting,
     event_probability,
-    hidden_after_visits,
 )
 
 
@@ -320,6 +319,18 @@ def test_mc_allowed_is_bonferroni_over_all_checked_instances():
 
 # ---------------------------------------------------------------------------
 # Trajectory-level invariants of the hitting-time machinery
+
+
+def hidden_after_visits(t, symbol: str) -> tuple[str, ...]:
+    """The hidden-state sequence sampled at the steps right after each visit to
+    ``symbol`` (needs a hidden trace); the induced chain of the successors row."""
+    if t.hidden is None:
+        raise ValueError("trajectory has no hidden trace")
+    out = []
+    for i in range(len(t) - 1):
+        if t.symbols[i] == symbol:
+            out.append(t.hidden[i + 1])
+    return tuple(out)
 
 
 def test_visited_symbols_keep_recurring():
