@@ -104,12 +104,29 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 def cmd_law(args, cfg: RunConfig) -> int:
     model = load_model(args.model)
     law = model_core.model_law(model, args.horizon, cfg.enum_budget)
-    if args.json:
-        _emit_json({"length": law.length,
-                    "entries": [[list(s), p] for s, p in law.entries()]})
-    else:
-        sys.stdout.writelines(law.text_blocks())
+    sys.stdout.writelines(_law_json_blocks(law) if args.json else law.text_blocks())
     return 0
+
+
+def _law_json_blocks(law):
+    """``_emit_json({"length": ..., "entries": [[labels, p], ...]})`` of a law of length
+    at least 1, written ``BLOCK`` entries at a time from its rank arrays: each symbol
+    as ``json.dumps`` writes it and each probability by ``repr``, as ``json.dumps``
+    writes a float. A block's labels are built one symbol position at a time."""
+    k, n = law.alphabet.size, law.length
+    first = np.array([json.dumps(s) for s in law.alphabet.emittable], dtype=object)
+    rest = ",\n        " + first
+    entry = "\n    [\n      [\n        %s\n      ],\n      %r\n    ]"
+    yield '{\n  "entries": ['
+    for i in range(0, law.ranks.size, model_core.BLOCK):
+        digits = model_core.rank_digits(law.ranks[i:i + model_core.BLOCK], k, n)
+        labels = first[digits[:, 0]]
+        for j in range(1, n):
+            labels = labels + rest[digits[:, j]]
+        cells = np.empty(2 * len(labels), dtype=object)
+        cells[0::2], cells[1::2] = labels, law.probs[i:i + model_core.BLOCK].tolist()
+        yield ("," if i else "") + ",".join([entry] * len(labels)) % tuple(cells)
+    yield ("\n  ]" if law.ranks.size else "]") + f',\n  "length": {n}\n}}\n'
 
 
 def cmd_compare(args, cfg: RunConfig) -> int:
@@ -439,7 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
             "permutation tests on successors rows")
     p.add_argument("trajectories")
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--permutations", type=int, default=2000)
+    p.add_argument("--permutations", type=int, default=2000,
+                   help="most permutation draws per row, m; a row stops once both "
+                        "tails have h hits, h = max(10, least h with 2h/m >= its "
+                        "level): verdicts and p-values below 2h/m are those of "
+                        "all m draws")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--partition")
     p.add_argument("--index", type=int, default=0)

@@ -9,13 +9,15 @@ variation; cluster frequencies estimate the mixing weights.
 
 Exchangeability of successors rows is tested by permutation: the statistic is
 the count of adjacent equal pairs, whose null distribution under exchangeability
-is obtained by uniformly re-permuting the row. Rows below a visit minimum carry
+is obtained by uniformly re-permuting the row, until both tails of the p-value
+are settled (sequential Monte Carlo p-values). Rows below a visit minimum carry
 no evidence and are excluded rather than guessed at.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,12 +46,6 @@ def _check_min_count(min_count: int | None) -> int:
     return min_count
 
 
-def _normalized_histogram(row, alphabet: Alphabet) -> np.ndarray:
-    """Symbol frequencies of a non-empty row; exact integer counts, one rounding."""
-    hist = np.array([row.count(s) for s in alphabet.emittable], dtype=float)
-    return hist / hist.sum()
-
-
 def lln_row_estimate(t: Trajectory, row_key: str, alphabet: Alphabet | None = None,
                      min_count: int | None = None) -> Distribution:
     """Empirical distribution of successors-row ``row_key``: the normalized
@@ -57,12 +53,13 @@ def lln_row_estimate(t: Trajectory, row_key: str, alphabet: Alphabet | None = No
     min_count = _check_min_count(min_count)
     if alphabet is None:
         alphabet = Alphabet.of(sorted(set(t.symbols)))
-    row = extract(t, alphabet).rows.get(row_key, ())
-    if len(row) < min_count:
+    arr = extract(t, alphabet)
+    visits = len(arr.rows.get(row_key, ()))
+    if visits < min_count:
         raise InsufficientVisitsError(
-            f"row {row_key!r} has {len(row)} visits; minimum is {min_count}"
+            f"row {row_key!r} has {visits} visits; minimum is {min_count}"
         )
-    return Distribution(_normalized_histogram(row, alphabet))
+    return Distribution(arr.pair_counts[alphabet.emit_index(row_key)] / visits)
 
 
 @dataclass(frozen=True)
@@ -101,7 +98,8 @@ def lln_recover(trajectories, cluster_tol: float | None = None,
     """Estimate the mixing measure from independent trajectories of one mixture.
 
     Per trajectory, each sufficiently visited successors row yields a row
-    estimate; matrices are merged by single linkage whenever their worst common
+    estimate, its pair counts (``SuccessorsArray.pair_counts``) over its visits;
+    matrices are merged by single linkage whenever their worst common
     row disagrees by at most ``cluster_tol`` in total variation; the distances
     from each trajectory to all later ones are taken in one vectorised step,
     each the same float as a pairwise comparison. Support points are entrywise
@@ -122,15 +120,16 @@ def lln_recover(trajectories, cluster_tol: float | None = None,
 
     estimates, masks, counts = [], [], []
     for t in trajectories:
-        rows = extract(t, alphabet).rows.values()     # in alphabet order
-        cnt = np.array([len(succ) for succ in rows], dtype=int)
+        pairs = extract(t, alphabet).pair_counts
+        cnt = pairs.sum(axis=1)
         mask = cnt >= min_count
         if not mask.any():
             raise InsufficientDataError(
                 f"a trajectory has no row with >= {min_count} visits"
             )
-        estimates.append(np.array([_normalized_histogram(succ, alphabet) if ok
-                                   else np.full(K, np.nan) for succ, ok in zip(rows, mask)]))
+        est = np.full((K, K), np.nan)
+        est[mask] = pairs[mask] / cnt[mask, None]
+        estimates.append(est)
         masks.append(mask)
         counts.append(cnt)
 
@@ -189,6 +188,7 @@ class RowTestResult:
     statistic: int
     p_value: float
     reject: bool
+    permutations_run: int       # draws made before the verdict was settled
 
 
 @dataclass(frozen=True)
@@ -211,14 +211,35 @@ def _require_level(level: float | None) -> float:
     return level
 
 
+def _settling_hits(permutations: int, level: float) -> int:
+    """``h``: at least 10, and the smallest count with ``2.0 * (h / permutations) >= level``.
+
+    A tail that reaches ``h`` hits at draw ``L`` has p-value ``h / L >= h / permutations``,
+    so once both tails have, the two-sided p-value is at least ``level``.
+    """
+    h = max(1, math.ceil(level * permutations / 2))
+    while 2.0 * (h / permutations) < level:
+        h += 1
+    while h > 1 and 2.0 * ((h - 1) / permutations) >= level:
+        h -= 1
+    return max(10, h)
+
+
 def test_row_exchangeability(row, permutations: int, src: RandomSource,
                              level: float | None = None) -> RowTestResult:
-    """Permutation test of row exchangeability.
+    """Permutation test of row exchangeability, stopped once the verdict is settled.
 
     Statistic: number of adjacent equal pairs. Under exchangeability every
     ordering of the row is equally likely, so the null distribution comes from
-    uniform re-permutations. Two-sided p-value with add-one smoothing, over
-    ``permutations >= 1`` re-permutations.
+    uniform re-permutations, at most ``permutations >= 1`` of them. Each tail
+    counts the draws whose statistic is ``<=`` (low) or ``>=`` (high) the
+    observed one. Sequential p-values (Besag & Clifford 1991): a tail whose
+    count reaches ``h`` (:func:`_settling_hits`) at draw ``L`` has p-value
+    ``h / L``; the loop stops once both tails have, since then the two-sided
+    p-value is at least ``2h / permutations >= level`` and the row cannot be
+    rejected. A tail still short of ``h`` after every draw has the add-one
+    smoothed ``(count + 1) / (permutations + 1)``, so every p-value below
+    ``2h / permutations``, and every verdict, is that of the fixed-count test.
     """
     if permutations < 1:
         raise ValueError("permutations must be >= 1")
@@ -227,19 +248,29 @@ def test_row_exchangeability(row, permutations: int, src: RandomSource,
     if len(row) < MIN_TEST_LENGTH:
         raise RowTooShortError(f"row of length {len(row)} is below the minimum "
                                f"of {MIN_TEST_LENGTH}")
-    symbols = sorted(set(row))
-    codes = np.array([symbols.index(s) for s in row])
+    index = {s: i for i, s in enumerate(sorted(set(row)))}
+    codes = np.fromiter(map(index.__getitem__, row), np.intp, count=len(row))
     observed = _adjacent_equal_pairs(codes)
+    h = _settling_hits(permutations, level)
     gen = src.generator()
     at_most = at_least = 0
-    for _ in range(permutations):
+    low_at = high_at = 0        # the draw at which each tail reached h (0: not yet)
+    for draw in range(1, permutations + 1):
         stat = _adjacent_equal_pairs(gen.permutation(codes))
-        at_most += stat <= observed
-        at_least += stat >= observed
-    p_low = (at_most + 1) / (permutations + 1)
-    p_high = (at_least + 1) / (permutations + 1)
+        if stat <= observed:
+            at_most += 1
+            if at_most == h:
+                low_at = draw
+        if stat >= observed:
+            at_least += 1
+            if at_least == h:
+                high_at = draw
+        if low_at and high_at:
+            break
+    p_low = h / low_at if low_at else (at_most + 1) / (permutations + 1)
+    p_high = h / high_at if high_at else (at_least + 1) / (permutations + 1)
     p = min(1.0, 2.0 * min(p_low, p_high))
-    return RowTestResult(None, len(row), observed, p, p < level)
+    return RowTestResult(None, len(row), observed, p, p < level, draw)
 
 
 def test_partial_exchangeability(arr: SuccessorsArray, level: float | None = None,
@@ -262,6 +293,6 @@ def test_partial_exchangeability(arr: SuccessorsArray, level: float | None = Non
     results = []
     for i, (key, row) in enumerate(testable):
         r = test_row_exchangeability(row, permutations, src.derive(i), corrected)
-        results.append(RowTestResult(key, r.length, r.statistic, r.p_value, r.reject))
+        results.append(replace(r, row_key=key))
     return ExchangeabilityReport(tuple(results), level, len(testable),
                                  any(r.reject for r in results))

@@ -301,8 +301,10 @@ def event_probability(model, horizon: int, event, budget=None) -> float:
 
 
 def _symbol_sets(K: int, symbol_sets=None) -> list[tuple[int, ...]]:
+    """The given symbol sets, sorted and each once (first occurrence order), or the
+    default family: every nonempty subset for ``K <= 3``, else singletons and all."""
     if symbol_sets is not None:
-        return [tuple(sorted(s)) for s in symbol_sets]
+        return list(dict.fromkeys(tuple(sorted(s)) for s in symbol_sets))
     if K <= 3:
         return [es for r in range(1, K + 1) for es in combinations(range(K), r)]
     return [(e,) for e in range(K)] + [tuple(range(K))]
@@ -348,9 +350,7 @@ def check_splitting(model, N: int = 3, tol: float | None = None,
     masks = np.array([jc.mask(hidden=x, symbols=es) for x, es in combos])
     x_of = np.array([x for x, _ in combos])
     combo_labels = [f"(x={jc.hidden_states[x]},S={_set_label(jc, es)})" for x, es in combos]
-    targets = [combos.index(o) for o in dict.fromkeys(combos)]    # each option once
-    target_masks = masks[targets]
-    target_labels = [f" -> {combo_labels[t]}" for t in targets]
+    target_labels = [f" -> {label}" for label in combo_labels]
 
     marginal = jc.init @ T             # law of the pair at time n - 1
     vec, trails = marginal[None], [""]  # live trails of times 1..n-2, advanced to time n-1
@@ -379,7 +379,7 @@ def check_splitting(model, N: int = 3, tol: float | None = None,
         u = marginal * np.array([jc.mask(hidden=x) for x in range(X)])
         rden = u.sum(axis=-1)
         rhs_ok = rden > MASS_FLOOR
-        rhs = ((_gemv_rows(u, T)[:, None, :] * target_masks).sum(axis=-1)
+        rhs = ((_gemv_rows(u, T)[:, None, :] * masks).sum(axis=-1)
                / np.where(rhs_ok, rden, 1.0)[:, None])
         marginal = marginal @ T
 
@@ -389,14 +389,14 @@ def check_splitting(model, N: int = 3, tol: float | None = None,
             skipped.append(f"n={n} " + (cut[~e] if e < 0 else
                                         f"cond[{trails[e]}] (one-step side has no mass)"))
         rows = np.flatnonzero(rhs_ok[last_x])
-        lhs = (vec[rows][:, None, :] * target_masks).sum(axis=-1) / den[rows][:, None]
+        lhs = (vec[rows][:, None, :] * masks).sum(axis=-1) / den[rows][:, None]
         gap = np.abs(lhs - rhs[last_x[rows]])
         cols.append((lhs.ravel(), rhs[last_x[rows]].ravel(), gap.ravel(), np.full(gap.size, tol)))
         leaf_n += [n] * len(rows)
         leaf_trails += [trails[r] for r in rows.tolist()]
 
     def label(i: int) -> str:
-        j, target = divmod(i, len(targets))
+        j, target = divmod(i, C)
         return f"n={leaf_n[j]} cond[{leaf_trails[j]}]{target_labels[target]}"
 
     values = (np.concatenate(c) for c in zip(*cols))

@@ -10,7 +10,8 @@ symbol ``@del`` is a model-level convention only and never appears in rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -20,11 +21,17 @@ from .sim import Trajectory
 
 @dataclass(frozen=True)
 class SuccessorsArray:
-    """Ragged successor rows keyed by symbol (or by 1-based cell index)."""
+    """Ragged successor rows keyed by symbol (or by 1-based cell index).
+
+    ``pair_counts`` (set by :func:`extract`) is the ``(K, K)`` integer matrix whose
+    row ``i`` counts each key among the successors of the ``i``-th key: the
+    histograms of the rows, in key order.
+    """
 
     rows: dict
     trajectory_length: int
     pad_symbol: str = DELTA   # conceptual padding for infinite arrays; rows stay ragged
+    pair_counts: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def row(self, key) -> tuple[str, ...]:
         return self.rows[key]
@@ -34,7 +41,8 @@ class SuccessorsArray:
 
 
 def extract(t: Trajectory, alphabet: Alphabet | None = None) -> SuccessorsArray:
-    """Successors array keyed by symbol, from one integer encoding of ``t``.
+    """Successors array keyed by symbol, with its pair counts, from one integer
+    encoding of ``t``.
 
     With an explicit alphabet, unvisited symbols get empty rows and every
     symbol, the last one included, must belong to it; otherwise rows exist for
@@ -43,15 +51,16 @@ def extract(t: Trajectory, alphabet: Alphabet | None = None) -> SuccessorsArray:
     if len(t) < 2:
         raise ValueError("successors extraction needs a trajectory of length >= 2")
     keys = alphabet.emittable if alphabet is not None else sorted(set(t.symbols))
-    index = {k: i for i, k in enumerate(keys)}
+    K, index = len(keys), {k: i for i, k in enumerate(keys)}
     try:
-        codes = np.fromiter(map(index.__getitem__, t.symbols), np.intp, count=len(t))
+        codes = np.fromiter(itemgetter(*t.symbols)(index), np.intp, count=len(t))
     except KeyError as exc:
         raise ValueError(f"trajectory symbol {exc.args[0]!r} is not in the given "
                          "alphabet") from None
     prev, nxt = codes[:-1], np.array(keys, dtype=object)[codes[1:]]
+    pairs = np.bincount(prev * K + codes[1:], minlength=K * K).reshape(K, K)
     return SuccessorsArray({k: tuple(nxt[prev == i].tolist()) for i, k in enumerate(keys)},
-                           len(t))
+                           len(t), pair_counts=pairs)
 
 
 def extract_partitioned(t: Trajectory, partition: Partition) -> SuccessorsArray:

@@ -1,4 +1,7 @@
-"""Shared random-model generators. All test randomness is seeded explicitly."""
+"""Shared random-model generators and assertion helpers. All test randomness is
+seeded explicitly."""
+
+import os
 
 import numpy as np
 
@@ -18,6 +21,19 @@ SYMBOLS = ["a", "b", "c", "d", "e"]
 
 def rng(seed):
     return np.random.default_rng(seed)
+
+
+def assert_same_text(got: str, want: str, context: int = 60) -> None:
+    """Exact string equality. A failure reports the lengths and the first differing
+    offset with ``context`` characters on each side, never a diff of the whole
+    strings (pytest's diff of a long ``repr`` can take minutes)."""
+    if got == want:
+        return
+    i = len(os.path.commonprefix([got, want]))
+    lo, hi = max(0, i - context), i + context
+    raise AssertionError(f"strings differ: lengths {len(got)} and {len(want)}, first "
+                         f"difference at offset {i}:\n  got  ...{got[lo:hi]!r}...\n"
+                         f"  want ...{want[lo:hi]!r}...")
 
 
 def random_distribution(r, k):

@@ -355,6 +355,14 @@ def reference_law_text(law):
     return "".join(f"{' '.join(s)} {p:.17g}\n" for s, p in reference_entries(law))
 
 
+def reference_law_json(law):
+    """The ``law --json`` output as one ``json.dumps`` of the whole report."""
+    import json
+
+    entries = [[list(s), p] for s, p in reference_entries(law)]
+    return json.dumps({"length": law.length, "entries": entries}, indent=2, sort_keys=True) + "\n"
+
+
 # The comparison algebra of the two-form law, on ``{emit-index tuple: prob}``
 # dicts: the dict branch every mixed or sparse comparison took.
 
@@ -515,6 +523,146 @@ def reference_lln_recover(trajectories, cluster_tol, alphabet, min_count):
     )
 
 
+def reference_recover_by_histograms(trajectories, cluster_tol=None, alphabet=None,
+                                    min_count=None):
+    """``lln_recover`` with one successors array and one ``tuple.count`` per symbol
+    and trajectory, the row histograms normalized one at a time; the merges,
+    centroids and stderrs as the library computes them."""
+    from chainmix.config import DEFAULT
+    from chainmix.errors import InsufficientDataError
+    from chainmix.model_core import Alphabet, Distribution
+    from chainmix.recovery import (
+        RecoveredComponent,
+        RecoveredMixingMeasure,
+        RecoveryDiagnostics,
+    )
+    from chainmix.successors import extract
+
+    cluster_tol = DEFAULT.cluster_tol if cluster_tol is None else cluster_tol
+    if not cluster_tol >= 0:
+        raise ValueError(f"cluster_tol must be >= 0, got {cluster_tol}")
+    min_count = DEFAULT.min_row_count if min_count is None else min_count
+    if min_count < 1:
+        raise ValueError("min_count must be >= 1")
+    trajectories = list(trajectories)
+    if not trajectories:
+        raise InsufficientDataError("no trajectories given")
+    if alphabet is None:
+        alphabet = Alphabet.of(sorted(set().union(*(t.symbols for t in trajectories))))
+    K = alphabet.size
+
+    def histogram(row):
+        hist = np.array([row.count(s) for s in alphabet.emittable], dtype=float)
+        return hist / hist.sum()
+
+    estimates, masks, counts = [], [], []
+    for t in trajectories:
+        rows = extract(t, alphabet).rows.values()
+        cnt = np.array([len(succ) for succ in rows], dtype=int)
+        mask = cnt >= min_count
+        if not mask.any():
+            raise InsufficientDataError(
+                f"a trajectory has no row with >= {min_count} visits"
+            )
+        estimates.append(np.array([histogram(succ) if ok else np.full(K, np.nan)
+                                   for succ, ok in zip(rows, mask)]))
+        masks.append(mask)
+        counts.append(cnt)
+
+    n = len(estimates)
+    label = np.arange(n)
+    est, obs = np.array(estimates), np.array(masks)
+    for i in range(n - 1):
+        common = obs[i] & obs[i + 1:]
+        tv = np.where(common, np.abs(est[i + 1:] - est[i]).sum(axis=2), -np.inf)
+        near = i + 1 + np.flatnonzero(common.any(axis=1) & (0.5 * tv.max(axis=1) <= cluster_tol))
+        label[np.isin(label, label[near])] = label[i]
+
+    clusters = {}
+    for i, c in enumerate(label.tolist()):
+        clusters.setdefault(c, []).append(i)
+
+    support, weights, stderrs = [], [], []
+    for members in sorted(clusters.values(), key=len, reverse=True):
+        mats = np.array([estimates[i] for i in members])
+        row_obs = np.array([masks[i] for i in members])
+        centroid = np.full((K, K), np.nan)
+        observed = np.zeros(K, dtype=bool)
+        row_counts = np.zeros(K, dtype=int)
+        errs = []
+        for y in range(K):
+            sel = row_obs[:, y]
+            row_counts[y] = sum(counts[members[i]][y] for i in range(len(members)))
+            if not sel.any():
+                errs.append(float("nan"))
+                continue
+            mean = mats[sel, y, :].mean(axis=0)
+            centroid[y] = mean / mean.sum()
+            observed[y] = True
+            errs.append(float(np.sqrt(K / (4.0 * max(row_counts[y], 1)))))
+        support.append(RecoveredComponent(centroid, tuple(bool(b) for b in observed),
+                                          tuple(int(c) for c in row_counts), len(members)))
+        weights.append(len(members) / n)
+        stderrs.append(tuple(errs))
+
+    return RecoveredMixingMeasure(
+        alphabet=alphabet,
+        support=tuple(support),
+        weights=Distribution(np.array(weights)),
+        diagnostics=RecoveryDiagnostics(n, min_count, cluster_tol, tuple(stderrs)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Reference exchangeability test: every one of the ``permutations`` draws is
+# made, and each tail gets the add-one smoothed p-value. The sequential test
+# must reach the same verdict from a prefix of the same draws.
+
+
+def _row_codes(row):
+    symbols = sorted(set(row))
+    return np.array([symbols.index(s) for s in row])
+
+
+def _equal_pairs(codes):
+    return int(np.count_nonzero(codes[:-1] == codes[1:]))
+
+
+def reference_row_exchangeability(row, permutations, src, level=None):
+    """The fixed-count permutation test: all ``permutations`` draws, two-sided
+    p-value with add-one smoothing."""
+    from chainmix.errors import RowTooShortError
+    from chainmix.recovery import MIN_TEST_LENGTH, RowTestResult, _require_level
+
+    if permutations < 1:
+        raise ValueError("permutations must be >= 1")
+    level = _require_level(level)
+    row = list(row)
+    if len(row) < MIN_TEST_LENGTH:
+        raise RowTooShortError(f"row of length {len(row)} is below the minimum "
+                               f"of {MIN_TEST_LENGTH}")
+    codes = _row_codes(row)
+    observed = _equal_pairs(codes)
+    gen = src.generator()
+    at_most = at_least = 0
+    for _ in range(permutations):
+        stat = _equal_pairs(gen.permutation(codes))
+        at_most += stat <= observed
+        at_least += stat >= observed
+    p_low = (at_most + 1) / (permutations + 1)
+    p_high = (at_least + 1) / (permutations + 1)
+    p = min(1.0, 2.0 * min(p_low, p_high))
+    return RowTestResult(None, len(row), observed, p, p < level, permutations)
+
+
+def reference_permuted_statistics(row, permutations, src):
+    """The observed statistic and the ``permutations`` permuted ones, in draw order."""
+    codes = _row_codes(list(row))
+    gen = src.generator()
+    return _equal_pairs(codes), [_equal_pairs(gen.permutation(codes))
+                                 for _ in range(permutations)]
+
+
 def reference_occurrence_mass(jc, A, occ_masks, shifted_masks, horizon):
     """Mass of paths whose first ``N`` target occurrences happen by ``horizon``
     and satisfy the per-occurrence constraints, one propagation per request.
@@ -573,6 +721,17 @@ def reference_occurrence_mass(jc, A, occ_masks, shifted_masks, horizon):
     return done, residual
 
 
+def reference_symbol_sets(K, symbol_sets=None):
+    """The given sets sorted, duplicates kept; else the default family."""
+    from itertools import combinations
+
+    if symbol_sets is not None:
+        return [tuple(sorted(s)) for s in symbol_sets]
+    if K <= 3:
+        return [es for r in range(1, K + 1) for es in combinations(range(K), r)]
+    return [(e,) for e in range(K)] + [tuple(range(K))]
+
+
 def reference_splitting(model, N=3, tol=None, symbol_sets=None):
     """Splitting by the depth-first recursion over conditioning trails: one
     vector, mask and instance at a time, in trail order."""
@@ -582,7 +741,6 @@ def reference_splitting(model, N=3, tol=None, symbol_sets=None):
         InstanceCheck,
         LemmaCheckResult,
         _set_label,
-        _symbol_sets,
         as_joint,
     )
 
@@ -591,7 +749,7 @@ def reference_splitting(model, N=3, tol=None, symbol_sets=None):
         raise ValueError("splitting needs at least 2 time steps")
     jc = as_joint(model)
     X, K = len(jc.hidden_states), jc.n_symbols
-    sets = _symbol_sets(K, symbol_sets)
+    sets = reference_symbol_sets(K, symbol_sets)
     combos = [(x, es) for x in range(X) for es in sets]
     masks = {(x, es): jc.mask(hidden=x, symbols=es) for x, es in combos}
     targets = list(masks.items())
@@ -657,7 +815,6 @@ def reference_strong_splitting(model, spec, k, horizon=8, n_values=None, tol=Non
         InstanceCheck,
         LemmaCheckResult,
         _set_label,
-        _symbol_sets,
         as_joint,
     )
 
@@ -681,7 +838,7 @@ def reference_strong_splitting(model, spec, k, horizon=8, n_values=None, tol=Non
         )
     hits = [w[r] * A for r in range(horizon + 1)]
 
-    sets = _symbol_sets(K, symbol_sets)
+    sets = reference_symbol_sets(K, symbol_sets)
     target_sets = [tuple(range(K))] if k == 0 else sets
     hs = jc.hidden_states
     if n_values is None:
@@ -753,7 +910,6 @@ def reference_hitting_time_lemmas(m, spec, N, horizon=8, tol=None, floor=None):
         _opt_label,
         _pair_options,
         _set_label,
-        _symbol_sets,
     )
 
     tol = DEFAULT.tol_exact if tol is None else tol
@@ -843,7 +999,7 @@ def reference_hitting_time_lemmas(m, spec, N, horizon=8, tol=None, floor=None):
     for n in range(1, N + 1):
         for x2 in range(len(jc.hidden_states)):
             den_shift = [None] * (n - 1) + [jc.mask(hidden=x2)]
-            for es in _symbol_sets(jc.n_symbols):
+            for es in reference_symbol_sets(jc.n_symbols):
                 num_shift = [None] * (n - 1) + [jc.mask(hidden=x2, symbols=es)]
                 got = ratio([None] * n, num_shift, [None] * n, den_shift)
                 f_val = float(m.readout[x2, list(es)].sum())

@@ -35,6 +35,11 @@ stderr, a different cluster or cluster order, or a changed successors row
 shows up here. At each ``two_cell_partitioned`` tolerance some cluster holds
 two members farther apart than the tolerance, joined through single-linkage
 chains.
+The three ``test-exchangeability`` digests were pinned again when the
+permutation test began to stop once its verdict is settled: only p-values above
+the level moved, and with ``reference_row_exchangeability`` (the fixed-count
+test) in its place the commands print the old digests, which
+``FIXED_COUNT_EXCHANGEABILITY_DIGESTS`` keeps.
 
 The ``verify-lemmas`` digests and the ``repr`` digests of the exact
 strong-splitting and hitting-time checks were computed with the per-instance
@@ -51,7 +56,8 @@ from pathlib import Path
 
 import pytest
 
-from chainmix import fixtures
+import oracles
+from chainmix import fixtures, recovery
 from chainmix.cli import main
 from chainmix.model_io import save_model
 from chainmix.sim import RandomSource
@@ -386,12 +392,42 @@ def test_recover_digest(sample, argv, model_dir, capsys):
     assert (digest(out), digest(err), digest(written)) == RECOVER_DIGESTS[(sample, argv)]
 
 
+@pytest.mark.parametrize("sample, argv", sorted(RECOVER_DIGESTS))
+def test_recover_digest_of_histogram_reference(sample, argv, model_dir, capsys, monkeypatch):
+    # the pair-count estimates print what one tuple.count per symbol printed
+    monkeypatch.setattr(recovery, "lln_recover", oracles.reference_recover_by_histograms)
+    test_recover_digest(sample, argv, model_dir, capsys)
+
+
 SUCCESSORS_DIGESTS = {
     # (sample, argv): (exit status, SHA-256 of stdout)
     ("separated", ("successors", "--index", "3")):
         (0, "8338974a6a58bc1773280b01c47938e23767212ea87ca0257d84334097819aa3"),
     ("two_cell", ("successors", "--index", "0")):
         (0, "bedb0bd125168eb7900195bf897d275631d610d2945bf89d3e142597299ecf8c"),
+    ("separated", ("test-exchangeability", "--index", "2", "--seed", "4",
+                   "--permutations", "300")):
+        (0, "be6525842c4f6390d71adabf7fb7b25c61c37e18a85b781ea6b6842e38cda655"),
+    ("separated", ("test-exchangeability", "--index", "2", "--seed", "4",
+                   "--permutations", "300", "--json")):
+        (0, "690f65a89594398d1509758591bdc45bdd16a0a37b993e97bc986030e9d02e28"),
+    ("two_cell", ("test-exchangeability", "--index", "5", "--seed", "6",
+                  "--permutations", "300")):
+        (0, "faa4421edc4afd30acf130efd0ca714df69956d600a947336144a7197625ccfb"),
+}
+
+
+@pytest.mark.parametrize("sample, argv", sorted(SUCCESSORS_DIGESTS))
+def test_successors_and_exchangeability_digest(sample, argv, model_dir, capsys):
+    path = _sample(model_dir, capsys, sample)
+    status, out, _ = _run(model_dir, capsys, [argv[0], path, *argv[1:]])
+    assert (status, digest(out)) == SUCCESSORS_DIGESTS[(sample, argv)]
+
+
+# The three test-exchangeability pins above as the fixed-count test printed them:
+# with reference_row_exchangeability in place of the sequential test, the
+# commands print these again. Only p-values above the level moved.
+FIXED_COUNT_EXCHANGEABILITY_DIGESTS = {
     ("separated", ("test-exchangeability", "--index", "2", "--seed", "4",
                    "--permutations", "300")):
         (0, "41fa922484a86450ff527513e91913b07c25e637d07e841ca1613caf5550a0d1"),
@@ -404,11 +440,13 @@ SUCCESSORS_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("sample, argv", sorted(SUCCESSORS_DIGESTS))
-def test_successors_and_exchangeability_digest(sample, argv, model_dir, capsys):
+@pytest.mark.parametrize("sample, argv", sorted(FIXED_COUNT_EXCHANGEABILITY_DIGESTS))
+def test_fixed_count_exchangeability_digest(sample, argv, model_dir, capsys, monkeypatch):
+    monkeypatch.setattr(recovery, "test_row_exchangeability",
+                        oracles.reference_row_exchangeability)
     path = _sample(model_dir, capsys, sample)
     status, out, _ = _run(model_dir, capsys, [argv[0], path, *argv[1:]])
-    assert (status, digest(out)) == SUCCESSORS_DIGESTS[(sample, argv)]
+    assert (status, digest(out)) == FIXED_COUNT_EXCHANGEABILITY_DIGESTS[(sample, argv)]
 
 
 BATTERY_ARGV = ("--model", "battery.json", "--lemma", "all", "--occurrences", "3",

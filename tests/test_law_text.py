@@ -1,11 +1,13 @@
-"""The ``law`` command's text, written a block at a time.
+"""The ``law`` command's text and JSON, written a block at a time.
 
 ``FiniteLaw.text_blocks`` must give, byte for byte, the one-line-at-a-time
 writer that ``tests/oracles.py`` keeps as ``reference_law_text``: on one to six
 symbols, labels of several characters, non-ASCII, ``%`` and braces; lengths
 inside and past the suffix table; laws of more than one block whose runs of
-equal prefixes cross a block boundary; all-live laws and sparse ones. A reader
-that stops reading ``law`` output early is not an error.
+equal prefixes cross a block boundary; all-live laws and sparse ones. The
+``--json`` writer must give one ``json.dumps`` of the whole report
+(``reference_law_json``), labels that need escaping included. A reader that
+stops reading ``law`` output early is not an error.
 """
 
 import os
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from chainmix.cli import _law_json_blocks
 from chainmix.model_core import BLOCK, Alphabet, FiniteLaw
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,6 +94,30 @@ def test_text_blocks_beyond_int64_ranks():
     law = FiniteLaw.from_probs(Alphabet.of(["a", "b%", "c"]), 41, strings)
     assert law.ranks.dtype == object
     assert_text_is_reference(law)
+
+
+JSON_LABELS = st.text(alphabet='ab"\\/\n\t\x01%é€\U0001f600', min_size=1,
+                      max_size=3).filter(lambda s: s != "@del")
+
+
+@given(st.lists(JSON_LABELS, min_size=1, max_size=5, unique=True), st.integers(1, 13),
+       st.sampled_from([0.02, 0.3, 1.0]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_law_json_blocks_equal_json_dumps(labels, length, live, seed):
+    k = len(labels)
+    while length > 1 and k ** length > 20_000:
+        length -= 1
+    law = random_law(np.random.default_rng(seed), Alphabet.of(labels), length, live)
+    blocks = list(_law_json_blocks(law))
+    assert len(blocks) == 2 + -(-law.ranks.size // BLOCK)
+    assert "".join(blocks) == oracles.reference_law_json(law)
+
+
+def test_law_json_blocks_beyond_int64_ranks():
+    r = np.random.default_rng(41)
+    strings = {tuple(r.choice(["a", 'b"', "c"], size=41)): p for p in r.random(300)}
+    law = FiniteLaw.from_probs(Alphabet.of(["a", 'b"', "c"]), 41, strings)
+    assert "".join(_law_json_blocks(law)) == oracles.reference_law_json(law)
 
 
 @pytest.mark.parametrize("horizon, lines_read, flags", [

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import assert_same_text
 from chainmix import fixtures
 from chainmix.errors import TruncationError
 from chainmix.model_core import Alphabet, Distribution, HMMModel, StochasticMatrix
@@ -107,11 +108,13 @@ def test_occurrence_masses_equal_reference(model, corrupt, N, horizon, count):
 
 
 def _draw_symbol_sets(r, K):
-    """None (the default sets) or one to three random nonempty symbol sets."""
+    """None (the default sets) or one to three random nonempty symbol sets, possibly
+    repeated; with the repeats dropped, in first-occurrence order, for the reference."""
     if r.random() < 0.5:
-        return None
-    return [tuple(int(e) for e in np.flatnonzero(r.random(K) < 0.6)) or (0,)
+        return None, None
+    sets = [tuple(int(e) for e in np.flatnonzero(r.random(K) < 0.6)) or (0,)
             for _ in range(int(r.integers(1, 4)))]
+    return sets, list(dict.fromkeys(sets))
 
 
 FIXED_JOINTS = {"splitting_negative_control": fixtures.splitting_negative_control,
@@ -132,18 +135,18 @@ def test_splitting_equals_reference(model, corrupt, N, draw_seed):
             X, K = min(X, 2), min(K, 2)     # keeps the 4-step trail tree small
         m = _hmm(seed, X, K, zeros)
         target = corrupted_previous_symbol_joint(m) if corrupt else m
-    symbol_sets = _draw_symbol_sets(np.random.default_rng(draw_seed), target.alphabet.size)
-    assert (_outcome(check_splitting, target, N, symbol_sets=symbol_sets)
-            == _outcome(oracles.reference_splitting, target, N, symbol_sets=symbol_sets))
+    symbol_sets, once = _draw_symbol_sets(np.random.default_rng(draw_seed), target.alphabet.size)
+    assert_same_text(_outcome(check_splitting, target, N, symbol_sets=symbol_sets),
+                     _outcome(oracles.reference_splitting, target, N, symbol_sets=once))
 
 
 @pytest.mark.parametrize("name", sorted(FIXED_JOINTS))
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_strong_splitting_of_fixed_joints_equals_reference(name, k):
     target, spec = FIXED_JOINTS[name](), HittingTimeSpec.for_symbol("a")
-    assert (_outcome(check_strong_splitting, target, spec, k, horizon=8, floor=0.0)
-            == _outcome(oracles.reference_strong_splitting, target, spec, k, horizon=8,
-                        floor=0.0))
+    assert_same_text(_outcome(check_strong_splitting, target, spec, k, horizon=8, floor=0.0),
+                     _outcome(oracles.reference_strong_splitting, target, spec, k, horizon=8,
+                              floor=0.0))
 
 
 @given(models, st.booleans(), st.integers(0, 2), st.integers(1, 10), st.integers(0, 2 ** 32 - 1))
@@ -157,10 +160,11 @@ def test_strong_splitting_equals_reference(model, corrupt, k, horizon, draw_seed
     n_values = None
     if r.random() < 0.5:
         n_values = [int(n) for n in r.integers(1, horizon + 1, int(r.integers(0, 4)))]
-    symbol_sets = _draw_symbol_sets(r, K)
-    kwargs = dict(horizon=horizon, n_values=n_values, floor=0.0, symbol_sets=symbol_sets)
-    assert (_outcome(check_strong_splitting, target, spec, k, **kwargs)
-            == _outcome(oracles.reference_strong_splitting, target, spec, k, **kwargs))
+    symbol_sets, once = _draw_symbol_sets(r, K)
+    kwargs = dict(horizon=horizon, n_values=n_values, floor=0.0)
+    assert_same_text(
+        _outcome(check_strong_splitting, target, spec, k, symbol_sets=symbol_sets, **kwargs),
+        _outcome(oracles.reference_strong_splitting, target, spec, k, symbol_sets=once, **kwargs))
 
 
 @given(models, st.integers(1, 3), st.integers(1, 10), st.integers(0, 2 ** 32 - 1))
@@ -171,9 +175,9 @@ def test_hitting_time_lemmas_equal_reference(model, N, horizon, draw_seed):
         X, K = min(X, 2), min(K, 2)     # keeps the N-fold product family small
     m = _hmm(seed, X, K, zeros)
     spec = _spec(np.random.default_rng(draw_seed), m, N)
-    assert (_outcome(check_hitting_time_lemmas, m, spec, N, horizon, floor=0.0)
-            == _outcome(oracles.reference_hitting_time_lemmas, m, spec, N, horizon,
-                        floor=0.0))
+    assert_same_text(_outcome(check_hitting_time_lemmas, m, spec, N, horizon, floor=0.0),
+                     _outcome(oracles.reference_hitting_time_lemmas, m, spec, N, horizon,
+                              floor=0.0))
 
 
 READOUT = "readout_at_stopping_time"

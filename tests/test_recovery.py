@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from chainmix.errors import (
 from chainmix.fixtures import separated_recovery_mixture, three_cycle_aab
 from chainmix.model_core import Alphabet, Distribution, MarkovMixtureModel
 from chainmix.recovery import (
+    _settling_hits,
     lln_recover,
     lln_row_estimate,
     test_partial_exchangeability as partial_exchangeability_test,
@@ -186,6 +189,39 @@ def test_lln_recover_matches_reference(k, count, seed, min_count, tol, tie, expl
     _assert_same_measure(lln_recover(trajs, tol, alphabet, min_count), want)
 
 
+def _exact_repr(measure) -> str:
+    """``repr`` with every float written in full (shortest round-trip digits)."""
+    with np.printoptions(floatmode="unique", threshold=10 ** 9):
+        return repr(measure)
+
+
+@given(st.integers(1, 6), st.integers(1, 30), st.integers(0, 2 ** 32),
+       st.integers(1, 12), st.floats(0.0, 1.0), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_lln_recover_repr_equals_histogram_reference(k, count, seed, min_count, tol, explicit):
+    # one bincount of code pairs per trajectory gives the floats of one
+    # tuple.count per symbol and row, digit for digit
+    trajs = _random_trajectories(seed, k, count)
+    alphabet = Alphabet.of("abcdef"[:k]) if explicit else None
+    try:
+        want = oracles.reference_recover_by_histograms(trajs, tol, alphabet, min_count)
+    except InsufficientDataError:
+        with pytest.raises(InsufficientDataError):
+            lln_recover(trajs, tol, alphabet, min_count)
+        return
+    assert _exact_repr(lln_recover(trajs, tol, alphabet, min_count)) == _exact_repr(want)
+    t = trajs[0]
+    scan = alphabet or Alphabet.of(sorted(set(t.symbols)))
+    for y, row in oracles.reference_extract(t, scan).rows.items():
+        if len(row) < min_count:
+            with pytest.raises(InsufficientVisitsError):
+                lln_row_estimate(t, y, scan, min_count)
+            continue
+        hist = np.array([row.count(s) for s in scan.emittable], dtype=float)
+        assert (_exact_repr(lln_row_estimate(t, y, scan, min_count).weights)
+                == _exact_repr(hist / hist.sum()))
+
+
 def test_merge_at_exactly_the_tolerance():
     # row a: (2/3, 1/3) against (0, 1), a distance that is no short binary fraction
     ta, tb = Trajectory(tuple("aaaba")), Trajectory(tuple("ababa"))
@@ -279,3 +315,57 @@ def test_cluster_tol_zero_and_inf_accepted(tol):
     # identical estimates are at distance 0, so both tolerances merge them
     ts = [Trajectory(tuple("abab" * 30)), Trajectory(tuple("abab" * 30))]
     assert len(lln_recover(ts, tol, min_count=1).support) == 1
+
+
+@st.composite
+def _rows(draw):
+    """Rows of 1-4 symbols and length 20-400 from a chain that repeats its last
+    symbol with probability ``stick`` and else draws uniformly: 0 is exchangeable,
+    near 1 a row that the test rejects."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(20, 400))
+    stick = draw(st.sampled_from([0.0, 0.0, 0.2, 0.5, 0.9]))
+    r = rng(draw(st.integers(0, 2 ** 32 - 1)))
+    codes = [int(r.integers(k))]
+    for _ in range(n - 1):
+        codes.append(codes[-1] if r.random() < stick else int(r.integers(k)))
+    return ["abcd"[c] for c in codes]
+
+
+@pytest.mark.parametrize("m, level, h", [
+    (100, 0.28, 14), (150, 0.56, 42),          # ceil(level * m / 2) is one too many
+    (2525, 0.40871287128712874, 517),          # ... and one too few
+    (4345, 0.47134637514384353, 1025),
+    (25, 0.56, 10), (1, 0.999, 10),            # never fewer than 10
+])
+def test_settling_hits_is_the_least_count(m, level, h):
+    assert _settling_hits(m, level) == h == max(10, next(
+        h for h in itertools.count(1) if 2.0 * (h / m) >= level))
+
+
+@given(_rows(), st.integers(1, 600),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_sequential_row_test_matches_fixed_count_reference(row, m, level, seed):
+    h = max(10, next(h for h in itertools.count(1) if 2.0 * (h / m) >= level))
+    assert _settling_hits(m, level) == h
+    assert 2.0 * (h / m) >= level
+
+    got = row_exchangeability_test(row, m, RandomSource(seed), level)
+    want = oracles.reference_row_exchangeability(row, m, RandomSource(seed), level)
+    observed, stats = oracles.reference_permuted_statistics(row, m, RandomSource(seed))
+    low = np.cumsum(np.array(stats) <= observed)
+    high = np.cumsum(np.array(stats) >= observed)
+    assert (got.length, got.statistic) == (want.length, want.statistic) == (len(row), observed)
+    assert got.reject == want.reject
+    if low[-1] < h or high[-1] < h:
+        # an unsettled tail: every draw is made and the p-value is the fixed-count one
+        assert got.permutations_run == m
+        assert got.p_value == want.p_value
+    else:
+        low_at, high_at = 1 + np.searchsorted(low, h), 1 + np.searchsorted(high, h)
+        assert got.permutations_run == max(low_at, high_at)
+        assert got.p_value == min(1.0, 2.0 * min(h / low_at, h / high_at))
+        floor = min(1.0, 2.0 * (h / m))
+        assert got.p_value >= floor and want.p_value >= floor
+        assert not got.reject
+

@@ -118,3 +118,5 @@ def test_extract_matches_reference(k, codes, explicit):
     want = oracles.reference_extract(Trajectory(symbols), alphabet)
     assert got == want
     assert list(got.rows) == list(want.rows)
+    keys = list(want.rows)
+    assert got.pair_counts.tolist() == [[row.count(s) for s in keys] for row in want.rows.values()]
