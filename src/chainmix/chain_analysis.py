@@ -1,9 +1,11 @@
 """Structural analysis of stochastic matrices.
 
-Recurrence classes of a finite chain are the closed strongly connected
-components of the positive-transition digraph; everything else is transient.
-Each class carries a unique stationary vector, and assembling those vectors
-row-wise gives the Cesaro limit ``P* = lim (1/n) sum_k P^k`` in closed form.
+All structure comes from one reachability closure ``R`` of the
+positive-transition digraph. A state recurs iff every state it reaches reaches
+it back; the recurrence classes are the rows ``R[v]`` of recurrent states, and
+everything else is transient. Each class carries a unique stationary vector,
+and assembling those vectors row-wise gives the Cesaro limit
+``P* = lim (1/n) sum_k P^k`` in closed form.
 """
 
 from __future__ import annotations
@@ -29,56 +31,30 @@ class ClassDecomposition:
     stationary: tuple[Distribution, ...]
 
 
-def adjacency(rows: np.ndarray, tol: float = EDGE_TOL) -> list[list[int]]:
-    return [[int(w) for w in np.flatnonzero(row > tol)] for row in rows]
+def reachability(adj: np.ndarray) -> np.ndarray:
+    """Boolean closure of the graph ``adj``: ``R[i, j]`` iff ``j`` is reachable from
+    ``i`` in zero or more steps.
+
+    Repeated squaring of ``adj | I`` as float32 0/1 matrices. An entry of a product
+    counts paths, at most ``n < 2**24``, so it is exact and only its sign is read.
+    Squaring stops once it adds no pair.
+    """
+    R = adj | np.eye(len(adj), dtype=bool)
+    while True:
+        F = R.astype(np.float32)
+        R2 = F @ F > 0
+        if np.array_equal(R2, R):
+            return R
+        R = R2
 
 
-def strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
-    """Iterative Tarjan; components returned sorted by smallest member."""
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, edge_pos = work[-1]
-            if edge_pos == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            for i in range(edge_pos, len(adj[v])):
-                w = adj[v][i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-    return sorted(comps, key=min)
+def recurrence_classes(R: np.ndarray) -> list[list[int]]:
+    """Closed classes of the closure ``R``: the row ``R[v]`` of each recurrent ``v``
+    that is its row's smallest member, in order of that member. On a symmetric
+    closure every state recurs, and these are the connected components."""
+    recurrent = (R <= R.T).all(axis=1)
+    first = ~np.tril(R, -1).any(axis=1)
+    return [np.flatnonzero(R[v]).tolist() for v in np.flatnonzero(recurrent & first)]
 
 
 def _class_stationary(rows: np.ndarray, members: list[int]) -> np.ndarray:
@@ -105,18 +81,11 @@ def _class_stationary(rows: np.ndarray, members: list[int]) -> np.ndarray:
 
 def decompose(P: StochasticMatrix) -> ClassDecomposition:
     """Recurrence classes, transient states, and per-class stationary vectors."""
-    adj = adjacency(P.rows)
-    comps = strongly_connected_components(adj)
-    classes, transient = [], []
-    for comp in comps:
-        members = set(comp)
-        closed = all(w in members for v in comp for w in adj[v])
-        if closed:
-            classes.append(tuple(comp))
-        else:
-            transient.extend(comp)
+    R = reachability(P.rows > EDGE_TOL)
+    classes = tuple(map(tuple, recurrence_classes(R)))
+    transient = tuple(np.flatnonzero(~(R <= R.T).all(axis=1)).tolist())
     stationary = tuple(Distribution(_class_stationary(P.rows, list(c))) for c in classes)
-    return ClassDecomposition(P.labels, tuple(classes), tuple(sorted(transient)), stationary)
+    return ClassDecomposition(P.labels, classes, transient, stationary)
 
 
 def _as_indices(P: StochasticMatrix, support) -> list[int]:
@@ -126,23 +95,14 @@ def _as_indices(P: StochasticMatrix, support) -> list[int]:
     return out
 
 
-def reachable_states(rows: np.ndarray, starts, tol: float = EDGE_TOL) -> set[int]:
-    seen = set(starts)
-    frontier = list(seen)
-    while frontier:
-        v = frontier.pop()
-        for w in np.flatnonzero(rows[v] > tol):
-            if int(w) not in seen:
-                seen.add(int(w))
-                frontier.append(int(w))
-    return seen
-
-
 def is_recurrent(P: StochasticMatrix, support) -> bool:
-    """True iff no state reachable from ``support`` is transient."""
-    dec = decompose(P)
-    reach = reachable_states(P.rows, _as_indices(P, support))
-    return not (reach & set(dec.transient))
+    """True iff no state reachable from ``support`` is transient.
+
+    Reachability alone decides it: no stationary vector is solved for.
+    """
+    R = reachability(P.rows > EDGE_TOL)
+    reach = R[_as_indices(P, support)].any(axis=0)
+    return bool(np.all(reach <= (R <= R.T).all(axis=1)))
 
 
 def stationary_distribution(P: StochasticMatrix) -> Distribution:

@@ -218,20 +218,21 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_successors(args, cfg: RunConfig) -> int:
+def _successors_of(args):
+    """Successors array of trajectory ``--index`` of the file, cell-keyed under
+    ``--partition``. A bad index or a symbol outside the partition exits 2."""
     trajs = read_trajectories(args.trajectories)
     if not 0 <= args.index < len(trajs):
         raise ModelFormatError(f"trajectory index {args.index} out of range "
                                f"(file has {len(trajs)})")
     t = trajs[args.index]
     if args.partition:
-        partition = load_partition(args.partition)
-        try:
-            arr = successors.extract_partitioned(t, partition)
-        except ValueError as exc:
-            raise ModelFormatError(str(exc)) from exc
-    else:
-        arr = successors.extract(t)
+        return successors.extract_partitioned(t, load_partition(args.partition))
+    return successors.extract(t)
+
+
+def cmd_successors(args, cfg: RunConfig) -> int:
+    arr = _successors_of(args)
     for key in sorted(arr.rows, key=str):
         print(f"{key}: {' '.join(arr.rows[key])}")
     return 0
@@ -300,15 +301,7 @@ def _write_recovered_model(measure, trajs, path) -> None:
 
 
 def cmd_test_exchangeability(args, cfg: RunConfig) -> int:
-    trajs = read_trajectories(args.trajectories)
-    if not 0 <= args.index < len(trajs):
-        raise ModelFormatError(f"trajectory index {args.index} out of range "
-                               f"(file has {len(trajs)})")
-    t = trajs[args.index]
-    if args.partition:
-        arr = successors.extract_partitioned(t, load_partition(args.partition))
-    else:
-        arr = successors.extract(t)
+    arr = _successors_of(args)
     alpha = cfg.alpha if args.alpha is None else args.alpha
     report = recovery.test_partial_exchangeability(
         arr, alpha, RandomSource(args.seed), permutations=args.permutations)

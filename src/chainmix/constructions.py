@@ -21,8 +21,7 @@ import warnings
 
 import numpy as np
 
-from . import chain_analysis
-from .chain_analysis import EDGE_TOL, decompose, is_recurrent, reachable_states
+from .chain_analysis import EDGE_TOL, decompose, is_recurrent, reachability, recurrence_classes
 from .errors import (
     ConstructionError,
     InvalidModelError,
@@ -37,8 +36,8 @@ from .model_core import (
     MarkovMixtureModel,
     PartitionedKernelMixture,
     StochasticMatrix,
+    _check_markov_structure,
     require_valid,
-    validate_model,
 )
 
 
@@ -65,15 +64,13 @@ def markov_mixture_to_hmm(m: MarkovMixtureModel, prune: bool = True) -> HMMModel
     mixture law exactly. ``prune`` drops pairs unreachable from the initial
     support (law-preserving; guarantees a recurrent underlying chain).
     """
-    violations = validate_model(m)
+    violations = _check_markov_structure(m)
     if violations:
-        if all("transient" in v for v in violations):
-            for h, comp in enumerate(m.components):
-                if not is_recurrent(comp, [m.y0]):
-                    raise NonRecurrentComponentError(
-                        h, f"component {h} is not recurrent from y0={m.y0!r}"
-                    )
         raise InvalidModelError(violations)
+    for h, comp in enumerate(m.components):
+        if not is_recurrent(comp, [m.y0]):
+            raise NonRecurrentComponentError(
+                h, f"component {h} is not recurrent from y0={m.y0!r}")
     K, H = m.alphabet.size, m.n_components
     em = m.alphabet.emittable
     n = K * H
@@ -254,7 +251,8 @@ def hmm_to_markov_mixture_exact(m: HMMModel) -> MarkovMixtureModel:
             )
         emit.append(top)
 
-    blocks = _weak_components(m.P.rows)
+    edges = m.P.rows > EDGE_TOL
+    blocks = recurrence_classes(reachability(edges | edges.T))
     weights, components, y0_candidates = [], [], []
     dropped = 0
     for block in blocks:
@@ -290,7 +288,7 @@ def hmm_to_markov_mixture_exact(m: HMMModel) -> MarkovMixtureModel:
                              "of markov_mixture_to_hmm")
     y0 = m.alphabet.emittable[y0_candidates[0]]
     for h, comp in enumerate(components):
-        if not chain_analysis.is_recurrent(comp, [y0]):
+        if not is_recurrent(comp, [y0]):
             raise StructureError(
                 f"recovered component {h} is not recurrent from {y0!r}; "
                 "use recovery.lln_recover for general HMMs"
@@ -304,30 +302,8 @@ def hmm_to_markov_mixture_exact(m: HMMModel) -> MarkovMixtureModel:
 
 def _prune_hidden(labels, pi, P, readout):
     """Restrict to states reachable from the initial support; law-preserving."""
-    starts = [int(i) for i in np.flatnonzero(pi > 0)]
-    keep = sorted(reachable_states(P, starts))
+    keep = np.flatnonzero(reachability(P > EDGE_TOL)[pi > 0].any(axis=0))
     if len(keep) == len(labels):
         return labels, pi, P, readout
-    idx = np.array(keep)
-    return (tuple(labels[i] for i in keep), pi[idx],
-            P[np.ix_(idx, idx)], readout[idx])
-
-
-def _weak_components(rows: np.ndarray) -> list[list[int]]:
-    n = rows.shape[0]
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in zip(*np.nonzero(rows > EDGE_TOL)):
-        ru, rv = find(int(u)), find(int(v))
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict = {}
-    for x in range(n):
-        groups.setdefault(find(x), []).append(x)
-    return sorted((sorted(g) for g in groups.values()), key=min)
+    return (tuple(labels[i] for i in keep), pi[keep],
+            P[np.ix_(keep, keep)], readout[keep])

@@ -520,6 +520,18 @@ def _check_hmm(m: HMMModel) -> list[str]:
 
 
 def _check_markov_mixture(m: MarkovMixtureModel) -> list[str]:
+    out = _check_markov_structure(m)
+    if not out:
+        from . import chain_analysis  # late import: chain_analysis builds on these types
+
+        for h, comp in enumerate(m.components):
+            if not chain_analysis.is_recurrent(comp, [m.y0]):
+                out.append(f"component {h}: states reachable from y0 include transient states")
+    return out
+
+
+def _check_markov_structure(m: MarkovMixtureModel) -> list[str]:
+    """Every check of a Markov mixture but recurrence, which needs all of them to hold."""
     out = _check_alphabet(m.alphabet)
     k = m.alphabet.size
     if m.weights.size != m.n_components:
@@ -535,12 +547,6 @@ def _check_markov_mixture(m: MarkovMixtureModel) -> list[str]:
         out += _check_matrix(comp, f"component {h}")
         if comp.labels != m.alphabet.emittable:
             out.append(f"component {h}: labels differ from the alphabet")
-    if not out and m.y0 in m.alphabet:
-        from . import chain_analysis  # late import: chain_analysis builds on these types
-
-        for h, comp in enumerate(m.components):
-            if not chain_analysis.is_recurrent(comp, [m.y0]):
-                out.append(f"component {h}: states reachable from y0 include transient states")
     return out
 
 
@@ -588,24 +594,16 @@ def _check_partitioned(m: PartitionedKernelMixture) -> list[str]:
         out.append(f"y0: {m.y0!r} not in the alphabet")
     elif m.partition.cell_index_of(m.y0) != 1:
         out.append(f"y0: {m.y0!r} must lie in cell 1")
-    cell_of = np.array([m.partition.cell_index_of(s) for s in m.alphabet.emittable])
+    from .chain_analysis import EDGE_TOL, reachability  # late import, as above
+
+    cell_of = m.cell_index_array
+    # mass[h, i, j]: kernel mass that cell i + 1 sends into cell j + 1
+    mass = np.stack([m.kernels[:, :, cell_of == j].sum(axis=2) for j in range(1, J + 1)],
+                    axis=2)
     for h in range(m.n_components):
-        for j in sorted(_reachable_cells(m.kernels[h], cell_of, J)):
+        for j in np.flatnonzero(reachability(mass[h] > EDGE_TOL)[0]) + 1:
             out += _check_distribution(m.kernels[h, j - 1], f"kernel[{h}] cell {j}")
     return out
-
-
-def _reachable_cells(table: np.ndarray, cell_of: np.ndarray, J: int) -> set[int]:
-    """Cells reachable from cell 1 under positive kernel mass (cell 1 included)."""
-    frontier, seen = [1], {1}
-    while frontier:
-        j = frontier.pop()
-        row = table[j - 1]
-        for j2 in range(1, J + 1):
-            if j2 not in seen and float(row[cell_of == j2].sum()) > 1e-14:
-                seen.add(j2)
-                frontier.append(j2)
-    return seen
 
 
 # ---------------------------------------------------------------------------

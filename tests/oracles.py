@@ -9,7 +9,9 @@ The reference verifiers propagate one request, line and instance at a time:
 they are the per-instance transfer-matrix code whose every float the batched
 exact lemma engine must reproduce. The reference Monte Carlo verifier
 enumerates its four families by hand over count tables, so the shared
-instance tables' path counts have an independent check.
+instance tables' path counts have an independent check. The graph references
+answer each structural question by its own search, where the library reads
+every answer from one reachability closure.
 """
 
 from bisect import bisect_right
@@ -17,6 +19,8 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+
+from chainmix.chain_analysis import EDGE_TOL
 
 
 def iid_law_by_paths(m, N):
@@ -228,6 +232,125 @@ def cesaro_by_halving(P, n):
     for _ in range(n):
         A = 0.5 * (A + A @ P)
     return A
+
+
+# ---------------------------------------------------------------------------
+# Graph structure by search, one algorithm per question: Tarjan's strongly
+# connected components, depth-first reach over states and over cells, and a
+# union-find for weak components. The library reads all four answers from one
+# reachability closure.
+
+
+def reference_scc(adj):
+    """Iterative Tarjan; components returned sorted by smallest member."""
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    comps = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, edge_pos = work[-1]
+            if edge_pos == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            descended = False
+            for i in range(edge_pos, len(adj[v])):
+                w = adj[v][i]
+                if index[w] == -1:
+                    work[-1] = (v, i + 1)
+                    work.append((w, 0))
+                    descended = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if descended:
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(sorted(comp))
+    return sorted(comps, key=min)
+
+
+def reference_classes(rows):
+    """(recurrence classes, transient states): the closed strongly connected
+    components of the graph of entries above ``EDGE_TOL``, and the rest."""
+    adj = [[int(w) for w in np.flatnonzero(row > EDGE_TOL)] for row in rows]
+    classes, transient = [], []
+    for comp in reference_scc(adj):
+        members = set(comp)
+        if all(w in members for v in comp for w in adj[v]):
+            classes.append(tuple(comp))
+        else:
+            transient.extend(comp)
+    return tuple(classes), tuple(sorted(transient))
+
+
+def reference_reachable_states(rows, starts):
+    seen = set(starts)
+    frontier = list(seen)
+    while frontier:
+        v = frontier.pop()
+        for w in np.flatnonzero(rows[v] > EDGE_TOL):
+            if int(w) not in seen:
+                seen.add(int(w))
+                frontier.append(int(w))
+    return seen
+
+
+def reference_is_recurrent(rows, starts):
+    """True iff no state reachable from ``starts`` is transient."""
+    return not reference_reachable_states(rows, starts) & set(reference_classes(rows)[1])
+
+
+def reference_reachable_cells(table, cell_of, J):
+    """Cells reachable from cell 1 under positive kernel mass (cell 1 included)."""
+    frontier, seen = [1], {1}
+    while frontier:
+        j = frontier.pop()
+        row = table[j - 1]
+        for j2 in range(1, J + 1):
+            if j2 not in seen and float(row[cell_of == j2].sum()) > EDGE_TOL:
+                seen.add(j2)
+                frontier.append(j2)
+    return seen
+
+
+def reference_weak_components(rows):
+    n = rows.shape[0]
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for u, v in zip(*np.nonzero(rows > EDGE_TOL)):
+        ru, rv = find(int(u)), find(int(v))
+        if ru != rv:
+            parent[ru] = rv
+    groups = {}
+    for x in range(n):
+        groups.setdefault(find(x), []).append(x)
+    return sorted((sorted(g) for g in groups.values()), key=min)
 
 
 # ---------------------------------------------------------------------------

@@ -440,3 +440,47 @@ def test_exchangeability_rejects_alpha_outside_the_unit_interval(alpha, how, tmp
     status, out, _ = run(capsys, "test-exchangeability", str(trajs), "--permutations", "50",
                          "--alpha", "0.5")
     assert status in (0, 1) and "at level 0.5\n" in out
+
+
+# One closed class whose stationary vector an LU solve gets with an entry of
+# -1.3e-11; validation used to run that solve and refuse the model (exit 2)
+ONE_CLASS = {"type": "markov_mixture", "alphabet": ["a", "b", "c", "d"], "y0": "a",
+             "weights": [1.0],
+             "components": [[[0.5810080474077637, 0.4189919493739122, 0, 3.218324051619733e-09],
+                             [4.763828870125957e-13, 0.99999999897514, 1.0243836033544743e-09, 0],
+                             [0, 0.003593233028217118, 0.9964067669717829, 0],
+                             [0, 7.117181022142321e-07, 0, 0.9999992882818978]]]}
+
+
+def test_recurrence_is_decided_by_reachability_without_a_stationary_solve(tmp_path, capsys):
+    path = tmp_path / "one_class.json"
+    path.write_text(json.dumps(ONE_CLASS))
+    assert run(capsys, "validate", str(path)) == (0, "valid\n", "")
+    for argv in (["law", "--horizon", "2"], ["simulate", "--length", "5"],
+                 ["convert", "--to", "hmm"]):
+        status, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (status, err) == (0, "") and out
+
+
+def test_convert_refuses_a_y0_outside_the_alphabet(tmp_path, capsys):
+    # the y0 "transient" used to pass for a recurrence violation, and looking the
+    # label up raised a KeyError out of the command
+    path = tmp_path / "bad_y0.json"
+    path.write_text(json.dumps({"type": "markov_mixture", "alphabet": ["a", "b"],
+                                "y0": "transient", "weights": [1.0],
+                                "components": [[[0.5, 0.5], [0.5, 0.5]]]}))
+    assert run(capsys, "convert", str(path), "--to", "hmm") == (
+        2, "", "error: invalid model: y0: 'transient' not in the alphabet\n")
+
+
+@pytest.mark.parametrize("command", ["successors", "test-exchangeability"])
+def test_successors_input_errors(command, tmp_path, capsys):
+    trajs = tmp_path / "t.txt"
+    trajs.write_text("a b a c\na a b\n")
+    part = tmp_path / "p.json"
+    part.write_text(json.dumps({"cells": [["a"], ["b"]]}))
+    for index in ("2", "-1"):
+        assert run(capsys, command, str(trajs), "--index", index) == (
+            2, "", f"error: trajectory index {index} out of range (file has 2)\n")
+    assert run(capsys, command, str(trajs), "--partition", str(part)) == (
+        2, "", "error: \"symbol 'c' belongs to no cell of the partition\"\n")

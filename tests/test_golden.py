@@ -329,6 +329,50 @@ def test_convert_check_digest(model_dir, capsys):
     assert digest(out) == CONVERT_DIGEST
 
 
+# (model, --to): SHA-256 of stdout, pinned before the graph routines became one
+# reachability closure, so a pruned state, a block or a state order that moves shows
+CONVERSION_DIGESTS = {
+    ("separated_mixture.json", "hmm"):
+        "bb2ab5da09d953e90c911f50e288c8cb89b08215a700488d1561b9d7277fcf7e",
+    ("stay_swap_mixture.json", "hmm"):
+        "f99ee17e7724b6ba84087980c42ae47bf665dcba81275892aaa115f17c28dfe9",
+    ("two_cell_partitioned.json", "hmm"): CONVERT_DIGEST,
+    ("stay_swap_hmm.json", "markov_mixture"):
+        "5c23ed081903186904d71d544976caff64460ca64ad23b0933bc90978fe9d8c3",
+}
+
+
+@pytest.mark.parametrize("model, to", sorted(CONVERSION_DIGESTS))
+def test_convert_stdout_digest(model, to, model_dir, capsys):
+    status, out, _ = _run(model_dir, capsys, ["convert", model, "--to", to])
+    assert (status, digest(out)) == (0, CONVERSION_DIGESTS[model, to])
+
+
+DEMO_MODELS = sorted(p.name for p in MODELS.glob("*.json"))
+# model: (matrix name, classes, transient) per analyzed matrix. The stationary
+# digits come from a LAPACK solve and are left out: they depend on the platform.
+ANALYZE_STRUCTURE = {
+    "noisy_hmm.json": [("underlying chain", [["s0", "s1"]], [])],
+    "separated_mixture.json": [("component 0", [["a", "b"]], []),
+                               ("component 1", [["a", "b"]], [])],
+    "stay_swap_hmm.json": [("underlying chain", [["a|h0"], ["a|h1", "b|h1"]], [])],
+    "stay_swap_mixture.json": [("component 0", [["a"], ["b"]], []),
+                               ("component 1", [["a", "b"]], [])],
+    "two_cell_partitioned.json": [
+        ("component 0 (symbol chain)", [["1", "2", "3", "4"]], []),
+        ("component 1 (symbol chain)", [["1", "2", "3", "4"]], [])],
+}
+
+
+@pytest.mark.parametrize("model", DEMO_MODELS)
+def test_validate_and_analyze_demo_models(model, model_dir, capsys):
+    assert _run(model_dir, capsys, ["validate", model]) == (0, "valid\n", "")
+    status, out, _ = _run(model_dir, capsys, ["analyze", model, "--json"])
+    assert status == 0
+    assert [(e["matrix"], e["classes"], e["transient"])
+            for e in json.loads(out)] == ANALYZE_STRUCTURE[model]
+
+
 # name: (model, length, count, seed) of a seeded ``simulate`` sample
 SAMPLES = {"separated": ("separated_mixture.json", 3000, 60, 13),
            "two_cell": ("two_cell_partitioned.json", 800, 30, 21)}

@@ -1,0 +1,135 @@
+"""Every structural question read from one reachability closure, checked against
+the per-question searches kept in ``tests/oracles.py``: Tarjan's strongly
+connected components, depth-first reach over states and over cells, and a
+union-find for weak components.
+
+Graphs have 1 to 12 states. Entries exactly at ``EDGE_TOL`` are not edges and
+entries at twice it are. Rows with no edge at all occur too, because ``analyze``
+does not validate a ``stochastic_matrix`` file.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from chainmix import chain_analysis
+from chainmix.chain_analysis import EDGE_TOL, decompose, is_recurrent, reachability
+from chainmix.constructions import _prune_hidden, hmm_to_markov_mixture_exact
+from chainmix.errors import StructureError
+from chainmix.model_core import (
+    Alphabet,
+    Distribution,
+    HMMModel,
+    Partition,
+    PartitionedKernelMixture,
+    StochasticMatrix,
+    _check_distribution,
+    validate_model,
+)
+
+EDGE_VALUES = [EDGE_TOL, 2 * EDGE_TOL, 0.05, 0.5]
+
+
+def tables(n_rows, n_cols, values=EDGE_VALUES):
+    """``n_rows x n_cols`` arrays of 0s and ``values``; zeros weigh 1 to 8 times the rest."""
+    return st.integers(1, 8).flatmap(lambda zeros: st.lists(
+        st.sampled_from([0.0] * zeros + values), min_size=n_rows * n_cols,
+        max_size=n_rows * n_cols).map(lambda e: np.array(e).reshape(n_rows, n_cols)))
+
+
+def edge_matrices(values=EDGE_VALUES):
+    return st.integers(1, 12).flatmap(lambda n: tables(n, n, values))
+
+
+def _no_solve(rows, members):
+    return np.full(len(members), 1.0 / len(members))
+
+
+@given(edge_matrices(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_closure_answers_equal_the_searches(rows, data):
+    n = len(rows)
+    R = reachability(rows > EDGE_TOL)
+    assert [set(np.flatnonzero(r).tolist()) for r in R] == [
+        oracles.reference_reachable_states(rows, [i]) for i in range(n)]
+    # the structure alone: a closed class without a stationary vector (an empty row)
+    # is still a class
+    with mock.patch.object(chain_analysis, "_class_stationary", _no_solve):
+        dec = decompose(StochasticMatrix(rows))
+    assert (dec.classes, dec.transient) == oracles.reference_classes(rows)
+    support = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+    assert is_recurrent(StochasticMatrix(rows), support) == \
+        oracles.reference_is_recurrent(rows, support)
+
+
+@given(edge_matrices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_pruning_keeps_the_states_reachable_from_the_initial_support(rows, data):
+    n = len(rows)
+    pi = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5]), min_size=n, max_size=n)))
+    labels = tuple(f"x{i}" for i in range(n))
+    readout = np.arange(2.0 * n).reshape(n, 2)
+    got = _prune_hidden(labels, pi, rows, readout)
+    keep = sorted(oracles.reference_reachable_states(rows, np.flatnonzero(pi > 0).tolist()))
+    assert got[0] == tuple(labels[i] for i in keep)
+    for a, b in zip(got[1:], (pi[keep], rows[np.ix_(keep, keep)], readout[keep])):
+        assert np.array_equal(a, b)
+
+
+@given(edge_matrices(values=[EDGE_TOL, 2 * EDGE_TOL, 0.05]))
+@settings(max_examples=200, deadline=None)
+def test_exact_inversion_splits_the_chain_into_its_weak_components(off_diagonal):
+    # a stochastic chain with the drawn off-diagonal graph: at most 11 x 0.05 leaves
+    # the diagonal at least 0.45
+    n = len(off_diagonal)
+    P = off_diagonal * (1 - np.eye(n))
+    P[np.diag_indices(n)] = 1.0 - P.sum(axis=1)
+    blocks = oracles.reference_weak_components(P)
+    # state x emits its position in its block, and each block starts from its first
+    # state: the image of markov_mixture_to_hmm exactly when the blocks are these
+    K = max(map(len, blocks))
+    emit = np.zeros(n, dtype=int)
+    pi = np.zeros(n)
+    for b, block in enumerate(blocks):
+        emit[block] = np.arange(len(block))
+        pi[block[0]] = b + 1.0
+    pi /= pi.sum()
+    hidden = tuple(f"x{i}" for i in range(n))
+    hmm = HMMModel(hidden, Alphabet.of([f"s{y}" for y in range(K)]), Distribution(pi),
+                   StochasticMatrix(P, hidden), np.eye(K)[emit])
+    want = []
+    for block in blocks:
+        rows = np.eye(K)
+        rows[:len(block)] = 0.0
+        rows[:len(block), :len(block)] = P[np.ix_(block, block)]
+        want.append(rows)
+    if not all(oracles.reference_is_recurrent(rows, [0]) for rows in want):
+        with pytest.raises(StructureError, match="not recurrent"):
+            hmm_to_markov_mixture_exact(hmm)
+        return
+    got = hmm_to_markov_mixture_exact(hmm)
+    assert got.weights.weights.tolist() == [pi[block].sum() for block in blocks]
+    assert all(np.array_equal(c.rows, rows) for c, rows in zip(got.components, want))
+
+
+@given(st.integers(1, 12), st.integers(1, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_partitioned_validation_checks_the_kernels_of_reachable_cells(K, H, data):
+    J = data.draw(st.integers(1, K))
+    cell_of = np.array(list(range(1, J + 1))
+                       + data.draw(st.lists(st.integers(1, J), min_size=K - J,
+                                            max_size=K - J)))
+    symbols = [f"s{y}" for y in range(K)]
+    partition = Partition(tuple(tuple(s for s, c in zip(symbols, cell_of) if c == j)
+                                for j in range(1, J + 1)))
+    kernels = np.stack([data.draw(tables(J, K)) for _ in range(H)])
+    m = PartitionedKernelMixture(Alphabet.of(symbols), partition,
+                                 Distribution(np.full(H, 1.0 / H)), kernels, symbols[0])
+    want = [v for h in range(H)
+            for j in sorted(oracles.reference_reachable_cells(kernels[h], cell_of, J))
+            for v in _check_distribution(kernels[h, j - 1], f"kernel[{h}] cell {j}")]
+    assert validate_model(m) == want
+
