@@ -16,13 +16,13 @@ from chainmix.recovery import lln_recover
 from chainmix.sim import RandomSource, sample_many
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trajectories", type=int, default=200)
     ap.add_argument("--length", type=int, default=10_000)
     ap.add_argument("--cluster-tol", type=float, default=0.1)
     ap.add_argument("--seed", type=int, default=606)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     truth = separated_recovery_mixture()
     print(f"truth: {truth.n_components} components, weights "
@@ -40,7 +40,8 @@ def main():
         for y, count, err in zip(truth.alphabet.emittable, comp.row_counts,
                                  rec.diagnostics.row_tv_stderr[h]):
             print(f"    row {y}: {count} visits, TV stderr ~{err:.4f}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -221,11 +221,7 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
 def _successors_of(args):
     """Successors array of trajectory ``--index`` of the file, cell-keyed under
     ``--partition``. A bad index or a symbol outside the partition exits 2."""
-    trajs = read_trajectories(args.trajectories)
-    if not 0 <= args.index < len(trajs):
-        raise ModelFormatError(f"trajectory index {args.index} out of range "
-                               f"(file has {len(trajs)})")
-    t = trajs[args.index]
+    t = read_trajectories(args.trajectories, index=args.index)
     if args.partition:
         return successors.extract_partitioned(t, load_partition(args.partition))
     return successors.extract(t)
@@ -239,9 +235,7 @@ def cmd_successors(args, cfg: RunConfig) -> int:
 
 
 def cmd_recover(args, cfg: RunConfig) -> int:
-    trajs = []
-    for path in args.trajectories:
-        trajs.extend(read_trajectories(path))
+    trajs = [t for path in args.trajectories for t in read_trajectories(path)]
     tol = cfg.cluster_tol if args.cluster_tol is None else args.cluster_tol
     min_count = cfg.min_row_count if args.min_count is None else args.min_count
     measure = recovery.lln_recover(trajs, tol, min_count=min_count)
@@ -295,7 +289,7 @@ def _write_recovered_model(measure, trajs, path) -> None:
                 print(f"component {h}: row {alphabet.emittable[y]!r} unobserved, "
                       "filled uniform", file=sys.stderr)
         comps.append(StochasticMatrix(rows, alphabet.emittable))
-    y0 = Counter(t.symbols[0] for t in trajs).most_common(1)[0][0]
+    y0 = Counter(t.labels[t.codes[0]] for t in trajs).most_common(1)[0][0]
     model = MarkovMixtureModel(alphabet, y0, D(measure.weights.weights), tuple(comps))
     save_model(model, path)
 

@@ -10,7 +10,10 @@ The loader rejects unknown fields.
 
 Trajectory files hold one trajectory per line as whitespace-separated symbols.
 A line ``# hidden: x0 x1 ...`` attaches a hidden trace to the preceding
-trajectory; other ``#`` lines are comments.
+trajectory; other ``#`` lines are comments. So the loader refuses ``alphabet``
+and ``hidden_states`` labels that are empty, hold whitespace or start with
+``#``. Labels exist only at this boundary: the reader encodes each line
+through one label -> code map, and the writer decodes each line at once.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .model_core import (
     PartitionedKernelMixture,
     StochasticMatrix,
 )
-from .sim import Trajectory
+from .sim import Trajectory, encode
 
 _SCHEMAS = {
     "hmm": {"type", "alphabet", "hidden_states", "pi", "P", "readout"},
@@ -52,9 +55,19 @@ def _check_keys(raw: dict, kind: str, where: str) -> None:
         raise ModelFormatError(f"{where}: missing fields {missing} for type {kind!r}")
 
 
-def _alphabet(raw, where: str) -> Alphabet:
+def _labels(raw, name: str, where: str) -> list:
+    """``raw`` if it is a list of labels a trajectory file can carry."""
     if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
-        raise ModelFormatError(f"{where}: alphabet must be a list of strings")
+        raise ModelFormatError(f"{where}: {name} must be a list of strings")
+    for s in raw:
+        if s.split() != [s] or s.startswith("#"):
+            raise ModelFormatError(f"{where}: {name} label {s!r} is empty, holds whitespace "
+                                   "or starts with '#', which trajectory files cannot carry")
+    return raw
+
+
+def _alphabet(raw, where: str) -> Alphabet:
+    _labels(raw, "alphabet", where)
     if DELTA in raw:
         raise ModelFormatError(
             f"{where}: {DELTA!r} is the reserved fictitious symbol and is implicit"
@@ -93,9 +106,7 @@ def model_from_dict(raw: dict, where: str = "model"):
     alphabet = _alphabet(raw["alphabet"], where)
     k = alphabet.size
     if kind == "hmm":
-        hidden = raw["hidden_states"]
-        if not isinstance(hidden, list) or not all(isinstance(s, str) for s in hidden):
-            raise ModelFormatError(f"{where}: hidden_states must be a list of strings")
+        hidden = _labels(raw["hidden_states"], "hidden_states", where)
         n = len(hidden)
         pi = _array(raw["pi"], "pi", where)
         P = _array(raw["P"], "P", where)
@@ -196,37 +207,68 @@ def load_partition(path) -> Partition:
     return Partition(tuple(tuple(c) for c in cells))
 
 
-def read_trajectories(path) -> list[Trajectory]:
-    out: list[Trajectory] = []
+def _encode_words(words: list, index: dict) -> np.ndarray:
+    """:func:`encode` of the words of one line; words of one character each are
+    looked up once per distinct code point."""
+    joined = "".join(words)
+    if len(joined) != len(words):        # a word of several characters
+        return encode(words, index)
+    points = np.frombuffer(joined.encode("utf-32-le"), "<u4")
+    present = np.flatnonzero(np.bincount(points))
+    codes = encode(map(chr, present.tolist()), index)
+    lut = np.zeros(present[-1] + 1, codes.dtype)
+    lut[present] = codes
+    return lut[points]
+
+
+def read_trajectories(path, index: int | None = None):
+    """The trajectories of a file, or with ``index`` only the one at that position:
+    the lines before it are checked but not encoded, reading stops after it and
+    its ``# hidden:`` line, and an index outside the file reads on only to count.
+    Symbols share one label -> code map, hidden traces another."""
+    found, symbols, states = [], {}, {}   # [codes, hidden codes or None] per kept trajectory
+    n = length = 0                        # trajectories so far, and the length of the last
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("hidden:"):
-                    if not out:
-                        raise ModelFormatError(
-                            f"{path}:{lineno}: hidden trace before any trajectory"
-                        )
-                    hidden = tuple(body[len("hidden:"):].split())
-                    prev = out[-1]
-                    if len(hidden) != len(prev):
-                        raise ModelFormatError(
-                            f"{path}:{lineno}: hidden trace length {len(hidden)} "
-                            f"!= trajectory length {len(prev)}"
-                        )
-                    out[-1] = Trajectory(prev.symbols, hidden, prev.source)
-                continue
-            out.append(Trajectory(tuple(line.split())))
-    if not out:
+                    if not n:
+                        raise ModelFormatError(f"{path}:{lineno}: hidden trace before any "
+                                               "trajectory")
+                    hidden = body[len("hidden:"):].split()
+                    if len(hidden) != length:
+                        raise ModelFormatError(f"{path}:{lineno}: hidden trace length "
+                                               f"{len(hidden)} != trajectory length {length}")
+                    if index in (None, n - 1):
+                        found[-1][1] = _encode_words(hidden, states)
+            elif line:
+                if index is not None and 0 <= index < n:
+                    break
+                tokens = line.split()
+                n, length = n + 1, len(tokens)
+                if index in (None, n - 1):
+                    found.append([_encode_words(tokens, symbols), None])
+    if not n:
         raise ModelFormatError(f"{path}: no trajectories found")
-    return out
+    if index is not None and not 0 <= index < n:
+        raise ModelFormatError(f"trajectory index {index} out of range (file has {n})")
+    out = [Trajectory(c, h, None, tuple(symbols), tuple(states)) for c, h in found]
+    return out if index is None else out[0]
+
+
+def _line(codes: np.ndarray, labels: tuple) -> str:
+    """The labels of ``codes`` joined by spaces, by one gather of ``label + " "`` bytes
+    if all have one width, else of labels."""
+    cells = [s.encode() + b" " for s in labels]
+    if len(set(map(len, cells))) > 1:
+        return " ".join(np.array(labels, dtype=object)[codes].tolist()) + "\n"
+    return np.array(cells)[codes].tobytes()[:-1].decode() + "\n"
 
 
 def write_trajectories(fh, trajectories, trace_hidden: bool = False) -> None:
     for t in trajectories:
-        fh.write(" ".join(t.symbols) + "\n")
-        if trace_hidden and t.hidden is not None:
-            fh.write("# hidden: " + " ".join(t.hidden) + "\n")
+        fh.write(_line(t.codes, t.labels))
+        if trace_hidden and t.hidden_codes is not None:
+            fh.write("# hidden: " + _line(t.hidden_codes, t.hidden_labels))

@@ -52,14 +52,13 @@ def lln_row_estimate(t: Trajectory, row_key: str, alphabet: Alphabet | None = No
     histogram of the symbols following each visit."""
     min_count = _check_min_count(min_count)
     if alphabet is None:
-        alphabet = Alphabet.of(sorted(set(t.symbols)))
-    arr = extract(t, alphabet)
-    visits = len(arr.rows.get(row_key, ()))
+        alphabet = Alphabet.of(sorted(t.observed()))
+    pairs = extract(t, alphabet).pair_counts
+    visits = int(pairs[alphabet.emit_index(row_key)].sum()) if row_key in alphabet else 0
     if visits < min_count:
-        raise InsufficientVisitsError(
-            f"row {row_key!r} has {visits} visits; minimum is {min_count}"
-        )
-    return Distribution(arr.pair_counts[alphabet.emit_index(row_key)] / visits)
+        raise InsufficientVisitsError(f"row {row_key!r} has {visits} visits; minimum is "
+                                      f"{min_count}")
+    return Distribution(pairs[alphabet.emit_index(row_key)] / visits)
 
 
 @dataclass(frozen=True)
@@ -115,27 +114,19 @@ def lln_recover(trajectories, cluster_tol: float | None = None,
     if not trajectories:
         raise InsufficientDataError("no trajectories given")
     if alphabet is None:
-        alphabet = Alphabet.of(sorted(set().union(*(t.symbols for t in trajectories))))
+        alphabet = Alphabet.of(sorted(set().union(*(t.observed() for t in trajectories))))
     K = alphabet.size
 
-    estimates, masks, counts = [], [], []
-    for t in trajectories:
-        pairs = extract(t, alphabet).pair_counts
-        cnt = pairs.sum(axis=1)
-        mask = cnt >= min_count
-        if not mask.any():
-            raise InsufficientDataError(
-                f"a trajectory has no row with >= {min_count} visits"
-            )
-        est = np.full((K, K), np.nan)
-        est[mask] = pairs[mask] / cnt[mask, None]
-        estimates.append(est)
-        masks.append(mask)
-        counts.append(cnt)
+    pairs = np.array([extract(t, alphabet).pair_counts for t in trajectories])   # (n, K, K)
+    counts = pairs.sum(axis=2)
+    obs = counts >= min_count                                                     # (n, K)
+    if not obs.any(axis=1).all():
+        raise InsufficientDataError(f"a trajectory has no row with >= {min_count} visits")
+    est = np.divide(pairs, counts[..., None], out=np.full(pairs.shape, np.nan),
+                    where=obs[..., None])
 
-    n = len(estimates)
+    n = len(trajectories)
     label = np.arange(n)        # single-linkage component of each trajectory so far
-    est, obs = np.array(estimates), np.array(masks)     # (n, K, K), (n, K)
     for i in range(n - 1):
         common = obs[i] & obs[i + 1:]
         tv = np.where(common, np.abs(est[i + 1:] - est[i]).sum(axis=2), -np.inf)
@@ -148,26 +139,17 @@ def lln_recover(trajectories, cluster_tol: float | None = None,
 
     support, weights, stderrs = [], [], []
     for members in sorted(clusters.values(), key=len, reverse=True):
-        mats = np.array([estimates[i] for i in members])          # (m, K, K)
-        row_obs = np.array([masks[i] for i in members])           # (m, K)
+        mats, row_obs, row_counts = est[members], obs[members], counts[members].sum(axis=0)
+        observed = row_obs.any(axis=0)
         centroid = np.full((K, K), np.nan)
-        observed = np.zeros(K, dtype=bool)
-        row_counts = np.zeros(K, dtype=int)
-        errs = []
-        for y in range(K):
-            sel = row_obs[:, y]
-            row_counts[y] = sum(counts[members[i]][y] for i in range(len(members)))
-            if not sel.any():
-                errs.append(float("nan"))
-                continue
-            mean = mats[sel, y, :].mean(axis=0)
+        for y in np.flatnonzero(observed):
+            mean = mats[row_obs[:, y], y, :].mean(axis=0)
             centroid[y] = mean / mean.sum()
-            observed[y] = True
-            errs.append(float(np.sqrt(K / (4.0 * max(row_counts[y], 1)))))
-        support.append(RecoveredComponent(centroid, tuple(bool(b) for b in observed),
-                                          tuple(int(c) for c in row_counts), len(members)))
+        errs = np.where(observed, np.sqrt(K / (4.0 * np.maximum(row_counts, 1))), np.nan)
+        support.append(RecoveredComponent(centroid, tuple(observed.tolist()),
+                                          tuple(row_counts.tolist()), len(members)))
         weights.append(len(members) / n)
-        stderrs.append(tuple(errs))
+        stderrs.append(tuple(errs.tolist()))
 
     return RecoveredMixingMeasure(
         alphabet=alphabet,

@@ -6,6 +6,8 @@ and distinct stream ids give independent streams by construction. Every draw is
 an inverse-CDF lookup against one uniform, in a documented order (component
 index or initial hidden state first, then one or two uniforms per time step),
 so trajectories are a pure function of ``(model, length, seed, stream)``.
+Each draw's outcome, a label's index, goes straight into one code array per
+block of trajectories (:class:`Trajectory` holds codes, not labels).
 
 Every model is sampled as one automaton, and a batch of trajectories advances
 in lockstep: one vectorised lookup (:func:`walk`) takes the next draw of all of
@@ -21,6 +23,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +38,7 @@ from .model_core import (
 )
 
 STREAMS_PER_BLOCK = 1024   # trajectories advanced together
-DRAWS_PER_CHUNK = 1 << 14  # uniforms held in memory at once
+DRAWS_PER_CHUNK = 1 << 15  # uniforms held in memory at once
 # Lockstep pays for its per-draw vector operations (about one per table column)
 # once a batch holds this many automata per column: the measured crossover
 # with scalar bisect_right, for tables of 2 to 20 columns, lies at 10 to 20.
@@ -68,23 +71,65 @@ class RandomSource:
         return RandomSource(self.seed, self.stream * 0x100000 + k + 1)
 
 
-@dataclass(frozen=True)
+def encode(labels, index: dict) -> np.ndarray:
+    """Codes of ``labels`` under ``index`` (label -> code), which first takes in each
+    new label, in order of first appearance; the smallest unsigned dtype that fits."""
+    labels = list(labels)
+    dtype = np.min_scalar_type(max(len(index) - 1, 0))
+    try:
+        return np.fromiter(map(index.__getitem__, labels), dtype, len(labels))
+    except KeyError:
+        for s in dict.fromkeys(labels):
+            index.setdefault(s, len(index))
+        return encode(labels, index)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Trajectory:
-    """Finite symbol sequence, optionally with the aligned hidden-state sequence."""
+    """Finite symbol sequence, optionally with the aligned hidden-state sequence,
+    held as ``codes`` into ``labels`` (``hidden_codes`` into ``hidden_labels``) and
+    decoded to ``symbols`` (``hidden``) on first read. ``symbols`` and ``hidden``
+    are encoded once unless their ``labels`` are given; then they are codes."""
 
-    symbols: tuple[str, ...]
-    hidden: tuple[str, ...] | None = None
-    source: RandomSource | None = None
+    codes: np.ndarray
+    labels: tuple[str, ...]
+    hidden_codes: np.ndarray | None
+    hidden_labels: tuple[str, ...] | None
+    source: RandomSource | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        if self.hidden is not None:
-            object.__setattr__(self, "hidden", tuple(self.hidden))
-            if len(self.hidden) != len(self.symbols):
-                raise ValueError("hidden trace must align with the symbol sequence")
+    def __init__(self, symbols, hidden=None, source=None, labels=None, hidden_labels=None):
+        if labels is None:
+            symbols = encode(symbols, labels := {})
+        if hidden is not None and hidden_labels is None:
+            hidden = encode(hidden, hidden_labels := {})
+        if hidden is not None and len(hidden) != len(symbols):
+            raise ValueError("hidden trace must align with the symbol sequence")
+        vars(self).update(codes=symbols, labels=tuple(labels), hidden_codes=hidden, source=source,
+                          hidden_labels=None if hidden is None else tuple(hidden_labels))
+
+    @cached_property
+    def symbols(self) -> tuple[str, ...]:
+        return tuple(map(self.labels.__getitem__, self.codes.tolist()))
+
+    @cached_property
+    def hidden(self) -> tuple[str, ...] | None:
+        if self.hidden_codes is not None:
+            return tuple(map(self.hidden_labels.__getitem__, self.hidden_codes.tolist()))
+
+    def observed(self) -> tuple[str, ...]:
+        """The labels that occur in the trajectory, in code order."""
+        counts = np.bincount(self.codes, minlength=len(self.labels)).tolist()
+        return tuple(s for s, c in zip(self.labels, counts) if c)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Trajectory) and (self.symbols, self.hidden, self.source) == (
+            other.symbols, other.hidden, other.source)
+
+    def __hash__(self) -> int:
+        return hash((self.symbols, self.hidden, self.source))
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self.codes)
 
 
 def cdf_table(rows) -> np.ndarray:
@@ -180,11 +225,6 @@ def _automaton(model):
     return cum, nxt, H * S, 1, 1, first
 
 
-def _fill(lists, labels: np.ndarray, at: int) -> None:
-    for lst, row in zip(lists, labels.tolist()):
-        lst[at:at + len(row)] = row
-
-
 def _sample_streams(model, length, srcs, trace_hidden) -> list[Trajectory]:
     """One trajectory per source, all advanced together."""
     if length < 1:
@@ -195,21 +235,22 @@ def _sample_streams(model, length, srcs, trace_hidden) -> list[Trajectory]:
     gens = [src.generator() for src in srcs]
     draw = lambda n: np.array([g.random(n) for g in gens])   # next n uniforms per stream
     _, row = walk(cum, nxt, np.full(len(gens), start), draw(lead))
-    em = np.array(model.alphabet.emittable, dtype=object)
-    hs = np.array(model.hidden_states, dtype=object) if trace_hidden else None
-    # exactly sized label lists filled chunk by chunk, so no count x length
-    # array of codes or uniforms is ever held
-    symbols = [[first] * length for _ in gens]
-    hidden = [[None] * length if trace_hidden else None for _ in gens]
-    skip = first is not None
+    em, hs = model.alphabet.emittable, getattr(model, "hidden_states", None)
+    # one code array per block, filled chunk by chunk, so that no count x length
+    # array of int64 outcomes or uniforms is ever held
+    shape = (len(gens), length)
+    codes = np.empty(shape, np.min_scalar_type(len(em) - 1))
+    hidden = np.empty(shape, np.min_scalar_type(len(hs) - 1)) if trace_hidden else None
+    if skip := first is not None:
+        codes[:, 0] = model.alphabet.emit_index(first)
     chunk = max(1, DRAWS_PER_CHUNK // (len(gens) * stride))
     for t0 in range(0, length - skip, chunk):
         out, row = walk(cum, nxt, row, draw(min(chunk, length - skip - t0) * stride))
-        _fill(symbols, em[out[stride - 1::stride].T], skip + t0)
+        codes[:, skip + t0:skip + t0 + len(out) // stride] = out[stride - 1::stride].T
         if trace_hidden:
-            _fill(hidden, hs[out[::stride].T], t0)
-    # popped so that each label list is freed once its tuple exists
-    return [Trajectory(symbols.pop(0), hidden.pop(0), src) for src in srcs]
+            hidden[:, t0:t0 + len(out) // stride] = out[::stride].T
+    return [Trajectory(codes[i], None if hidden is None else hidden[i], src, em, hs)
+            for i, src in enumerate(srcs)]
 
 
 def sample(model, length: int, src: RandomSource, trace_hidden: bool = False) -> Trajectory:
@@ -228,8 +269,11 @@ def sample_many(model, length: int, count: int, src: RandomSource,
     """``count`` independent trajectories on derived streams ``src.derive(i)``.
 
     Trajectory ``i`` equals ``sample(model, length, src.derive(i), trace_hidden)``;
-    blocks of trajectories are advanced together.
+    blocks of trajectories are advanced together and share one code array.
+    ``count`` and ``length`` must be at least 1.
     """
+    if count < 1:
+        raise ValueError("count must be >= 1")
     require_valid(model)
     out = []
     for lo in range(0, count, STREAMS_PER_BLOCK):
@@ -247,9 +291,9 @@ def empirical_law(trajectories, length: int, alphabet: Alphabet | None = None) -
         if len(t) < length:
             raise ValueError(f"trajectory of length {len(t)} is shorter than {length}")
     if alphabet is None:
-        seen = sorted({s for t in trajectories for s in t.symbols})
-        alphabet = Alphabet.of(seen)
-    counts = Counter(t.symbols[:length] for t in trajectories)
+        alphabet = Alphabet.of(sorted(set().union(*(t.observed() for t in trajectories))))
+    counts = Counter(tuple(map(t.labels.__getitem__, t.codes[:length].tolist()))
+                     for t in trajectories)
     total = sum(counts.values())
     return FiniteLaw.from_probs(alphabet, length,
                                 {prefix: c / total for prefix, c in counts.items()})

@@ -6,12 +6,15 @@ cell-keyed variant). The visit at the final position has no successor and is
 not counted, but every symbol, the last one included, must be a row key.
 Finite trajectories yield ragged rows; the fictitious padding
 symbol ``@del`` is a model-level convention only and never appears in rows.
+:func:`extract` counts pairs on the codes; its label rows are built when read.
 """
 
 from __future__ import annotations
 
+from collections import UserDict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from operator import itemgetter
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +31,7 @@ class SuccessorsArray:
     histograms of the rows, in key order.
     """
 
-    rows: dict
+    rows: Mapping
     trajectory_length: int
     pad_symbol: str = DELTA   # conceptual padding for infinite arrays; rows stay ragged
     pair_counts: np.ndarray | None = field(default=None, compare=False, repr=False)
@@ -36,13 +39,24 @@ class SuccessorsArray:
     def row(self, key) -> tuple[str, ...]:
         return self.rows[key]
 
-    def total_entries(self) -> int:
-        return sum(len(r) for r in self.rows.values())
+    def total_entries(self) -> int:   # every position but the last has one successor
+        return self.trajectory_length - 1
+
+
+class _CodedRows(UserDict):
+    """The rows of a trajectory coded as indices into ``keys``, decoded on first read."""
+
+    def __init__(self, keys, codes: np.ndarray):
+        self._keys, self._codes = keys, codes
+
+    @cached_property
+    def data(self) -> dict:
+        prev, nxt = self._codes[:-1], np.array(self._keys, dtype=object)[self._codes[1:]]
+        return {k: tuple(nxt[prev == i].tolist()) for i, k in enumerate(self._keys)}
 
 
 def extract(t: Trajectory, alphabet: Alphabet | None = None) -> SuccessorsArray:
-    """Successors array keyed by symbol, with its pair counts, from one integer
-    encoding of ``t``.
+    """Successors array keyed by symbol, with its pair counts, from ``t``'s codes.
 
     With an explicit alphabet, unvisited symbols get empty rows and every
     symbol, the last one included, must belong to it; otherwise rows exist for
@@ -50,17 +64,15 @@ def extract(t: Trajectory, alphabet: Alphabet | None = None) -> SuccessorsArray:
     """
     if len(t) < 2:
         raise ValueError("successors extraction needs a trajectory of length >= 2")
-    keys = alphabet.emittable if alphabet is not None else sorted(set(t.symbols))
+    keys = alphabet.emittable if alphabet is not None else sorted(t.observed())
     K, index = len(keys), {k: i for i, k in enumerate(keys)}
-    try:
-        codes = np.fromiter(itemgetter(*t.symbols)(index), np.intp, count=len(t))
-    except KeyError as exc:
-        raise ValueError(f"trajectory symbol {exc.args[0]!r} is not in the given "
-                         "alphabet") from None
-    prev, nxt = codes[:-1], np.array(keys, dtype=object)[codes[1:]]
-    pairs = np.bincount(prev * K + codes[1:], minlength=K * K).reshape(K, K)
-    return SuccessorsArray({k: tuple(nxt[prev == i].tolist()) for i, k in enumerate(keys)},
-                           len(t), pair_counts=pairs)
+    codes = np.take(np.array([index.get(s, K) for s in t.labels], dtype=np.intp), t.codes)
+    outside = np.flatnonzero(codes == K)
+    if outside.size:
+        raise ValueError(f"trajectory symbol {t.labels[t.codes[outside[0]]]!r} is not in "
+                         "the given alphabet")
+    pairs = np.bincount(codes[:-1] * K + codes[1:], minlength=K * K).reshape(K, K)
+    return SuccessorsArray(_CodedRows(keys, codes), len(t), pair_counts=pairs)
 
 
 def extract_partitioned(t: Trajectory, partition: Partition) -> SuccessorsArray:

@@ -1,7 +1,9 @@
 """Shared random-model generators and assertion helpers. All test randomness is
 seeded explicitly."""
 
+import importlib.util
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +23,15 @@ SYMBOLS = ["a", "b", "c", "d", "e"]
 
 def rng(seed):
     return np.random.default_rng(seed)
+
+
+def load_script(name: str):
+    """The module of ``scripts/<name>.py``, freshly executed."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def assert_same_text(got: str, want: str, context: int = 60) -> None:

@@ -484,3 +484,63 @@ def test_successors_input_errors(command, tmp_path, capsys):
             2, "", f"error: trajectory index {index} out of range (file has 2)\n")
     assert run(capsys, command, str(trajs), "--partition", str(part)) == (
         2, "", "error: \"symbol 'c' belongs to no cell of the partition\"\n")
+
+
+# ---------------------------------------------------------------------------
+# Trajectory files: labels they can carry, counts, reading up to --index
+
+
+@pytest.mark.parametrize("raw, label", [
+    ({"type": "iid_mixture", "alphabet": ["a b", "c"], "weights": [1.0],
+      "components": [[0.5, 0.5]]}, "alphabet label 'a b'"),
+    # every line would read as a comment
+    ({"type": "markov_mixture", "alphabet": ["#a", "b"], "y0": "#a", "weights": [1.0],
+      "components": [[[0.5, 0.5], [0.5, 0.5]]]}, "alphabet label '#a'"),
+    # the trajectories that start with #a would be dropped
+    ({"type": "iid_mixture", "alphabet": ["#a", "b"], "weights": [0.5, 0.5],
+      "components": [[0.9, 0.1], [0.1, 0.9]]}, "alphabet label '#a'"),
+    ({"type": "iid_mixture", "alphabet": ["a", ""], "weights": [1.0],
+      "components": [[0.5, 0.5]]}, "alphabet label ''"),
+    ({"type": "hmm", "alphabet": ["a"], "hidden_states": ["s\u00a00", "s1"],
+      "pi": [0.5, 0.5], "P": [[0.5, 0.5], [0.5, 0.5]], "readout": [[1.0], [1.0]]},
+     "hidden_states label 's\\xa00'"),
+])
+def test_labels_a_trajectory_file_cannot_carry_are_refused(raw, label, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(raw))
+    assert run(capsys, "simulate", str(path), "--length", "5", "--count", "4") == (
+        2, "", f"error: {path}: {label} is empty, holds whitespace or starts with '#', "
+        "which trajectory files cannot carry\n")
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_simulate_refuses_a_count_below_one(count, mix_file, capsys):
+    assert run(capsys, "simulate", mix_file, "--length", "5", "--count", count) == (
+        2, "", "error: count must be >= 1\n")
+
+
+def test_index_reads_only_as_far_as_the_wanted_trajectory(tmp_path, capsys):
+    path = tmp_path / "t.txt"
+    path.write_text("a b a\n# hidden: s t s\nb b\nb a b a\n# hidden: s t\na a\n")
+    assert run(capsys, "successors", str(path), "--index", "0") == (0, "a: b\nb: a\n", "")
+    assert run(capsys, "successors", str(path), "--index", "2") == (
+        2, "", f"error: {path}:5: hidden trace length 2 != trajectory length 4\n")
+
+
+def test_simulate_holds_codes_not_labels(tmp_path, monkeypatch):
+    # 200 x 10^4 symbols: one uint8 code array of 2 MB, where label lists took 16 MB
+    import sys
+    import tracemalloc
+
+    model = Path(__file__).resolve().parent.parent / "models" / "separated_mixture.json"
+    path = tmp_path / "t.txt"
+    with open(path, "w") as fh:
+        monkeypatch.setattr(sys, "stdout", fh)
+        tracemalloc.start()
+        try:
+            status = main(["simulate", str(model), "--length", "10000", "--count", "200"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert status == 0 and peak < 8 * 2 ** 20
+    assert path.read_text().count("\n") == 200

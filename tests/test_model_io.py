@@ -1,14 +1,21 @@
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from conftest import (
+    load_script,
     random_hmm,
     random_iid_mixture,
     random_markov_mixture,
     random_partitioned,
     rng,
 )
+from test_sim import models
 from chainmix.config import load_config
 from chainmix.errors import ModelFormatError
 from chainmix.model_io import (
@@ -22,6 +29,7 @@ from chainmix.model_io import (
 )
 from chainmix.model_core import validate_model
 from chainmix.sim import RandomSource, sample_many
+from chainmix.successors import extract
 from chainmix.fixtures import two_state_noisy
 
 
@@ -134,3 +142,65 @@ def test_config_loading(tmp_path):
     path.write_text(json.dumps({"tol_exct": 1e-10}))
     with pytest.raises(ModelFormatError, match="unknown keys"):
         load_config(path)
+
+
+# ---------------------------------------------------------------------------
+# Coded trajectories through the file format
+
+# labels of 1-3 characters, non-ASCII ones and a '#' past the first included
+LABELS = st.text("ab%é€#Z", min_size=1, max_size=3).filter(lambda s: s[0] != "#")
+
+
+def relabeled(model, symbols, states):
+    """``model`` with its symbols and hidden states renamed, through the loader."""
+    raw = model_to_dict(model)
+    rename = dict(zip(raw["alphabet"], symbols))
+    raw["alphabet"] = [rename[s] for s in raw["alphabet"]]
+    if "y0" in raw:
+        raw["y0"] = rename[raw["y0"]]
+    if "partition" in raw:
+        raw["partition"] = [[rename[s] for s in c] for c in raw["partition"]]
+    if "hidden_states" in raw:
+        raw["hidden_states"] = states[:len(raw["hidden_states"])]
+    return model_from_dict(raw)
+
+
+@given(models(), st.lists(LABELS, min_size=4, max_size=4, unique=True),
+       st.lists(LABELS, min_size=3, max_size=3, unique=True),
+       st.integers(1, 40), st.integers(1, 60), st.integers(0, 2 ** 32), st.booleans(),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_coded_trajectories_round_trip_through_the_file(model, symbols, states, count, length,
+                                                        seed, trace, data):
+    model = relabeled(model, symbols, states)
+    trace = trace and hasattr(model, "hidden_states")
+    trajs = sample_many(model, length, count, RandomSource(seed), trace)
+    fh = io.StringIO()
+    write_trajectories(fh, trajs, trace_hidden=trace)
+    text = fh.getvalue()
+    assert text == "".join(" ".join(t.symbols) + "\n"
+                           + ("# hidden: " + " ".join(t.hidden) + "\n" if trace else "")
+                           for t in trajs)
+    with tempfile.TemporaryDirectory() as tmp:   # no tmp_path: one per example
+        path = Path(tmp) / "t.txt"
+        path.write_text(text, encoding="utf-8")
+        back = read_trajectories(path)
+        i = data.draw(st.integers(0, count - 1))
+        one = read_trajectories(path, index=i)
+    assert [(t.symbols, t.hidden) for t in back] == [(t.symbols, t.hidden) for t in trajs]
+    assert (one.symbols, one.hidden) == (trajs[i].symbols, trajs[i].hidden)
+    for t in back if length > 1 else ():
+        got, want = extract(t), oracles.reference_extract(t)
+        assert got == want and list(got.rows) == list(want.rows)
+        assert got.pair_counts.tolist() == [[row.count(s) for s in want.rows]
+                                            for row in want.rows.values()]
+
+
+def test_demo_models_script_writes_the_committed_models(tmp_path, capsys):
+    assert load_script("make_demo_models").main(["--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"wrote 5 model files to {tmp_path}\n"
+    committed = Path(__file__).resolve().parent.parent / "models"
+    names = sorted(p.name for p in committed.glob("*.json"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == names and len(names) == 5
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (committed / name).read_bytes()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import rng
+from conftest import load_script, rng
 from chainmix.errors import (
     InsufficientDataError,
     InsufficientVisitsError,
@@ -369,3 +369,14 @@ def test_sequential_row_test_matches_fixed_count_reference(row, m, level, seed):
         assert got.p_value >= floor and want.p_value >= floor
         assert not got.reject
 
+
+def test_recover_mixture_script_digest(capsys):
+    # stdout as the sampler of label lists printed it; the script samples and
+    # recovers in process
+    import hashlib
+
+    assert load_script("recover_mixture").main(["--trajectories", "20", "--length", "2000"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("truth: 2 components") and "recovered 2 clusters" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "913623b487f1bba6fd9b9d964fe1e9bf309047aeb98b080d2080088a6afe038f"

@@ -181,6 +181,19 @@ def test_derive_rejects_stream_reuse():
         deep.derive(2 ** 20 - 1)       # child id 2**64 would wrap to stream 0
 
 
+def test_codes_take_the_smallest_unsigned_dtype():
+    assert Trajectory([str(i) for i in range(256)]).codes.dtype == np.uint8
+    assert Trajectory([str(i) for i in range(257)]).codes.dtype == np.uint16
+    t = Trajectory(("b", "a", "b"), ("s", "s", "t"), RandomSource(3))
+    assert (t.codes.tolist(), t.labels, t.hidden_codes.tolist(), t.hidden_labels) == (
+        [0, 1, 0], ("b", "a"), [0, 0, 1], ("s", "t"))
+    assert (t.symbols, t.hidden, t.observed()) == (("b", "a", "b"), ("s", "s", "t"), ("b", "a"))
+    assert t == Trajectory(["b", "a", "b"], ["s", "s", "t"], RandomSource(3)) != Trajectory("bab")
+    trajs = sample_many(two_cycle_hmm(), 7, 3, RandomSource(1), trace_hidden=True)
+    assert all(t.codes.dtype == t.hidden_codes.dtype == np.uint8 for t in trajs)
+    assert all(t.codes.base is trajs[0].codes.base for t in trajs)   # one array per block
+
+
 # ---------------------------------------------------------------------------
 # Lockstep samplers against the one-at-a-time reference draw order
 
@@ -272,7 +285,12 @@ def test_lockstep_sampler_matches_reference(model, length, count, seed, trace, p
     trace = trace and isinstance(model, HMMModel)
     src = RandomSource(seed, 3)
     with edge_draws_and_small_chunks(per_column):
-        many = sample_many(model, length, count, src, trace)
+        if count:
+            many = sample_many(model, length, count, src, trace)
+        else:
+            with pytest.raises(ValueError, match="count must be >= 1"):
+                sample_many(model, length, count, src, trace)
+            many = []
         ref = [reference_sample(model, length, src.derive(i), trace) for i in range(count)]
         one = sample(model, length, src, trace)
         one_ref = reference_sample(model, length, src, trace)
