@@ -188,8 +188,9 @@ def _matrices_for_analysis(model):
     if isinstance(model, MarkovMixtureModel):
         return [(f"component {h}", c) for h, c in enumerate(model.components)]
     if isinstance(model, PartitionedKernelMixture):
-        return [(f"component {h} (symbol chain)", StochasticMatrix(rows, model.alphabet.emittable))
-                for h, rows in enumerate(model.kernels[:, model.cell_index_array - 1])]
+        _, rows, state, _ = model_core.symbol_chains(model)
+        return [(f"component {h} (symbol chain)", StochasticMatrix(chain, model.alphabet.emittable))
+                for h, chain in enumerate(rows[:, state])]
     raise ModelFormatError(f"{type(model).__name__} has no underlying matrix to analyze")
 
 

@@ -10,13 +10,16 @@ Four generative model classes over a shared finite alphabet:
 
 Each class gets an exact law operation producing a :class:`FiniteLaw`, the
 universal comparison object, held as the sorted ranks and probabilities of its
-live strings; :func:`model_law` dispatches on the model type. Laws are
+live strings; :func:`model_law` dispatches on the model type. The three mixtures
+are read as mixtures of symbol chains (:func:`symbol_chains`), which differ only
+in the row that draws the next symbol; one engine gives their laws. Laws are
 enumerated over live prefixes only: work and memory follow the strings of
 positive probability, not the ``K^length`` table, and the budget counts the
-entries of each extension of the live prefixes before it is allocated. String
-conventions follow the generative definitions: i.i.d. mixtures and HMMs produce
-laws over ``(Y_0, ..., Y_N)``; Markov and partitioned mixtures fix ``Y_0 = y0``
-and produce laws over ``(Y_1, ..., Y_N)``.
+entries of each extension of the live prefixes before it is allocated (a
+mixture's, before any is built). String conventions follow the generative
+definitions: i.i.d. mixtures and HMMs produce laws over ``(Y_0, ..., Y_N)``;
+Markov and partitioned mixtures fix ``Y_0 = y0`` and produce laws over
+``(Y_1, ..., Y_N)``.
 
 The fictitious symbol ``@del`` occupies alphabet index 0 everywhere. No model may
 emit it; it exists for successors-array padding semantics and partition cell 0.
@@ -201,11 +204,11 @@ class Partition:
 
     @cached_property
     def _cell_of(self) -> dict:
-        out = {}
-        for j, cell in enumerate(self.cells, start=1):
-            for s in cell:
-                out[s] = j
-        return out
+        return {s: j for j, cell in enumerate(self.cells, start=1) for s in cell}
+
+    def cells_of(self, labels) -> np.ndarray:
+        """1-based cell index of each label, 0 for a label in no cell."""
+        return np.array([self._cell_of.get(s, 0) for s in labels], dtype=np.intp)
 
     def cell_index_of(self, label: str) -> int:
         """1-based cell index of a symbol."""
@@ -238,8 +241,8 @@ class PartitionedKernelMixture:
 
     @cached_property
     def cell_index_array(self) -> np.ndarray:
-        """1-based cell index per emittable symbol, as an array."""
-        return np.array([self.partition.cell_index_of(s) for s in self.alphabet.emittable])
+        """1-based cell index per emittable symbol, as an array (0 for a symbol in no cell)."""
+        return self.partition.cells_of(self.alphabet.emittable)
 
     def kernel(self, h: int, j: int) -> np.ndarray:
         """Row ``t_h(j, .)`` for a real cell index ``j >= 1``."""
@@ -611,9 +614,8 @@ def _check_partitioned(m: PartitionedKernelMixture) -> list[str]:
 
 
 def _check_law_input(m, N: int, length: int, budget, per_string: int = 1) -> int:
-    """Refuse a bad model or horizon, strings whose ranks overflow int64, and a first
+    """Refuse a horizon below 1, strings whose ranks overflow int64, and a first
     frontier over the budget; return the budget every later frontier is checked against."""
-    require_valid(m)
     if N < 1:
         raise ValueError("horizon N must be >= 1")
     k, budget = m.alphabet.size, DEFAULT.enum_budget if budget is None else int(budget)
@@ -643,30 +645,58 @@ def _prune(live: np.ndarray, ranks: np.ndarray, values: np.ndarray) -> tuple:
     return (ranks, values) if live.all() else (ranks[live], values[live])
 
 
-def _chain_mixture_law(alphabet: Alphabet, length: int, weights, firsts, rows,
-                       budget: int) -> FiniteLaw:
-    """Law of ``sum_h weights[h] firsts[h][s_1] rows[h][s_1, s_2] ... rows[h][s_{n-1}, s_n]``
-    over the strings ``s`` of ``length`` symbols.
+def symbol_chains(m) -> tuple:
+    """A valid mixture as symbol chains, ``(weights, rows, state, y0)``: ``rows[h]`` is
+    ``(S, K)``, component ``h``'s next-symbol rows (one for i.i.d., one per symbol for
+    Markov, one per cell for cell kernels); ``state[y]`` is the row drawing the symbol
+    after ``y``; ``y0`` is the fixed first symbol, or None (``Y_0`` drawn from row 0)."""
+    if isinstance(m, IIDMixtureModel):
+        rows, state = np.array([[c.weights] for c in m.components]), np.zeros(m.alphabet.size, int)
+    elif isinstance(m, MarkovMixtureModel):
+        rows, state = np.stack([c.rows for c in m.components]), np.arange(m.alphabet.size)
+    elif isinstance(m, PartitionedKernelMixture):
+        rows, state = m.kernels, m.cell_index_array - 1
+    else:
+        raise TypeError(f"{type(m).__name__} is not a mixture of symbol chains")
+    return m.weights.weights, rows, state, getattr(m, "y0", None)
 
-    Each component extends its frontier left to right, dropping exact zeros
-    after every step; an extension that would take the entries held (the terms
-    of the components done, kept until the merge, and the new frontier) past
-    ``budget`` is refused. The terms then accumulate in component order as
-    ``0.0 + mu_h t_h``, the floats a sum of full tables gives.
+
+def _chain_mixture_law(m, N: int, budget) -> FiniteLaw:
+    """Law of ``sum_h mu_h first_h[s_1] chain_h[s_1, s_2] ... chain_h[s_{n-1}, s_n]`` over
+    the strings of ``N + (y0 is None)`` symbols, where ``chain_h = rows[h, state]`` and
+    ``first_h`` is the row of ``y0`` (row 0 if none) in :func:`symbol_chains`.
+
+    The budget is checked first, on each step's live prefixes counted as walks on
+    the supports ``rows != 0``: the frontier sizes, unless a product underflows
+    to 0. A step is refused if the entries held (the terms of the components done,
+    kept until the merge, and the new frontier) would pass ``budget``. Each
+    component then extends its frontier, dropping exact zeros after every step,
+    and the terms accumulate as ``0.0 + mu_h t_h``, the floats of full tables.
     """
-    k = alphabet.size
-    terms, held = [], 0
-    for first, P in zip(firsts, rows):
+    weights, rows, state, y0 = symbol_chains(require_valid(m))
+    k, length = m.alphabet.size, N + (y0 is None)
+    budget = _check_law_input(m, N, length, budget)
+    firsts = rows[:, 0 if y0 is None else state[m.alphabet.emit_index(y0)]]
+    held, terms = 0, []
+    for first, support in zip(firsts != 0.0, rows != 0.0):
+        # live prefixes by last symbol: at most K**length, which fits uint64 (rank_dtype)
+        count = first.astype(np.uint64)
+        for n in range(1, length):
+            _check_frontier(held + int(count.sum()) * k, n + 1, budget)
+            by_row = np.zeros(len(support), np.uint64)
+            np.add.at(by_row, state, count)
+            count = by_row @ support
+        held += int(count.sum())
+    for first, R in zip(firsts, rows):
         ranks, vals = _prune(first != 0.0, np.arange(k), first)
         for n in range(1, length):
-            _check_frontier(held + ranks.size * k, n + 1, budget)
-            if ranks.size == k ** n:   # every prefix live: row z of P extends every k-th value
+            if ranks.size == k ** n:   # every prefix live: chain row z extends every k-th value
+                P = np.broadcast_to(R, (k, k)) if len(R) == 1 else R[state]
                 vals = (vals.reshape(-1, k)[:, :, None] * P).ravel()
             else:
-                vals = (vals[:, None] * np.take(P, ranks % k, axis=0)).ravel()
+                vals = (vals[:, None] * R[state[ranks % k]]).ravel()
             ranks, vals = _prune(vals != 0.0, _extend(ranks, k), vals)
         terms.append((ranks, vals))
-        held += ranks.size
     full = [ranks for ranks, _ in terms if ranks.size == k ** length]   # already the union
     live = full[0] if full else rank_union(*(ranks for ranks, _ in terms))
     acc = np.zeros(live.size)
@@ -675,26 +705,17 @@ def _chain_mixture_law(alphabet: Alphabet, length: int, weights, firsts, rows,
             acc += mu * vals
         else:
             acc[np.searchsorted(live, ranks)] += mu * vals
-    return FiniteLaw.from_ranks(alphabet, length, live, acc)
+    return FiniteLaw.from_ranks(m.alphabet, length, live, acc)
 
 
 def iid_mixture_law(m: IIDMixtureModel, N: int, budget=None) -> FiniteLaw:
     """Exact law of ``(Y_0, ..., Y_N)``: ``sum_h mu_h prod_n p_h(y_n)``."""
-    k = m.alphabet.size
-    budget = _check_law_input(m, N, N + 1, budget)
-    ps = [c.weights for c in m.components]
-    return _chain_mixture_law(m.alphabet, N + 1, m.weights.weights, ps,
-                              [np.broadcast_to(p, (k, k)) for p in ps], budget)
+    return _chain_mixture_law(m, N, budget)
 
 
 def markov_mixture_law(m: MarkovMixtureModel, N: int, budget=None) -> FiniteLaw:
-    """Exact law of ``(Y_1, ..., Y_N)`` given ``Y_0 = y0``:
-    ``sum_h mu_h P^h[y0,y1] P^h[y1,y2] ... P^h[y_{N-1},yN]``."""
-    budget = _check_law_input(m, N, N, budget)
-    y0 = m.alphabet.emit_index(m.y0)
-    return _chain_mixture_law(m.alphabet, N, m.weights.weights,
-                              [c.rows[y0] for c in m.components],
-                              [c.rows for c in m.components], budget)
+    """Exact law of ``(Y_1, ..., Y_N)`` given ``Y_0 = y0``: ``sum_h mu_h prod P^h[y_{n-1},y_n]``."""
+    return _chain_mixture_law(m, N, budget)
 
 
 def hmm_law(m: HMMModel, N: int, budget=None) -> FiniteLaw:
@@ -707,7 +728,7 @@ def hmm_law(m: HMMModel, N: int, budget=None) -> FiniteLaw:
     smaller matrix product a few ulp differently, never changing the live strings.
     """
     k, X, L = m.alphabet.size, m.n_hidden, N + 1
-    budget = _check_law_input(m, N, L, budget, per_string=X)
+    budget = _check_law_input(require_valid(m), N, L, budget, per_string=X)
     f = m.readout                              # (X, K)
     ranks = np.arange(k)
     alphas = (m.pi.weights[:, None] * f).T     # (K, X): row y = pi * f[:, y]
@@ -724,16 +745,10 @@ def hmm_law(m: HMMModel, N: int, budget=None) -> FiniteLaw:
 
 
 def partitioned_mixture_law(m: PartitionedKernelMixture, N: int, budget=None) -> FiniteLaw:
-    """Exact law of ``(Y_1, ..., Y_N)`` given ``Y_0 = y0`` for cell-indexed kernels.
-
-    The cell index of each ``y_n`` is determined by the partition, so the sum
-    over cell paths collapses: each string carries exactly the product
-    ``mu_h t_h(1, y_1) t_h(j_1, y_2) ... t_h(j_{N-1}, y_N)`` with ``j_n = cell(y_n)``.
-    """
-    budget = _check_law_input(m, N, N, budget)
-    # the first step uses cell(y0) = 1; row z of the symbol chain is t_h(cell(z), .)
-    return _chain_mixture_law(m.alphabet, N, m.weights.weights, m.kernels[:, 0],
-                              m.kernels[:, m.cell_index_array - 1], budget)
+    """Exact law of ``(Y_1, ..., Y_N)`` given ``Y_0 = y0`` for cell-indexed kernels: the cells
+    follow the symbols, so the sum over cell paths collapses to the one product
+    ``mu_h t_h(1, y_1) t_h(j_1, y_2) ... t_h(j_{N-1}, y_N)`` with ``j_n = cell(y_n)``."""
+    return _chain_mixture_law(m, N, budget)
 
 
 # law functions by name, looked up when called: a rebound one (a wrapper, a mock) is called

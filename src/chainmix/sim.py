@@ -9,13 +9,14 @@ so trajectories are a pure function of ``(model, length, seed, stream)``.
 Each draw's outcome, a label's index, goes straight into one code array per
 block of trajectories (:class:`Trajectory` holds codes, not labels).
 
-Every model is sampled as one automaton, and a batch of trajectories advances
-in lockstep: one vectorised lookup (:func:`walk`) takes the next draw of all of
-them. Batches too small for that to pay, such as a single trajectory, take one
-scalar lookup per draw, and i.i.d. components all their draws at once. Each
-trajectory still reads its own stream in the order above, fetched in time
-chunks; Philox draws split across calls equal one call, so a trajectory is the
-same whether it is sampled alone or in a batch of any size.
+Every model is sampled as one automaton, a mixture's built from its symbol
+chains (:func:`chainmix.model_core.symbol_chains`), and a batch of trajectories
+advances in lockstep: one vectorised lookup (:func:`walk`) takes the next draw
+of all of them. Batches too small for that to pay, such as a single trajectory,
+take one scalar lookup per draw, and i.i.d. components (one row each) all their
+draws at once. Each trajectory still reads its own stream in the order above,
+fetched in time chunks; Philox draws split across calls equal one call, so a
+trajectory is the same whether it is sampled alone or in a batch of any size.
 """
 
 from __future__ import annotations
@@ -27,15 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model_core import (
-    Alphabet,
-    FiniteLaw,
-    HMMModel,
-    IIDMixtureModel,
-    MarkovMixtureModel,
-    PartitionedKernelMixture,
-    require_valid,
-)
+from .model_core import Alphabet, FiniteLaw, HMMModel, require_valid, symbol_chains
 
 STREAMS_PER_BLOCK = 1024   # trajectories advanced together
 DRAWS_PER_CHUNK = 1 << 15  # uniforms held in memory at once
@@ -184,7 +177,7 @@ def walk(cum: np.ndarray, nxt: np.ndarray, row: np.ndarray, us: np.ndarray):
 
 
 def _automaton(model):
-    """The per-class dispatch of sampling: ``(cum, nxt, start, lead, stride, first)``.
+    """The automaton that samples ``model``: ``(cum, nxt, start, lead, stride, first)``.
 
     From row ``start``, ``lead`` draws pick the mixture component; then every
     time step takes ``stride`` draws, the symbol or, for HMMs, the hidden state
@@ -200,29 +193,17 @@ def _automaton(model):
         return cum, nxt, X, 0, 2, None
     # mixtures: row h * S + s draws the next symbol of component h in state s,
     # and row H * S (start) draws the component
-    K = model.alphabet.size
-    if isinstance(model, IIDMixtureModel):
-        rows = [c.weights for c in model.components]
-        state, s0, first = np.zeros(K, dtype=np.intp), 0, None
-    elif isinstance(model, MarkovMixtureModel):
-        rows = [r for c in model.components for r in c.rows]
-        state, s0, first = np.arange(K), model.alphabet.emit_index(model.y0), model.y0
-    elif isinstance(model, PartitionedKernelMixture):
-        rows = [r for k in model.kernels for r in k]
-        state = model.cell_index_array - 1
-        s0, first = model.partition.cell_index_of(model.y0) - 1, model.y0
-    else:
-        raise TypeError(f"cannot sample from {type(model).__name__}")
-    H = len(model.weights.weights)
-    S = len(rows) // H
-    cum = cdf_table([*rows, model.weights.weights])
+    weights, rows, state, y0 = symbol_chains(model)
+    H, S, K = rows.shape
+    s0 = 0 if y0 is None else state[model.alphabet.emit_index(y0)]
+    cum = cdf_table([*rows.reshape(H * S, K), weights])
     nxt = np.zeros(cum.shape, dtype=np.intp)
     # padding columns, never drawn, stay in the component, so that an i.i.d.
     # component's row maps every column to itself
     nxt[:H * S] = np.repeat(np.arange(H) * S, S)[:, None]
     nxt[:H * S, :K] += state
     nxt[H * S, :H] = np.arange(H) * S + s0
-    return cum, nxt, H * S, 1, 1, first
+    return cum, nxt, H * S, 1, 1, y0
 
 
 def _sample_streams(model, length, srcs, trace_hidden) -> list[Trajectory]:

@@ -79,11 +79,13 @@ def extract_partitioned(t: Trajectory, partition: Partition) -> SuccessorsArray:
     """Successors array keyed by 1-based cell index; singleton cells reproduce extract."""
     if len(t) < 2:
         raise ValueError("successors extraction needs a trajectory of length >= 2")
-    rows: dict = {j: [] for j in range(1, partition.n_cells + 1)}
-    try:
-        for i in range(len(t) - 1):
-            rows[partition.cell_index_of(t.symbols[i])].append(t.symbols[i + 1])
-        partition.cell_index_of(t.symbols[-1])   # final symbol must belong too
-    except KeyError as exc:
-        raise ValueError(str(exc)) from None
-    return SuccessorsArray({k: tuple(v) for k, v in rows.items()}, len(t))
+    # cell of each position, 0 outside the partition; labels that do not occur go unchecked
+    cells = partition.cells_of(t.labels)[t.codes]
+    if not cells.all():
+        try:   # the first position outside the partition (argmin: the first 0)
+            partition.cell_index_of(t.labels[t.codes[cells.argmin()]])
+        except KeyError as exc:
+            raise ValueError(str(exc)) from None
+    nxt = np.array(t.labels, dtype=object)[t.codes[1:]]
+    return SuccessorsArray({j: tuple(nxt[cells[:-1] == j].tolist())
+                            for j in range(1, partition.n_cells + 1)}, len(t))

@@ -11,7 +11,9 @@ exact lemma engine must reproduce. The reference Monte Carlo verifier
 enumerates its four families by hand over count tables, so the shared
 instance tables' path counts have an independent check. The graph references
 answer each structural question by its own search, where the library reads
-every answer from one reachability closure.
+every answer from one reachability closure. The in-loop budget law checks its
+budget step by step as it enumerates, where the library counts live prefixes
+from the supports before any enumeration.
 """
 
 from bisect import bisect_right
@@ -196,6 +198,47 @@ def reference_partitioned_mixture_law(m, N):
             t = (t.reshape(-1, k)[:, :, None] * P[None, :, :]).ravel()
         flat += m.weights[h] * t
     return reference_from_flat(m.alphabet, N, flat)
+
+
+def reference_in_loop_budget_law(m, N, budget):
+    """A mixture law that checks the budget inside the enumeration, before each step's
+    extension: the entries held (the terms of the components done) plus the live
+    prefixes times ``K``, refused as soon as they pass ``budget``."""
+    from chainmix.errors import EnumerationBudgetError
+    from chainmix.model_core import FiniteLaw, IIDMixtureModel, MarkovMixtureModel, rank_union
+
+    def check(entries, length):
+        if entries > budget:
+            raise EnumerationBudgetError(f"enumeration needs {entries} entries at length "
+                                         f"{length}, exceeding the budget of {budget}")
+
+    k = m.alphabet.size
+    if isinstance(m, IIDMixtureModel):
+        length, firsts = N + 1, [c.weights for c in m.components]
+        rows = [np.broadcast_to(p, (k, k)) for p in firsts]
+    elif isinstance(m, MarkovMixtureModel):
+        y0 = m.alphabet.emit_index(m.y0)
+        length, firsts, rows = N, [c.rows[y0] for c in m.components], [c.rows for c in m.components]
+    else:
+        length, firsts, rows = N, m.kernels[:, 0], m.kernels[:, m.cell_index_array - 1]
+    check(k, 1)
+    terms, held = [], 0
+    for first, P in zip(firsts, rows):
+        live = first != 0.0
+        ranks, vals = np.arange(k)[live], first[live]
+        for n in range(1, length):
+            check(held + ranks.size * k, n + 1)
+            vals = (vals[:, None] * P[ranks % k]).ravel()
+            ranks = ((ranks * k)[:, None] + np.arange(k)).ravel()
+            live = vals != 0.0
+            ranks, vals = ranks[live], vals[live]
+        terms.append((ranks, vals))
+        held += ranks.size
+    union = rank_union(*(ranks for ranks, _ in terms))
+    acc = np.zeros(union.size)
+    for mu, (ranks, vals) in zip(m.weights.weights, terms):
+        acc[np.searchsorted(union, ranks)] += mu * vals
+    return FiniteLaw.from_ranks(m.alphabet, length, union, acc)
 
 
 def law_to_dict(law):
@@ -539,6 +582,20 @@ def reference_extract(t, alphabet=None):
         if s not in rows:
             raise ValueError(f"trajectory symbol {s!r} is not in the given alphabet")
         rows[s].append(t.symbols[i + 1])
+    return SuccessorsArray({k: tuple(v) for k, v in rows.items()}, len(t))
+
+
+def reference_extract_partitioned(t, partition):
+    """Cell-keyed successors array by one append per position, the final symbol checked."""
+    from chainmix.successors import SuccessorsArray
+
+    rows: dict = {j: [] for j in range(1, partition.n_cells + 1)}
+    try:
+        for i in range(len(t) - 1):
+            rows[partition.cell_index_of(t.symbols[i])].append(t.symbols[i + 1])
+        partition.cell_index_of(t.symbols[-1])   # final symbol must belong too
+    except KeyError as exc:
+        raise ValueError(str(exc)) from None
     return SuccessorsArray({k: tuple(v) for k, v in rows.items()}, len(t))
 
 

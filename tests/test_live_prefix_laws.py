@@ -191,17 +191,64 @@ def test_budget_counts_live_entries(capsys):
         markov_mixture_law(m, 30, budget=2)
 
 
-@pytest.mark.parametrize("model", ["noisy_hmm.json", "separated_mixture.json"])
+def wide_iid_mixture(k=3000):
+    ab = Alphabet.of([f"s{i}" for i in range(k)])
+    return IIDMixtureModel(ab, Distribution([0.5, 0.5]), (Distribution(np.full(k, 1 / k)),) * 2)
+
+
+@pytest.mark.parametrize("model", ["noisy_hmm.json", "separated_mixture.json", "wide_iid"])
 def test_refused_dense_law_stays_within_the_budget(model):
     # every string is live: the table at horizon 40 has 2**41 (hmm) or 2**40 strings;
-    # a step holds at most ``budget`` ranks and values besides the frontier it extends
+    # a step holds at most ``budget`` ranks and values besides the frontier it extends.
+    # The wide i.i.d. mixture is refused at its second symbol (3000**2 entries): nothing
+    # the size of a K x K chain may be built before that
     budget = 2 ** 18
-    m = load_model(MODELS / model)
+    m, N = (wide_iid_mixture(), 1) if model == "wide_iid" else (load_model(MODELS / model), 40)
     tracemalloc.start()
     try:
         with pytest.raises(EnumerationBudgetError, match="exceeding the budget of 262144"):
-            model_law(m, 40, budget)
+            model_law(m, N, budget)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 4 * 8 * budget
+
+
+def law_or_refusal(law, m, N, budget):
+    try:
+        return law(m, N, budget)
+    except EnumerationBudgetError as exc:
+        return str(exc)
+
+
+@given(st.sampled_from(sorted(LAW_BODIES)), st.integers(1, 4), st.integers(1, 3),
+       st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_budget_refusals_equal_the_in_loop_checks(kind, k, h, N, seed):
+    # the budget is checked up front from the supports; its refusals and messages
+    # must be the ones the checks inside the enumeration give, near the budget
+    r = np.random.default_rng(seed)
+    m = random_mixture(kind, r, k, h)
+    lo, hi = 0, h * k ** (N + 1)            # hi is enough for any step
+    while hi - lo > 1:                      # the least budget the in-loop checks accept
+        mid = (lo + hi) // 2
+        refused = isinstance(law_or_refusal(oracles.reference_in_loop_budget_law, m, N, mid), str)
+        lo, hi = (mid, hi) if refused else (lo, mid)
+    for budget in (hi - 1, hi, int(r.integers(1, hi + 1))):
+        got = law_or_refusal(LAW_BODIES[kind][0], m, N, budget)
+        want = law_or_refusal(oracles.reference_in_loop_budget_law, m, N, budget)
+        assert type(got) is type(want) and got == want
+
+
+def test_refused_mixture_law_does_no_work():
+    # the two_cell horizon-12 law needs 20,971,520 entries at length 11 against the
+    # default budget; the refusal comes before any frontier is built
+    m = load_model(MODELS / "two_cell_partitioned.json")
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationBudgetError, match="needs 20971520 entries at length 11"):
+            partitioned_mixture_law(m, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20

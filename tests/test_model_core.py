@@ -13,7 +13,7 @@ from conftest import (
     rng,
 )
 from chainmix.errors import EnumerationBudgetError
-from chainmix import model_core
+from chainmix import model_core, sim
 from chainmix.exact_law import laws_equal, lift_with_prefix, marginalize_last
 from chainmix.model_core import (
     Alphabet,
@@ -31,6 +31,7 @@ from chainmix.model_core import (
     partitioned_mixture_law,
     validate_model,
 )
+from chainmix.sim import RandomSource, sample_many
 
 
 def ab():
@@ -244,7 +245,15 @@ def test_partitioned_singleton_cells_equals_markov():
         Alphabet.of(symbols), "a", weights,
         tuple(StochasticMatrix(kernels[i], tuple(symbols)) for i in range(h)))
     for n in (1, 2, 3):
-        assert laws_equal(partitioned_mixture_law(pm, n), markov_mixture_law(mm, n), 1e-12)
+        assert partitioned_mixture_law(pm, n) == markov_mixture_law(mm, n)
+    src = RandomSource(105)
+    assert sample_many(pm, 30, 40, src) == sample_many(mm, 30, 40, src)
+    # an i.i.d. component is one row that never moves, so walk takes all its draws at once
+    im = IIDMixtureModel(Alphabet.of(symbols), weights,
+                         tuple(Distribution(p) for p in kernels[:, 0]))
+    cum, nxt, start, *_ = sim._automaton(im)
+    assert cum.shape[0] == start + 1 == h + 1
+    assert (nxt[:h] == np.arange(h)[:, None]).all()
 
 
 def test_partitioned_single_component_is_cell_chain():

@@ -340,3 +340,9 @@ def test_lockstep_matches_reference_beyond_block_and_chunk(length, count, per_co
             got = sample_many(m, length, count, src, trace)
         for i, t in enumerate(got):
             assert (t.symbols, t.hidden) == reference_sample(m, length, src.derive(i), trace)
+
+
+def test_sampling_a_model_without_symbol_chains_is_a_type_error():
+    m = StochasticMatrix(np.full((2, 2), 0.5), ("a", "b"))
+    with pytest.raises(TypeError, match="StochasticMatrix is not a mixture of symbol chains"):
+        sample(m, 5, RandomSource(0))

@@ -120,3 +120,29 @@ def test_extract_matches_reference(k, codes, explicit):
     assert list(got.rows) == list(want.rows)
     keys = list(want.rows)
     assert got.pair_counts.tolist() == [[row.count(s) for s in keys] for row in want.rows.values()]
+
+
+@given(st.integers(1, 6), st.lists(st.integers(0, 5), min_size=2, max_size=200),
+       st.lists(st.integers(0, 3), min_size=6, max_size=6), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_extract_partitioned_matches_reference(k, codes, cell_of, shared_labels):
+    # cell_of[i] is the cell of "abcdef"[i], 0 for none; with shared_labels the
+    # trajectory's label map also holds labels that do not occur in it, as when
+    # read_trajectories shares one map across a file
+    symbols = tuple("abcdef"[c % k] for c in codes)
+    cells = tuple(c for c in (tuple(s for s, j in zip("abcdef", cell_of) if j == i)
+                              for i in (1, 2, 3)) if c)
+    partition = Partition(cells or (("z",),))
+    t = Trajectory(symbols)
+    if shared_labels:
+        index = {s: i for i, s in enumerate("fedcba")}
+        t = Trajectory(np.array([index[s] for s in symbols]), labels="fedcba")
+    try:
+        want = oracles.reference_extract_partitioned(t, partition)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            extract_partitioned(t, partition)
+        assert str(got.value) == str(exc)
+        return
+    got = extract_partitioned(t, partition)
+    assert got == want and list(got.rows) == list(want.rows)
