@@ -110,23 +110,14 @@ def cmd_law(args, cfg: RunConfig) -> int:
 
 def _law_json_blocks(law):
     """``_emit_json({"length": ..., "entries": [[labels, p], ...]})`` of a law of length
-    at least 1, written ``BLOCK`` entries at a time from its rank arrays: each symbol
+    at least 1, written ``BLOCK`` entries at a time by ``law.text_blocks``: each symbol
     as ``json.dumps`` writes it and each probability by ``repr``, as ``json.dumps``
-    writes a float. A block's labels are built one symbol position at a time."""
-    k, n = law.alphabet.size, law.length
-    first = np.array([json.dumps(s) for s in law.alphabet.emittable], dtype=object)
-    rest = ",\n        " + first
-    entry = "\n    [\n      [\n        %s\n      ],\n      %r\n    ]"
+    writes a float. Every entry opens with a comma, dropped from the first."""
+    entry = ",\n    [\n      [\n        %s\n      ],\n      %r\n    ]"
     yield '{\n  "entries": ['
-    for i in range(0, law.ranks.size, model_core.BLOCK):
-        digits = model_core.rank_digits(law.ranks[i:i + model_core.BLOCK], k, n)
-        labels = first[digits[:, 0]]
-        for j in range(1, n):
-            labels = labels + rest[digits[:, j]]
-        cells = np.empty(2 * len(labels), dtype=object)
-        cells[0::2], cells[1::2] = labels, law.probs[i:i + model_core.BLOCK].tolist()
-        yield ("," if i else "") + ",".join([entry] * len(labels)) % tuple(cells)
-    yield ("\n  ]" if law.ranks.size else "]") + f',\n  "length": {n}\n}}\n'
+    for i, block in enumerate(law.text_blocks(entry, json.dumps, ",\n        ")):
+        yield block if i else block[1:]
+    yield ("\n  ]" if law.ranks.size else "]") + f',\n  "length": {law.length}\n}}\n'
 
 
 def cmd_compare(args, cfg: RunConfig) -> int:

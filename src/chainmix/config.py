@@ -8,7 +8,6 @@ being scattered as magic numbers.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
 from .errors import ModelFormatError
@@ -17,7 +16,6 @@ from .errors import ModelFormatError
 @dataclass(frozen=True)
 class RunConfig:
     tol_exact: float = 1e-12      # algebraic identities (law equalities, round trips)
-    tol_sum: float = 1e-9         # rounding budget for enumerated probability tables
     enum_budget: int = 20_000_000  # max law-step entries (live prefixes x values), paths,
                                    # or hitting-lemma rows x (N + 1) x pairs x horizon
     min_row_count: int = 100      # minimum visits before a successors row is estimated
@@ -29,24 +27,20 @@ class RunConfig:
 
 DEFAULT = RunConfig()
 
-_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-
 
 def load_config(path) -> RunConfig:
     """Read a RunConfig from a JSON file; unknown keys are rejected."""
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"config {path}: not valid JSON ({exc})") from exc
+    from .model_io import read_json     # late import: model_io builds on this module
+
+    raw = read_json(path, f"config {path}")
     if not isinstance(raw, dict):
         raise ModelFormatError(f"config {path}: top level must be an object")
-    unknown = sorted(set(raw) - set(_FIELDS))
+    unknown = sorted(set(raw) - set(dataclasses.asdict(DEFAULT)))
     if unknown:
         raise ModelFormatError(f"config {path}: unknown keys {unknown}")
     kwargs = {}
     for key, value in raw.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ModelFormatError(f"config {path}: {key} must be a number")
-        kwargs[key] = int(value) if key in ("enum_budget", "min_row_count", "mc_samples") else float(value)
+        kwargs[key] = type(getattr(DEFAULT, key))(value)     # int or float, as the default
     return RunConfig(**kwargs)

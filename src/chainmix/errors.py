@@ -67,3 +67,7 @@ class RowTooShortError(ChainmixError):
 
 class TruncationError(ChainmixError):
     """Stopping times are not realized within the enumeration horizon."""
+
+
+class UnsupportedModelError(ChainmixError, TypeError):
+    """An operation does not apply to this model type (also a ``TypeError``)."""

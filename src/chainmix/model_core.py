@@ -36,7 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from .config import DEFAULT
-from .errors import EnumerationBudgetError, InvalidModelError, ModelFormatError
+from .errors import (EnumerationBudgetError, InvalidModelError, ModelFormatError,
+                     UnsupportedModelError)
 
 DELTA = "@del"            # reserved fictitious symbol, always alphabet index 0
 SUM_TOL = 1e-12           # distribution / stochastic-row sum tolerance
@@ -352,32 +353,35 @@ class FiniteLaw:
             digits = rank_digits(self.ranks[i:i + BLOCK], self.alphabet.size, self.length)
             yield from zip(zip(*em[digits].T.tolist()), self.probs[i:i + BLOCK].tolist())
 
-    def text_blocks(self):
-        """Yield the live entries as text lines, ``BLOCK`` at a time and in alphabet order:
-        the symbols joined by spaces, then the probability as ``%.17g``.
+    def text_blocks(self, line: str = "%s %.17g\n", spell=str, joiner: str = " "):
+        """Yield the live entries as text, ``BLOCK`` at a time and in alphabet order:
+        ``line % (labels, probability)`` per entry, the labels being each symbol's
+        ``spell`` joined by ``joiner``. The defaults give the ``law`` lines; ``law
+        --json`` passes its entry template, ``json.dumps`` and its own joiner.
 
         The labels of the last ``m`` symbols come from one table (the largest ``m``
         with ``K**m <= BLOCK``); the rest of a rank is a prefix, decoded and joined
         once per run of equal prefixes. Each block is one ``%`` call, labels passed
-        as arguments (a label may contain ``%``).
+        as arguments (a label may contain ``%``), and only its own labels are alive.
         """
-        k, em, m = self.alphabet.size, np.array(self.alphabet.emittable, dtype=object), 0
+        k, m = self.alphabet.size, 0
+        em = np.array([spell(s) for s in self.alphabet.emittable], dtype=object)
         while m < self.length and k ** (m + 1) <= BLOCK:
             m += 1
-        sep = " " if 0 < m < self.length else ""
-        suffixes = np.array([sep + " ".join(s) for s in
+        sep = joiner if 0 < m < self.length else ""
+        suffixes = np.array([sep + joiner.join(s) for s in
                              em[rank_digits(np.arange(k ** m), k, m)].tolist()], dtype=object)
         for i in range(0, self.ranks.size, BLOCK):
             ranks = self.ranks[i:i + BLOCK]
             prefixes, rest = ranks // k ** m, (ranks % k ** m).astype(np.int64)
             starts = np.flatnonzero(np.r_[True, prefixes[1:] != prefixes[:-1]])
-            heads = [" ".join(s) for s in
+            heads = [joiner.join(s) for s in
                      em[rank_digits(prefixes[starts], k, self.length - m)].tolist()]
             cells = np.empty(2 * ranks.size, dtype=object)
             cells[0::2] = np.repeat(np.array(heads, dtype=object),
                                     np.diff(np.r_[starts, ranks.size])) + suffixes[rest]
             cells[1::2] = self.probs[i:i + BLOCK]
-            yield ("%s %.17g\n" * ranks.size) % tuple(cells)
+            yield (line * ranks.size) % tuple(cells)
 
 
 def rank_dtype(k: int, length: int):
@@ -454,11 +458,12 @@ def _check_distribution(w: np.ndarray, name: str, strictly_positive=False) -> li
     out = []
     if w.ndim != 1:
         return [f"{name}: not a vector"]
-    if np.any(w < 0):
-        bad = int(np.argmin(w))
-        out.append(f"{name}: weight {bad} is negative ({w[bad]:g})")
+    if not np.all(w >= 0):                 # a NaN fails this too
+        bad = int(np.argmin(w))            # the first NaN, if any
+        what = "NaN" if np.isnan(w[bad]) else f"negative ({w[bad]:g})"
+        out.append(f"{name}: weight {bad} is {what}")
     s = float(w.sum())
-    if abs(s - 1.0) > SUM_TOL:
+    if not abs(s - 1.0) <= SUM_TOL:
         out.append(f"{name}: sums to {s:.12g}")
     if strictly_positive and np.any(w <= 0):
         bad = int(np.argmin(w))
@@ -473,10 +478,11 @@ def _check_matrix(m: StochasticMatrix, name: str) -> list[str]:
     if len(m.labels) != m.rows.shape[0]:
         out.append(f"{name}: {len(m.labels)} labels for {m.rows.shape[0]} states")
     for i, row in enumerate(m.rows):
-        if np.any(row < 0):
-            out.append(f"{name}: row {i} has a negative entry")
+        if not np.all(row >= 0):
+            what = "NaN" if np.isnan(row).any() else "negative"
+            out.append(f"{name}: row {i} has a {what} entry")
         s = float(row.sum())
-        if abs(s - 1.0) > SUM_TOL:
+        if not abs(s - 1.0) <= SUM_TOL:
             out.append(f"{name}: row {i} sums to {s:.12g}")
     return out
 
@@ -657,7 +663,7 @@ def symbol_chains(m) -> tuple:
     elif isinstance(m, PartitionedKernelMixture):
         rows, state = m.kernels, m.cell_index_array - 1
     else:
-        raise TypeError(f"{type(m).__name__} is not a mixture of symbol chains")
+        raise UnsupportedModelError(f"{type(m).__name__} is not a mixture of symbol chains")
     return m.weights.weights, rows, state, getattr(m, "y0", None)
 
 

@@ -6,7 +6,10 @@ auxiliary ``"stochastic_matrix"``) and fields mirroring the model dataclasses.
 Arrays are row-major nested lists; symbol labels are strings; the fictitious
 symbol is spelled ``@del`` and is implicit: it may not appear among a file's
 emittable symbols, and partition files list the real cells ``E_1..E_J`` only.
-The loader rejects unknown fields.
+The loader rejects unknown fields. One reader (:func:`read_json`) opens and
+parses every JSON input, config files included. ``_SCHEMAS`` lists each type's
+class and fields in file order; the key check and :func:`model_to_dict` both
+read it, the writer taking each field from the model attribute of that name.
 
 Trajectory files hold one trajectory per line as whitespace-separated symbols.
 A line ``# hidden: x0 x1 ...`` attaches a hidden trace to the preceding
@@ -36,17 +39,30 @@ from .model_core import (
 )
 from .sim import Trajectory, encode
 
-_SCHEMAS = {
-    "hmm": {"type", "alphabet", "hidden_states", "pi", "P", "readout"},
-    "markov_mixture": {"type", "alphabet", "y0", "weights", "components"},
-    "iid_mixture": {"type", "alphabet", "weights", "components"},
-    "partitioned_kernel_mixture": {"type", "alphabet", "partition", "y0", "weights", "kernels"},
-    "stochastic_matrix": {"type", "labels", "rows"},
+_SCHEMAS = {     # each type's class and its fields after "type", in the order a file lists them
+    "hmm": (HMMModel, ("alphabet", "hidden_states", "pi", "P", "readout")),
+    "markov_mixture": (MarkovMixtureModel, ("alphabet", "y0", "weights", "components")),
+    "iid_mixture": (IIDMixtureModel, ("alphabet", "weights", "components")),
+    "partitioned_kernel_mixture": (PartitionedKernelMixture,
+                                   ("alphabet", "partition", "y0", "weights", "kernels")),
+    "stochastic_matrix": (StochasticMatrix, ("labels", "rows")),
 }
+_DATA = {Alphabet: "emittable", Distribution: "weights", StochasticMatrix: "rows",
+         Partition: "cells"}    # the attribute a field of this type is written as
+
+
+def read_json(path, where=None):
+    """The parsed JSON of a model, partition or config file; malformed JSON is a
+    :class:`ModelFormatError` naming ``where`` (default: the path)."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ModelFormatError(f"{where or path}: not valid JSON ({exc})") from exc
 
 
 def _check_keys(raw: dict, kind: str, where: str) -> None:
-    expected = _SCHEMAS[kind]
+    expected = {"type", *_SCHEMAS[kind][1]}
     unknown = sorted(set(raw) - expected)
     if unknown:
         raise ModelFormatError(f"{where}: unknown fields {unknown} for type {kind!r}")
@@ -75,6 +91,14 @@ def _alphabet(raw, where: str) -> Alphabet:
     if len(set(raw)) != len(raw):
         raise ModelFormatError(f"{where}: alphabet labels are not unique")
     return Alphabet.of(raw)
+
+
+def _partition(cells, name: str, where: str) -> Partition:
+    if (not isinstance(cells, list)
+            or not all(isinstance(c, list) and all(isinstance(s, str) for s in c)
+                       for c in cells)):
+        raise ModelFormatError(f"{where}: {name} must be a list of symbol lists")
+    return Partition(cells)
 
 
 def _array(raw, shape_hint: str, where: str) -> np.ndarray:
@@ -134,12 +158,7 @@ def model_from_dict(raw: dict, where: str = "model"):
         return IIDMixtureModel(alphabet, Distribution(w),
                                tuple(Distribution(c) for c in comps))
     # partitioned_kernel_mixture
-    cells = raw["partition"]
-    if (not isinstance(cells, list)
-            or not all(isinstance(c, list) and all(isinstance(s, str) for s in c)
-                       for c in cells)):
-        raise ModelFormatError(f"{where}: partition must be a list of symbol lists")
-    partition = Partition(tuple(tuple(c) for c in cells))
+    partition = _partition(raw["partition"], "partition", where)
     w = _array(raw["weights"], "weights", where)
     kernels = _array(raw["kernels"], "kernels", where)
     if kernels.ndim != 3 or kernels.shape != (w.shape[0], partition.n_cells, k):
@@ -150,39 +169,24 @@ def model_from_dict(raw: dict, where: str = "model"):
                                     kernels, str(raw["y0"]))
 
 
+def _plain(value):
+    """A model field as JSON data: tuples and arrays as lists, the types in ``_DATA``
+    as their data, strings as they are."""
+    value = getattr(value, _DATA[type(value)]) if type(value) in _DATA else value
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def model_to_dict(model) -> dict:
-    if isinstance(model, StochasticMatrix):
-        return {"type": "stochastic_matrix", "labels": list(model.labels),
-                "rows": model.rows.tolist()}
-    if isinstance(model, HMMModel):
-        return {"type": "hmm", "alphabet": list(model.alphabet.emittable),
-                "hidden_states": list(model.hidden_states),
-                "pi": model.pi.weights.tolist(), "P": model.P.rows.tolist(),
-                "readout": model.readout.tolist()}
-    if isinstance(model, MarkovMixtureModel):
-        return {"type": "markov_mixture", "alphabet": list(model.alphabet.emittable),
-                "y0": model.y0, "weights": model.weights.weights.tolist(),
-                "components": [c.rows.tolist() for c in model.components]}
-    if isinstance(model, IIDMixtureModel):
-        return {"type": "iid_mixture", "alphabet": list(model.alphabet.emittable),
-                "weights": model.weights.weights.tolist(),
-                "components": [c.weights.tolist() for c in model.components]}
-    if isinstance(model, PartitionedKernelMixture):
-        return {"type": "partitioned_kernel_mixture",
-                "alphabet": list(model.alphabet.emittable),
-                "partition": [list(c) for c in model.partition.cells],
-                "y0": model.y0, "weights": model.weights.weights.tolist(),
-                "kernels": model.kernels.tolist()}
+    for kind, (cls, fields) in _SCHEMAS.items():
+        if type(model) is cls:
+            return {"type": kind, **{f: _plain(getattr(model, f)) for f in fields}}
     raise TypeError(f"cannot serialize {type(model).__name__}")
 
 
 def load_model(path):
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
-    return model_from_dict(raw, where=str(path))
+    return model_from_dict(read_json(path), where=str(path))
 
 
 def save_model(model, path) -> None:
@@ -192,19 +196,10 @@ def save_model(model, path) -> None:
 
 
 def load_partition(path) -> Partition:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
+    raw = read_json(path)
     if not isinstance(raw, dict) or set(raw) != {"cells"}:
         raise ModelFormatError(f"{path}: partition file must be {{\"cells\": [[...], ...]}}")
-    cells = raw["cells"]
-    if (not isinstance(cells, list)
-            or not all(isinstance(c, list) and all(isinstance(s, str) for s in c)
-                       for c in cells)):
-        raise ModelFormatError(f"{path}: cells must be lists of symbol strings")
-    return Partition(tuple(tuple(c) for c in cells))
+    return _partition(raw["cells"], "cells", str(path))
 
 
 def _encode_words(words: list, index: dict) -> np.ndarray:

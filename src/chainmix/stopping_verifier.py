@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, product as iter_product
 
 import numpy as np
@@ -85,22 +85,16 @@ class JointChain:
         return self.hidden_states[x], self.alphabet.emittable[e]
 
     def mask(self, hidden=None, symbols=None) -> np.ndarray:
-        """0/1 mask over pairs; None means unconstrained on that coordinate."""
-        K = self.n_symbols
-        out = np.ones(self.n_pairs)
-        if hidden is not None:
-            hs = {hidden} if isinstance(hidden, int) else set(hidden)
-            keep = np.zeros(self.n_pairs)
-            for x in hs:
-                keep[x * K:(x + 1) * K] = 1.0
-            out *= keep
-        if symbols is not None:
-            es = {symbols} if isinstance(symbols, int) else set(symbols)
-            keep = np.zeros(self.n_pairs)
-            for e in es:
-                keep[e::K] = 1.0
-            out *= keep
-        return out
+        """0/1 mask over pairs: the outer product of a 0/1 vector over hidden states
+        and one over symbols, each an index, a collection of them, or None (all)."""
+        def keep(chosen, n):
+            if chosen is None:
+                return np.ones(n)
+            out = np.zeros(n)
+            out[[chosen] if isinstance(chosen, int) else list(chosen)] = 1.0
+            return out
+        return np.outer(keep(hidden, len(self.hidden_states)),
+                        keep(symbols, self.n_symbols)).ravel()
 
 
 def as_joint(model) -> JointChain:
@@ -569,59 +563,65 @@ class _MassRequests:
     """The distinct occurrence-mass requests of one check, evaluated together:
     exactly (:meth:`evaluate`) or as sampled path counts (:meth:`count`).
 
-    ``add`` takes per-occurrence constraint lists (``None``: unconstrained; the
-    shifted list is all ``None`` or constrains the final occurrence) and returns
-    the request's row, shared by equal requests."""
+    Each distinct 0/1 mask over pairs has one :meth:`slot` in one mask table, slot 0
+    being all ones (unconstrained). A request is a tuple of slots, one per occurrence,
+    and one for the steps after them or None; :meth:`add` gives its row, shared by
+    equal requests."""
 
     def __init__(self, n_pairs: int):
-        self.ones = np.ones(n_pairs)
-        self.rows: dict = {}        # (N, shifted or not, mask bytes) -> row
+        self.masks = [np.ones(n_pairs)]
+        self.slots = {tuple(range(n_pairs)): 0}     # the pairs a mask keeps -> its slot
+        self.rows: dict = {}                        # (occ, shifted) -> row
 
-    def add(self, occ, shifted) -> int:
-        assert shifted[-1] is not None or all(x is None for x in shifted)
-        lists = [occ] if shifted[-1] is None else [occ, shifted]
-        masks = np.array([[self.ones if x is None else x for x in xs] for xs in lists])
-        return self.rows.setdefault((len(occ), len(lists) == 2, masks.tobytes()), len(self.rows))
+    def slot(self, mask: np.ndarray) -> int:
+        key = tuple(np.flatnonzero(mask).tolist())
+        if key not in self.slots:
+            self.slots[key] = len(self.masks)
+            self.masks.append(mask)
+        return self.slots[key]
+
+    def add(self, occ: tuple, shifted: tuple | None) -> int:
+        return self.rows.setdefault((occ, shifted), len(self.rows))
 
     def evaluate(self, jc: JointChain, A: np.ndarray,
                  horizon: int) -> tuple[list[float], list[float]]:
         """Mass and residual of every row, one propagation per group of requests
         with the same occurrence count and the same use of shifted masks."""
         groups: dict = {}
-        for (N, shifted, blob), row in self.rows.items():
-            groups.setdefault((N, shifted), []).append((row, blob))
+        for (occ, shifted), row in self.rows.items():
+            groups.setdefault((len(occ), shifted is not None), []).append((row, occ, shifted))
+        table = np.array(self.masks)
         mass, residual = np.empty(len(self.rows)), np.empty(len(self.rows))
-        for (N, shifted), group in groups.items():
+        for (_, shifted), group in groups.items():
             for lo in range(0, len(group), MASS_BATCH):
-                rows, blobs = zip(*group[lo:lo + MASS_BATCH])
-                masks = np.frombuffer(b"".join(blobs)).reshape(len(rows), -1, N, len(self.ones))
-                mass[list(rows)], residual[list(rows)] = _occurrence_masses(
-                    jc, A, masks[:, 0], masks[:, 1] if shifted else None, horizon)
+                rows, occ, shift = map(list, zip(*group[lo:lo + MASS_BATCH]))
+                mass[rows], residual[rows] = _occurrence_masses(
+                    jc, A, table[occ], table[shift] if shifted else None, horizon)
         return mass.tolist(), residual.tolist()
 
     def count(self, tables) -> list[int]:
         """Path count of every row; ``tables[N, shifted]`` counts the pairs at (one
         step after) each of the first ``N`` occurrences over the paths realizing them."""
+        table = np.array(self.masks, dtype=np.int64)
         counts = [0] * len(self.rows)
-        for (N, shifted, blob), row in self.rows.items():
-            occ, *shift = np.frombuffer(blob).reshape(-1, N, len(self.ones)).astype(np.int64)
+        for (occ, shifted), row in self.rows.items():
             # a table holds the pairs at or after the occurrences: no request constrains both
-            assert not shift or occ.all()
-            tab = tables[N, shifted]
-            for mk in (shift[0] if shifted else occ)[::-1]:
-                tab = tab @ mk
+            assert shifted is None or not any(occ)
+            tab = tables[len(occ), shifted is not None]
+            for s in reversed(shifted or occ):
+                tab = tab @ table[s]
             counts[row] = int(tab)
         return counts
 
 
-def _instance_checks(table, ratio, allowed, skip_label=lambda label, ratios: label):
-    """Checked instances (an :class:`InstanceTable`) and skipped labels of an
-    instance table, in table order.
+def _instance_checks(table, ratio, skip_label=lambda label, ratios: label):
+    """The checked rows of an instance table and its skipped labels, in table order.
 
     A row is ``(label, lhs, factors, const)``: ratios ``(numerator, denominator)`` of
     request rows, rhs = ``const`` times the factors. ``ratio`` gives ``(value, spread)``
-    or None, which skips the row as ``skip_label(label, ratios)``; the pass bound is
-    ``allowed(lhs spread, sum of factor spreads)``."""
+    or None, which skips the row as ``skip_label(label, ratios)``, in both modes.
+    Returns float64 columns ``(lhs, rhs, gap, lhs spread, sum of factor spreads)``,
+    the checked rows' labels and the skipped labels (see :func:`_lemma_results`)."""
     rows, labels, skipped = [], [], []
     for label, lhs, factors, const in table:
         terms = [ratio(*lhs), *(ratio(*f) for f in factors)]
@@ -633,9 +633,19 @@ def _instance_checks(table, ratio, allowed, skip_label=lambda label, ratios: lab
         for f, s in rest:
             rhs *= f
             spread_r += s
-        rows.append((l, rhs, abs(l - rhs), allowed(spread_l, spread_r)))
+        rows.append((l, rhs, abs(l - rhs), spread_l, spread_r))
         labels.append(label)
-    return InstanceTable.from_rows(rows, labels), tuple(skipped)
+    return np.array(rows, dtype=np.float64).reshape(-1, 5).T, labels, tuple(skipped)
+
+
+def _lemma_results(checks: dict, allowed, residual: float, tol: float) -> tuple:
+    """A result per identity from its :func:`_instance_checks`, the pass bounds being
+    ``allowed(lhs spreads, factor spreads)`` of its spread columns."""
+    results = []
+    for lemma, ((lhs, rhs, gap, spread_l, spread_r), labels, skipped) in checks.items():
+        table = InstanceTable(lhs, rhs, gap, allowed(spread_l, spread_r), labels.__getitem__)
+        results.append(LemmaCheckResult(lemma, table, skipped, residual, tol))
+    return tuple(results)
 
 
 def _pair_options(jc: JointChain, restrict_mask=None):
@@ -680,22 +690,25 @@ def _lemma_tables(m, spec: HittingTimeSpec, N: int | None, horizon: int, budget)
             f"{cost} slot-pair-steps at horizon {horizon}, exceeding the budget of {budget}")
 
     requests = _MassRequests(jc.n_pairs)
-    none = [None] * N
-    requests.add(none, none)        # row 0: the N occurrences, unconstrained
+    none = (0,) * N
+    requests.add(none, None)        # row 0: the N occurrences, unconstrained
 
     def ratio(num_occ, num_shift, den_occ, den_shift):
         return requests.add(num_occ, num_shift), requests.add(den_occ, den_shift)
 
     @cache
-    def omask(opt):
-        """Mask of an (hidden, symbol-set) option; symbol set None: any symbol."""
-        return jc.mask(hidden=opt[0], symbols=opt[1])
+    def omask(opt, on_target=False):
+        """Slot of an (hidden, symbol set or None) option's mask, times A if ``on_target``."""
+        mask = jc.mask(hidden=opt[0], symbols=opt[1])
+        return requests.slot(mask * A if on_target else mask)
+
+    label = cache(partial(_opt_label, jc))
 
     @cache
     def factor(kk, opt):
         """P(pair one step after occurrence kk in opt | its hidden state)."""
-        return ratio([None] * kk, [None] * (kk - 1) + [omask(opt)],
-                     [None] * kk, [None] * (kk - 1) + [omask((opt[0], None))])
+        before = (0,) * (kk - 1)
+        return ratio((0,) * kk, (*before, omask(opt)), (0,) * kk, (*before, omask((opt[0], None))))
 
     tables: dict = {}
 
@@ -703,15 +716,14 @@ def _lemma_tables(m, spec: HittingTimeSpec, N: int | None, horizon: int, budget)
     table = tables["generalized_strong_splitting"] = []
     if N >= 2:
         for cond in iter_product(a_opts, repeat=N - 1):
-            cond_occ = [omask(o) for o in cond] + [None]
-            slice_prev = omask((cond[-1][0], None)) * A
-            rhs_cond = [None] * (N - 2) + [slice_prev, None]
-            cond_lab = " ".join(_opt_label(jc, o) for o in cond)
+            cond_occ = tuple(map(omask, cond))
+            rhs_cond = (0,) * (N - 2) + (omask((cond[-1][0], None), on_target=True),)
+            cond_lab = " ".join(map(label, cond))
             for tgt in a_opts:
-                tmask = omask(tgt) * A
-                table.append((f"occ[{cond_lab}] -> {_opt_label(jc, tgt)}",
-                              ratio(cond_occ[:-1] + [tmask], none, cond_occ, none),
-                              (ratio(rhs_cond[:-1] + [tmask], none, rhs_cond, none),), 1.0))
+                t = omask(tgt, on_target=True)
+                table.append((f"occ[{cond_lab}] -> {label(tgt)}",
+                              ratio((*cond_occ, t), None, (*cond_occ, 0), None),
+                              (ratio((*rhs_cond, t), None, (*rhs_cond, 0), None),), 1.0))
 
     # (2) shifted variant: hidden-state constraints one step after each occurrence.
     # Conditioning uses hidden values only (symbol sets full): constraining the
@@ -722,16 +734,15 @@ def _lemma_tables(m, spec: HittingTimeSpec, N: int | None, horizon: int, budget)
         full = tuple(range(K))
         cond_opts = [(x, full) for x in range(X)]
         tgt_opts = _pair_options(jc) + cond_opts
-        ones = requests.ones
         for cond in iter_product(cond_opts, repeat=N - 1):
-            cond_shift = [omask(o) for o in cond]
-            rhs_shift = [None] * (N - 2) + [omask((cond[-1][0], None))]
-            cond_lab = " ".join(_opt_label(jc, o) for o in cond)
+            cond_shift = tuple(map(omask, cond))
+            rhs_shift = (0,) * (N - 2) + (omask((cond[-1][0], None)),)
+            cond_lab = " ".join(map(label, cond))
             for tgt in tgt_opts:
-                table.append((f"shift[{cond_lab}] -> {_opt_label(jc, tgt)}",
-                              ratio(none, cond_shift + [omask(tgt)], none, cond_shift + [ones]),
-                              (ratio(none, rhs_shift + [omask(tgt)], none, rhs_shift + [ones]),),
-                              1.0))
+                t = omask(tgt)
+                table.append((f"shift[{cond_lab}] -> {label(tgt)}",
+                              ratio(none, (*cond_shift, t), none, (*cond_shift, 0)),
+                              (ratio(none, (*rhs_shift, t), none, (*rhs_shift, 0)),), 1.0))
 
     # (3) read-out one step after the n-th hitting time equals the read-out row
     table = tables["readout_at_stopping_time"] = []
@@ -751,9 +762,9 @@ def _lemma_tables(m, spec: HittingTimeSpec, N: int | None, horizon: int, budget)
     # models are chosen within the exact scope.
     table = tables["conditional_independence_product"] = []
     for combo in iter_product(_pair_options(jc), repeat=N):
-        table.append(("prod[" + " ".join(_opt_label(jc, o) for o in combo) + "]",
-                      ratio(none, [omask(o) for o in combo],
-                            none, [omask((o[0], None)) for o in combo]),
+        table.append(("prod[" + " ".join(map(label, combo)) + "]",
+                      ratio(none, tuple(map(omask, combo)),
+                            none, tuple(omask((o[0], None)) for o in combo)),
                       tuple(factor(kk + 1, o) for kk, o in enumerate(combo)), 1.0))
     return jc, A, N, requests, tables
 
@@ -788,9 +799,8 @@ def check_hitting_time_lemmas(m, spec: HittingTimeSpec, N: int | None = None,
             return None
         return mass[num] / d, (res / (d + res) if res > 0 else 0.0)
 
-    return tuple(LemmaCheckResult(lemma, *_instance_checks(
-                     table, ratio, lambda tail_l, tail_r: tol + tail_l + tail_r), residual[0], tol)
-                 for lemma, table in tables.items())
+    checks = {lemma: _instance_checks(table, ratio) for lemma, table in tables.items()}
+    return _lemma_results(checks, lambda tail_l, tail_r: tol + tail_l + tail_r, residual[0], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -857,15 +867,13 @@ def check_lemmas_mc(m, spec: HittingTimeSpec, samples: int, src: RandomSource,
         p = counts[num] / n
         return p, max(math.sqrt(p * (1 - p) / n), 1.0 / n) ** 2
 
-    checks = sum(all(counts[den] for _, den in (lhs, *factors))
-                 for table in tables.values() for _, lhs, factors, _ in table)
-    from statistics import NormalDist       # here: keeps it off every command's start-up
-    z = NormalDist().inv_cdf(1.0 - alpha / (2 * max(checks, 1)))
-
     def skip_label(label, ratios):
         return f"{label} (den counts {'/'.join(str(counts[den]) for _, den in ratios)})"
 
-    return tuple(LemmaCheckResult(lemma, *_instance_checks(
-                     table, ratio, lambda var_l, var_r: z * math.sqrt(var_l + var_r), skip_label),
-                     residual, float("nan"))
-                 for lemma, table in tables.items())
+    checks = {lemma: _instance_checks(table, ratio, skip_label)
+              for lemma, table in tables.items()}
+    from statistics import NormalDist       # here: keeps it off every command's start-up
+    checked = sum(len(labels) for _, labels, _ in checks.values())
+    z = NormalDist().inv_cdf(1.0 - alpha / (2 * max(checked, 1)))
+    return _lemma_results(checks, lambda var_l, var_r: z * np.sqrt(var_l + var_r),
+                          residual, float("nan"))

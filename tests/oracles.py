@@ -843,6 +843,26 @@ def reference_permuted_statistics(row, permutations, src):
                                  for _ in range(permutations)]
 
 
+def reference_joint_mask(jc, hidden=None, symbols=None):
+    """``JointChain.mask`` by per-element loops: the ones of each constrained
+    coordinate's slices multiplied in, one coordinate after the other."""
+    K = jc.n_symbols
+    out = np.ones(jc.n_pairs)
+    if hidden is not None:
+        hs = {hidden} if isinstance(hidden, int) else set(hidden)
+        keep = np.zeros(jc.n_pairs)
+        for x in hs:
+            keep[x * K:(x + 1) * K] = 1.0
+        out *= keep
+    if symbols is not None:
+        es = {symbols} if isinstance(symbols, int) else set(symbols)
+        keep = np.zeros(jc.n_pairs)
+        for e in es:
+            keep[e::K] = 1.0
+        out *= keep
+    return out
+
+
 def reference_occurrence_mass(jc, A, occ_masks, shifted_masks, horizon):
     """Mass of paths whose first ``N`` target occurrences happen by ``horizon``
     and satisfy the per-occurrence constraints, one propagation per request.

@@ -1,6 +1,7 @@
 """The public API: the names the package exports and the parameters of its entry
 points. A change to either is a change to the API, so it must show up here."""
 
+import dataclasses
 import inspect
 
 import pytest
@@ -23,6 +24,9 @@ EXPORTS = [
     "stationary_distribution", "test_partial_exchangeability", "test_row_exchangeability",
     "total_variation", "validate_model",
 ]
+
+RUN_CONFIG_FIELDS = ["tol_exact", "enum_budget", "min_row_count", "cluster_tol", "alpha",
+                     "mc_samples", "horizon_floor"]
 
 SIGNATURES = {
     "iid_mixture_law": "(m, N, budget=None)",
@@ -48,3 +52,8 @@ def test_entry_point_parameters(name):
     shown = ", ".join(p.name if p.default is p.empty else f"{p.name}={p.default!r}"
                       for p in params)
     assert f"({shown})" == SIGNATURES[name]
+
+
+def test_run_config_fields():
+    # each field is a config-file key; a key no code reads is not one of them
+    assert [f.name for f in dataclasses.fields(chainmix.RunConfig)] == RUN_CONFIG_FIELDS

@@ -544,3 +544,30 @@ def test_simulate_holds_codes_not_labels(tmp_path, monkeypatch):
             tracemalloc.stop()
     assert status == 0 and peak < 8 * 2 ** 20
     assert path.read_text().count("\n") == 200
+
+
+def test_a_nan_model_is_invalid_and_has_no_law(tmp_path, capsys):
+    # json.load parses NaN; validation, not the reader, refuses it
+    path = tmp_path / "nan.json"
+    path.write_text('{"type": "iid_mixture", "alphabet": ["a", "b"], "weights": [1.0], '
+                    '"components": [[NaN, NaN]]}')
+    assert run(capsys, "validate", str(path)) == (
+        1, "component 0: weight 0 is NaN\ncomponent 0: sums to nan\n", "")
+    assert run(capsys, "law", str(path), "--horizon", "1") == (
+        2, "", "error: invalid model: component 0: weight 0 is NaN; component 0: sums to nan\n")
+
+
+def test_simulate_on_a_matrix_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    path.write_text('{"type": "stochastic_matrix", "labels": ["u", "v"], '
+                    '"rows": [[0.5, 0.5], [0.0, 1.0]]}')
+    assert run(capsys, "simulate", str(path), "--length", "5") == (
+        2, "", "error: StochasticMatrix is not a mixture of symbol chains\n")
+
+
+def test_config_key_tol_sum_is_unknown(mix_file, tmp_path, capsys):
+    # law tables are checked against the constant model_core.LAW_SUM_TOL; no key sets it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"tol_sum": 1e-9}')
+    assert run(capsys, "validate", mix_file, "--config", str(cfg)) == (
+        2, "", f"error: config {cfg}: unknown keys ['tol_sum']\n")

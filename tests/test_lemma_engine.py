@@ -94,17 +94,40 @@ def test_occurrence_masses_equal_reference(model, corrupt, N, horizon, count):
     A = (r.random(P) < 0.5).astype(float)
     A[r.integers(0, P)] = 1.0
     requests = _MassRequests(P)
+
+    def slots(masks):
+        return tuple(0 if x is None else requests.slot(x) for x in masks)
+
     asked = []
     for _ in range(count):
         occ = [mask() for _ in range(N)]
         shifted = [None] * N
         if r.random() < 0.6:
             shifted = [mask() for _ in range(N - 1)] + [(r.random(P) < 0.6).astype(float)]
-        asked.append((requests.add(occ, shifted), occ, shifted))
+        row = requests.add(slots(occ), None if shifted[-1] is None else slots(shifted))
+        asked.append((row, occ, shifted))
     mass, residual = requests.evaluate(jc, A, horizon)
     for row, occ, shifted in asked:
         want = oracles.reference_occurrence_mass(jc, A, occ, shifted, horizon)
         assert (mass[row], residual[row]) == want
+
+
+def _chosen(n):
+    """A coordinate constraint over ``n`` values: None, an index, a tuple or a set."""
+    indices = st.lists(st.integers(0, n - 1), max_size=n)
+    return st.one_of(st.none(), st.integers(0, n - 1), indices.map(tuple), indices.map(set))
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_joint_mask_equals_reference(X, K, data):
+    hidden = tuple(f"s{i}" for i in range(X))
+    alphabet = Alphabet.of([f"y{e}" for e in range(K)])
+    jc = JointChain(hidden, alphabet, np.full(X * K, 1.0 / (X * K)),
+                    np.full((X * K, X * K), 1.0 / (X * K)))
+    h, s = data.draw(_chosen(X)), data.draw(_chosen(K))
+    got, want = jc.mask(hidden=h, symbols=s), oracles.reference_joint_mask(jc, h, s)
+    assert got.tobytes() == want.tobytes()      # the same 0.0 and 1.0, bit for bit
 
 
 def _draw_symbol_sets(r, K):

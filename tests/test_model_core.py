@@ -86,6 +86,57 @@ def test_partition_validation():
     assert any("cell 1" in v for v in validate_model(off_cell))
 
 
+# NaN probabilities: every comparison with NaN is false, so each check is written to
+# fail on NaN, and its message names NaN; messages for finite input stay as they were.
+
+NAN = float("nan")
+
+
+def test_nan_in_an_iid_component_is_invalid():
+    m = IIDMixtureModel(ab(), Distribution(np.array([1.0])),
+                        (Distribution(np.array([NAN, NAN])),))
+    assert validate_model(m) == ["component 0: weight 0 is NaN", "component 0: sums to nan"]
+
+
+def test_nan_in_a_markov_component_row_is_invalid():
+    # y0 = a never leaves a, so the NaN row is not reached; it is still checked
+    comp = StochasticMatrix(np.array([[1.0, 0.0], [NAN, 0.5]]), ("a", "b"))
+    m = MarkovMixtureModel(ab(), "a", Distribution(np.array([1.0])), (comp,))
+    assert validate_model(m) == ["component 0: row 1 has a NaN entry",
+                                 "component 0: row 1 sums to nan"]
+
+
+@pytest.mark.parametrize("field, where, want", [
+    ("pi", (1,), "pi: weight 1 is NaN"),
+    ("P", (0, 1), "P: row 0 has a NaN entry"),
+    ("readout", (1, 0), "readout row 1: weight 0 is NaN"),
+])
+def test_nan_in_an_hmm_is_invalid(field, where, want):
+    arrays = {"pi": np.array([0.5, 0.5]), "P": np.array([[0.7, 0.3], [0.4, 0.6]]),
+              "readout": np.array([[0.9, 0.1], [0.2, 0.8]])}
+    arrays[field][where] = NAN
+    hidden = ("s0", "s1")
+    m = HMMModel(hidden, ab(), Distribution(arrays["pi"]),
+                 StochasticMatrix(arrays["P"], hidden), arrays["readout"])
+    assert want in validate_model(m)
+
+
+def test_nan_in_a_reachable_kernel_row_is_invalid():
+    # cell 1 sends mass 0.5 into cell 2, whose row holds the NaN
+    m = PartitionedKernelMixture(
+        Alphabet.of(["1", "2", "3"]), Partition((("1", "2"), ("3",))),
+        Distribution(np.array([1.0])), np.array([[[0.2, 0.3, 0.5], [NAN, 0.2, 0.2]]]), "1")
+    assert validate_model(m) == ["kernel[0] cell 2: weight 0 is NaN",
+                                 "kernel[0] cell 2: sums to nan"]
+
+
+def test_negative_weight_message_is_unchanged():
+    d = Distribution(np.array([1.1, -0.1]))
+    assert validate_model(d) == ["distribution: weight 1 is negative (-0.1)"]
+    bad = StochasticMatrix(np.array([[1.1, -0.1], [0.0, 1.0]]))
+    assert validate_model(bad) == ["matrix: row 0 has a negative entry"]
+
+
 # ---------------------------------------------------------------------------
 # iid_mixture_law
 
