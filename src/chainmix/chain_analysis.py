@@ -4,12 +4,15 @@ All structure comes from one reachability closure ``R`` of the
 positive-transition digraph. A state recurs iff every state it reaches reaches
 it back; the recurrence classes are the rows ``R[v]`` of recurrent states, and
 everything else is transient. Each class carries a unique stationary vector,
-and assembling those vectors row-wise gives the Cesaro limit
-``P* = lim (1/n) sum_k P^k`` in closed form.
+found by GTH elimination: it never subtracts, so no entry is negative, and its
+sums run in a fixed order, so no BLAS or LAPACK build moves a digit. Assembling
+those vectors row-wise gives the Cesaro limit ``P* = lim (1/n) sum_k P^k`` in
+closed form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +21,6 @@ from .errors import ReducibleMatrixError, TransientStatesError
 from .model_core import Distribution, StochasticMatrix
 
 EDGE_TOL = 1e-14          # entries above this count as graph edges
-RESIDUAL_TOL = 1e-10      # acceptable ||pi P - pi||_inf for stationary solves
 
 
 @dataclass(frozen=True)
@@ -60,23 +62,20 @@ def recurrence_classes(R: np.ndarray) -> list[list[int]]:
 def _class_stationary(rows: np.ndarray, members: list[int]) -> np.ndarray:
     """Unique solution of ``pi P = pi, sum pi = 1`` on one closed irreducible class.
 
-    Dense LU solve (partial pivoting) of the transposed balance equations with
-    the last equation replaced by the normalization constraint.
+    GTH elimination (Grassmann, Taksar & Heyman 1985) from the last state down,
+    each dividing by its mass to the states still left (positive, by
+    irreducibility), then back-substitution from ``pi[0] = 1``. The diagonal is
+    never read: the chain solved has ``p_kk = 1 - sum_{j != k} p_kj``, which is
+    what a row summing to 1 within ``SUM_TOL`` means.
     """
-    sub = rows[np.ix_(members, members)]
-    n = len(members)
-    A = sub.T - np.eye(n)
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    pi = np.linalg.solve(A, b)
-    pi = np.where(np.abs(pi) < 1e-15, 0.0, pi)
-    residual = float(np.max(np.abs(pi @ sub - pi)))
-    if np.any(pi < 0) or residual > RESIDUAL_TOL:
-        raise ReducibleMatrixError(
-            f"stationary solve failed on class {members} (residual {residual:g})"
-        )
-    return pi / pi.sum()
+    A = rows[np.ix_(members, members)]
+    for k in range(len(members) - 1, 0, -1):
+        A[:k, k] /= math.fsum(A[k, :k])
+        A[:k, :k] += A[:k, k, None] * A[k, :k]
+    pi = np.ones(len(members))
+    for k in range(1, len(members)):
+        pi[k] = math.fsum(pi[:k] * A[:k, k])
+    return pi / math.fsum(pi)
 
 
 def decompose(P: StochasticMatrix) -> ClassDecomposition:

@@ -186,7 +186,7 @@ def _matrices_for_analysis(model):
 
 
 def cmd_analyze(args, cfg: RunConfig) -> int:
-    model = load_model(args.model)
+    model = model_core.require_valid(load_model(args.model))
     report = []
     for name, mat in _matrices_for_analysis(model):
         dec = chain_analysis.decompose(mat)

@@ -123,11 +123,10 @@ def has_block_iid_structure(m: HMMModel, tol: float = 1e-9) -> bool:
     """True if the chain has identical rows within each recurrence class, no
     transient states, and an invariant initial law (the lumping hypothesis under
     which ``hmm_to_iid_mixture`` preserves the law unconditionally)."""
-    dec = decompose(m.P)
-    if dec.transient:
+    R = reachability(m.P.rows > EDGE_TOL)
+    if not (R <= R.T).all():
         return False
-    for members in dec.classes:
-        idx = list(members)
+    for idx in recurrence_classes(R):
         block = m.P.rows[idx]
         if float(np.max(np.abs(block - block[0]))) > tol:
             return False

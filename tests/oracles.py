@@ -13,11 +13,13 @@ instance tables' path counts have an independent check. The graph references
 answer each structural question by its own search, where the library reads
 every answer from one reachability closure. The in-loop budget law checks its
 budget step by step as it enumerates, where the library counts live prefixes
-from the supports before any enumeration.
+from the supports before any enumeration. The stationary reference solves the
+balance equations exactly in rationals, where the library eliminates in floats.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -275,6 +277,28 @@ def cesaro_by_halving(P, n):
     for _ in range(n):
         A = 0.5 * (A + A @ P)
     return A
+
+
+def reference_stationary(rows):
+    """Exact stationary vector, as Fractions, of the irreducible chain with the
+    off-diagonal entries of ``rows`` and the derived diagonal ``p_kk = 1 -
+    sum_{j != k} p_kj``. Gauss-Jordan elimination in rational arithmetic of the
+    balance equations ``sum_i pi_i (p_ij - [i = j]) = 0``, the last one replaced
+    by ``sum pi = 1``."""
+    n = len(rows)
+    P = [[Fraction(x) for x in row] for row in rows]
+    A = [[P[i][j] if i != j else -sum(P[j][:j] + P[j][j + 1:]) for i in range(n)] + [0]
+         for j in range(n)]
+    A[-1] = [Fraction(1)] * (n + 1)
+    for c in range(n):
+        p = next(r for r in range(c, n) if A[r][c])
+        A[c], A[p] = A[p], A[c]
+        A[c] = [x / A[c][c] for x in A[c]]
+        for r in range(n):
+            f = A[r][c]
+            if r != c and f:
+                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
+    return [row[n] for row in A]
 
 
 # ---------------------------------------------------------------------------

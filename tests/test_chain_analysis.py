@@ -1,5 +1,9 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import random_stochastic_matrix, rng
@@ -98,6 +102,42 @@ def test_stationary_rejects_reducible():
         stationary_distribution(mat(np.eye(2)))
     with pytest.raises(ReducibleMatrixError):
         stationary_distribution(mat(TRANSIENT_EXAMPLE))
+
+
+# Off-diagonal rates of the random chains: the cycle 0 -> 1 -> ... -> 0 that makes
+# them irreducible takes the positive ones, so some chains are stiff to 1e-13
+RATES = [1e-13, 1e-9, 1e-5, 0.01, 0.3, 1.0]
+
+
+@st.composite
+def irreducible_chains(draw):
+    n = draw(st.integers(1, 12))
+    rows = np.array(draw(st.lists(st.sampled_from([0.0] * 6 + RATES),
+                                  min_size=n * n, max_size=n * n))).reshape(n, n)
+    cycle = np.roll(np.arange(n), -1)
+    rows[np.arange(n), cycle] = draw(st.lists(st.sampled_from(RATES), min_size=n, max_size=n))
+    for i in range(n):
+        rows[i, i] = 0.0
+        rest = np.arange(n) != cycle[i]
+        room = 1 - rows[i, cycle[i]]
+        if rows[i, rest].sum() > room:
+            rows[i, rest] *= room / rows[i, rest].sum()
+        rows[i, i] = max(0.0, 1 - math.fsum(rows[i]))
+    return rows
+
+
+@given(irreducible_chains())
+@settings(max_examples=200, deadline=None)
+def test_stationary_entries_are_relatively_accurate(rows):
+    # GTH never subtracts, so each entry is within a small multiple of n^3 u of the
+    # exact solution relative to itself (O'Cinneide 1993), however small the entry
+    n = len(rows)
+    got = stationary_distribution(StochasticMatrix(rows)).weights
+    u = np.finfo(float).eps / 2
+    bound = 2 * n ** 3 * u
+    for g, exact in zip(got, oracles.reference_stationary(rows)):
+        assert g > 0
+        assert abs(Fraction(g) - exact) <= bound * exact
 
 
 def test_stationary_residual_bound():

@@ -10,11 +10,12 @@ from chainmix import stopping_verifier
 from chainmix.fixtures import (
     iid_rows_three_state,
     separated_recovery_mixture,
+    two_cell_partitioned_mixture,
     two_component_mixture,
     two_state_noisy,
 )
 from chainmix.constructions import markov_mixture_to_hmm
-from chainmix.model_io import load_model, save_model
+from chainmix.model_io import load_model, model_to_dict, save_model
 from chainmix.model_core import validate_model
 from chainmix.sim import RandomSource, sample_many
 from chainmix.model_io import write_trajectories
@@ -183,14 +184,23 @@ def test_analyze_reports_classes(mix_file, capsys):
     assert payload[1]["classes"] == [["a", "b"]]
 
 
-def test_analyze_partitioned_symbol_chain(tmp_path, capsys):
-    from chainmix.fixtures import two_cell_partitioned_mixture
+# Cell 3's kernel is all zero. y0 never reaches it, so the model is valid and the
+# edgeless symbol c is a class of its own; its stationary solve used to be refused
+ZERO_KERNEL = {"type": "partitioned_kernel_mixture", "alphabet": ["a", "b", "c"],
+               "partition": [["a"], ["b"], ["c"]], "y0": "a", "weights": [1.0],
+               "kernels": [[[0.5, 0.5, 0], [0.3, 0.7, 0], [0, 0, 0]]]}
 
+
+def test_analyze_partitioned_symbol_chain(tmp_path, capsys):
     path = tmp_path / "pm.json"
-    save_model(two_cell_partitioned_mixture(), path)
-    status, out, _ = run(capsys, "analyze", str(path), "--json")
-    assert status == 0
-    assert len(json.loads(out)) == 2      # one symbol chain per component
+    for raw, classes in [
+            (model_to_dict(two_cell_partitioned_mixture()), [[["1", "2", "3", "4"]]] * 2),
+            (ZERO_KERNEL, [[["a", "b"], ["c"]]])]:
+        path.write_text(json.dumps(raw))
+        status, out, _ = run(capsys, "analyze", str(path), "--json")
+        assert status == 0
+        # one symbol chain per component
+        assert [e["classes"] for e in json.loads(out)] == classes
 
 
 def test_analyze_iid_mixture_rejected(tmp_path, capsys):
@@ -442,8 +452,8 @@ def test_exchangeability_rejects_alpha_outside_the_unit_interval(alpha, how, tmp
     assert status in (0, 1) and "at level 0.5\n" in out
 
 
-# One closed class whose stationary vector an LU solve gets with an entry of
-# -1.3e-11; validation used to run that solve and refuse the model (exit 2)
+# One closed class whose stationary vector an LU solve got with an entry of
+# -1.3e-11 for +5.1e-15; validation, and later analyze, refused the model (exit 2)
 ONE_CLASS = {"type": "markov_mixture", "alphabet": ["a", "b", "c", "d"], "y0": "a",
              "weights": [1.0],
              "components": [[[0.5810080474077637, 0.4189919493739122, 0, 3.218324051619733e-09],
@@ -457,7 +467,7 @@ def test_recurrence_is_decided_by_reachability_without_a_stationary_solve(tmp_pa
     path.write_text(json.dumps(ONE_CLASS))
     assert run(capsys, "validate", str(path)) == (0, "valid\n", "")
     for argv in (["law", "--horizon", "2"], ["simulate", "--length", "5"],
-                 ["convert", "--to", "hmm"]):
+                 ["convert", "--to", "hmm"], ["analyze"]):
         status, out, err = run(capsys, argv[0], str(path), *argv[1:])
         assert (status, err) == (0, "") and out
 
@@ -555,6 +565,19 @@ def test_a_nan_model_is_invalid_and_has_no_law(tmp_path, capsys):
         1, "component 0: weight 0 is NaN\ncomponent 0: sums to nan\n", "")
     assert run(capsys, "law", str(path), "--horizon", "1") == (
         2, "", "error: invalid model: component 0: weight 0 is NaN; component 0: sums to nan\n")
+
+
+@pytest.mark.parametrize("row, violations", [
+    ("[0.7, 0.5]", "matrix: row 0 sums to 1.2"),
+    ("[NaN, 0.5]", "matrix: row 0 has a NaN entry; matrix: row 0 sums to nan"),
+])
+def test_analyze_refuses_what_validate_refuses(row, violations, tmp_path, capsys):
+    # analyze used to print a class decomposition of these matrices with exit 0
+    path = tmp_path / "matrix.json"
+    path.write_text('{"type": "stochastic_matrix", "labels": ["u", "v"], '
+                    f'"rows": [{row}, [0.0, 1.0]]}}')
+    assert run(capsys, "validate", str(path))[0] == 1
+    assert run(capsys, "analyze", str(path)) == (2, "", f"error: invalid model: {violations}\n")
 
 
 def test_simulate_on_a_matrix_file_is_an_input_error(tmp_path, capsys):

@@ -48,6 +48,10 @@ transfer-matrix propagations that ``tests/oracles.py`` keeps as
 last bit in any lhs, rhs, gap or allowed value, a changed label, or a changed
 order of checked or skipped instances shows up here. The noisy HMM fails and
 prints FAIL lines.
+
+The ``analyze`` digests were pinned when stationary vectors came from GTH
+elimination, whose every entry ``reference_stationary`` (an exact rational
+solve) bounds in relative terms (``tests/test_chain_analysis.py``).
 """
 
 import hashlib
@@ -349,8 +353,7 @@ def test_convert_stdout_digest(model, to, model_dir, capsys):
 
 
 DEMO_MODELS = sorted(p.name for p in MODELS.glob("*.json"))
-# model: (matrix name, classes, transient) per analyzed matrix. The stationary
-# digits come from a LAPACK solve and are left out: they depend on the platform.
+# model: (matrix name, classes, transient) per analyzed matrix
 ANALYZE_STRUCTURE = {
     "noisy_hmm.json": [("underlying chain", [["s0", "s1"]], [])],
     "separated_mixture.json": [("component 0", [["a", "b"]], []),
@@ -371,6 +374,36 @@ def test_validate_and_analyze_demo_models(model, model_dir, capsys):
     assert status == 0
     assert [(e["matrix"], e["classes"], e["transient"])
             for e in json.loads(out)] == ANALYZE_STRUCTURE[model]
+
+
+# (model, flags): SHA-256 of analyze stdout. The stationary digits come from GTH
+# elimination with fixed-order sums, so no BLAS or LAPACK build moves them
+ANALYZE_DIGESTS = {
+    ("noisy_hmm.json",): "1dd4549c181d081e201a8d9510339893c60008a2c4f2990fcc6dc8b3bce835a0",
+    ("noisy_hmm.json", "--json"):
+        "18b8fae16718b8deab7b5c76ec2f793c2e9b931174a2dfbb63d8a066bb514288",
+    ("separated_mixture.json",):
+        "d987c89ed05f06fab0602ba6438e09012156a5c4aec3eb8f19879a34bb6b3c37",
+    ("separated_mixture.json", "--json"):
+        "dc37462eeefcfd05d35f337928c8cd9971ebb6c4596c2467909d6cb808836440",
+    ("stay_swap_hmm.json",): "5e426236a9d2fd46a0d5c95f4678f5c0f5b216d1882328406228412f58a75478",
+    ("stay_swap_hmm.json", "--json"):
+        "d22592ccc8c234ba62d60982cdc1030e8800085b785cabff706a878aa8381b65",
+    ("stay_swap_mixture.json",):
+        "ec67c82e163e107017e5c364a4dee49ca42f6e24112dfdee59c828d2152884d2",
+    ("stay_swap_mixture.json", "--json"):
+        "9e7b92d682118af7d6b649a647475ee6ec75d3a69222da98f46af5b3a9cecb94",
+    ("two_cell_partitioned.json",):
+        "4c9b42cb3697b1f5779775eb47a2323161b706cf225ab8aefcfb6810f60dc75c",
+    ("two_cell_partitioned.json", "--json"):
+        "3acd38b8ee64202aea65aa0eac32fed0c60b79b765fc0c7eaeff1946402a2e2c",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ANALYZE_DIGESTS))
+def test_analyze_stdout_digest(argv, model_dir, capsys):
+    status, out, _ = _run(model_dir, capsys, ["analyze", *argv])
+    assert (status, digest(out)) == (0, ANALYZE_DIGESTS[argv])
 
 
 # name: (model, length, count, seed) of a seeded ``simulate`` sample

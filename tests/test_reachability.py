@@ -4,8 +4,8 @@ connected components, depth-first reach over states and over cells, and a
 union-find for weak components.
 
 Graphs have 1 to 12 states. Entries exactly at ``EDGE_TOL`` are not edges and
-entries at twice it are. Rows with no edge at all occur too, because ``analyze``
-does not validate a ``stochastic_matrix`` file.
+entries at twice it are. Rows with no edge at all occur too: a valid partitioned
+model may leave all-zero the kernel of a cell that ``y0`` never reaches.
 """
 
 from unittest import mock
