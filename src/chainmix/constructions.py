@@ -37,6 +37,7 @@ from .model_core import (
     PartitionedKernelMixture,
     StochasticMatrix,
     _check_markov_structure,
+    contract,
     require_valid,
 )
 
@@ -112,7 +113,7 @@ def hmm_to_iid_mixture(m: HMMModel) -> IIDMixtureModel:
         if mu <= 0.0:
             warnings.warn(f"dropping recurrence class {idx}: zero initial mass")
             continue
-        components.append(Distribution(stat.weights @ m.readout[idx]))
+        components.append(Distribution(contract(stat.weights, m.readout[idx])))
         weights.append(mu)
     if not components:
         raise ConstructionError("every recurrence class carries zero initial mass")
@@ -130,7 +131,7 @@ def has_block_iid_structure(m: HMMModel, tol: float = 1e-9) -> bool:
         block = m.P.rows[idx]
         if float(np.max(np.abs(block - block[0]))) > tol:
             return False
-    drift = float(np.max(np.abs(m.pi.weights @ m.P.rows - m.pi.weights)))
+    drift = float(np.max(np.abs(contract(m.pi.weights, m.P.rows) - m.pi.weights)))
     return drift <= tol
 
 

@@ -454,7 +454,7 @@ def _check_alphabet(a: Alphabet) -> list[str]:
     return out
 
 
-def _check_distribution(w: np.ndarray, name: str, strictly_positive=False) -> list[str]:
+def _check_distribution(w: np.ndarray, name: str, strictly_positive=False, sums=True) -> list[str]:
     out = []
     if w.ndim != 1:
         return [f"{name}: not a vector"]
@@ -463,7 +463,7 @@ def _check_distribution(w: np.ndarray, name: str, strictly_positive=False) -> li
         what = "NaN" if np.isnan(w[bad]) else f"negative ({w[bad]:g})"
         out.append(f"{name}: weight {bad} is {what}")
     s = float(w.sum())
-    if not abs(s - 1.0) <= SUM_TOL:
+    if sums and not abs(s - 1.0) <= SUM_TOL:
         out.append(f"{name}: sums to {s:.12g}")
     if strictly_positive and np.any(w <= 0):
         bad = int(np.argmin(w))
@@ -610,8 +610,9 @@ def _check_partitioned(m: PartitionedKernelMixture) -> list[str]:
     mass = np.stack([m.kernels[:, :, cell_of == j].sum(axis=2) for j in range(1, J + 1)],
                     axis=2)
     for h in range(m.n_components):
-        for j in np.flatnonzero(reachability(mass[h] > EDGE_TOL)[0]) + 1:
-            out += _check_distribution(m.kernels[h, j - 1], f"kernel[{h}] cell {j}")
+        reached = reachability(mass[h] > EDGE_TOL)[0]
+        for j, row in enumerate(m.kernels[h], start=1):    # unreached rows need no sum of 1
+            out += _check_distribution(row, f"kernel[{h}] cell {j}", sums=reached[j - 1])
     return out
 
 
@@ -649,6 +650,18 @@ def _prune(live: np.ndarray, ranks: np.ndarray, values: np.ndarray) -> tuple:
     """The frontier ``(ranks, values)`` without the prefixes where ``live`` is false.
     A frontier holds the live prefixes of one length: their ascending ranks and values."""
     return (ranks, values) if live.all() else (ranks[live], values[live])
+
+
+def contract(A: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``A @ M`` for a 2-d ``M``, each ``sum_x A[..., x] M[x, y]`` taken left to right with one
+    multiply and one add per term: no BLAS build and no other row moves its digits. Every
+    float contraction on an exact path calls it; integer, bool and float32 count matmuls are
+    exact in any order, and ``sum``, ``cumsum`` and ``fsum`` call no BLAS. Neither does einsum:
+    on C-contiguous operands its loop over ``x`` runs outside the one over ``M``'s columns."""
+    A, M = np.ascontiguousarray(A), np.ascontiguousarray(M)
+    if M.shape[1] == 1:     # a single column would make the sum einsum's inner loop
+        return contract(A, np.pad(M, ((0, 0), (0, 1))))[..., :1]
+    return np.einsum("...x,xy->...y", A, M, optimize=False)
 
 
 def symbol_chains(m) -> tuple:
@@ -728,10 +741,8 @@ def hmm_law(m: HMMModel, N: int, budget=None) -> FiniteLaw:
     """Exact law of ``(Y_0, ..., Y_N)`` by the forward recursion.
 
     Maintains one forward vector over hidden states per live string prefix
-    (``alpha[prefix] = P(prefix, X_n = .)``), dropping all-zero ones before each
-    step; hidden paths are never enumerated. Until a drop, the products have the
-    full table's shapes and floats; after one, the BLAS may round a row of the
-    smaller matrix product a few ulp differently, never changing the live strings.
+    (``alpha[prefix] = P(prefix, X_n = .)``), dropping all-zero ones before each step
+    without moving a float (:func:`contract`); hidden paths are never enumerated.
     """
     k, X, L = m.alphabet.size, m.n_hidden, N + 1
     budget = _check_law_input(require_valid(m), N, L, budget, per_string=X)
@@ -744,7 +755,7 @@ def hmm_law(m: HMMModel, N: int, budget=None) -> FiniteLaw:
             live |= column != 0.0
         ranks, alphas = _prune(live, ranks, alphas)
         _check_frontier(X * ranks.size * k, n + 1, budget)
-        beta = alphas @ m.P.rows               # (live prefixes, X)
+        beta = contract(alphas, m.P.rows)      # (live prefixes, X)
         alphas = (beta[:, None, :] * f.T[None, :, :]).reshape(-1, X)
         ranks = _extend(ranks, k)
     return FiniteLaw.from_ranks(m.alphabet, L, ranks, alphas.sum(axis=1))  # drops zero sums

@@ -24,9 +24,9 @@ measured exactly and added to each instance's pass tolerance. An independent
 path-enumeration oracle (:func:`event_probability`) covers small instances.
 
 The hitting-time identities are one instance table of ratios of occurrence-mass
-requests, with two evaluators: exact batched propagations that round as
-per-instance products and sums do (as strong splitting's do), and Monte Carlo
-path counts judged by Bonferroni bounds over every instance checked.
+requests, with two evaluators: exact batched propagations, each summed in the one
+order of :func:`~chainmix.model_core.contract` as a per-instance one is, and Monte
+Carlo path counts judged by Bonferroni bounds over every instance checked.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from .config import DEFAULT
 from .errors import EnumerationBudgetError, TruncationError
-from .model_core import Alphabet, HMMModel, require_valid
+from .model_core import Alphabet, HMMModel, contract, require_valid
 from .sim import DRAWS_PER_CHUNK, RandomSource, cdf_table, walk
 
 MASS_FLOOR = 1e-14   # conditioning events below this mass are skipped, not failed
@@ -109,16 +109,13 @@ def corrupted_previous_symbol_joint(m: HMMModel, trigger: str | None = None) -> 
     row cyclically shifted by one column. The joint law stays a proper Markov
     chain on pairs but is not an HMM, so the splitting identity must fail.
     """
-    require_valid(m)
+    jc = JointChain.from_hmm(m)
     X, K = m.n_hidden, m.alphabet.size
     trig = m.alphabet.emit_index(trigger) if trigger is not None else 0
-    shifted = np.roll(m.readout, 1, axis=1)
-    base = (m.P.rows[:, :, None] * m.readout[None, :, :]).reshape(X, X * K)
-    odd = (m.P.rows[:, :, None] * shifted[None, :, :]).reshape(X, X * K)
+    odd = (m.P.rows[:, :, None] * np.roll(m.readout, 1, axis=1)[None, :, :]).reshape(X, X * K)
     after_trigger = (np.arange(X * K) % K == trig)[:, None]     # row x * K + e
-    trans = np.where(after_trigger, np.repeat(odd, K, axis=0), np.repeat(base, K, axis=0))
-    init = (m.pi.weights[:, None] * m.readout).ravel()
-    return JointChain(m.hidden_states, m.alphabet, init, trans)
+    trans = np.where(after_trigger, np.repeat(odd, K, axis=0), jc.trans)
+    return JointChain(m.hidden_states, m.alphabet, jc.init, trans)
 
 
 @dataclass(frozen=True)
@@ -132,10 +129,6 @@ class HittingTimeSpec:
     @classmethod
     def for_symbol(cls, symbol: str, occurrences: int = 1) -> "HittingTimeSpec":
         return cls(frozenset({("*", symbol)}), occurrences)
-
-    @classmethod
-    def for_pair(cls, hidden: str, symbol: str, occurrences: int = 1) -> "HittingTimeSpec":
-        return cls(frozenset({(hidden, symbol)}), occurrences)
 
     def mask(self, jc: JointChain) -> np.ndarray:
         out = np.array([float(any(hx in ("*", x) and hy in ("*", y) for hx, hy in self.targets))
@@ -329,10 +322,10 @@ def check_splitting(model, N: int = 3, tol: float | None = None,
 
     Runs one batch per depth: the live conditioning trails of times ``1..d``
     are the rows of one array, masked by every option at once and advanced by
-    rounding-exact vector-matrix products (:func:`_gemv_rows`). The trails of
-    depth ``n - 1`` condition the instances of ``n``, which come out in trail
-    order, as do the skipped labels: a trail cut off at an inner depth is
-    reported in its prefix's place.
+    one :func:`~chainmix.model_core.contract`. The trails of depth ``n - 1``
+    condition the instances of ``n``, which come out in trail order, as do the
+    skipped labels: a trail cut off at an inner depth is reported in its
+    prefix's place.
     """
     tol = DEFAULT.tol_exact if tol is None else tol
     if N < 2:
@@ -346,7 +339,7 @@ def check_splitting(model, N: int = 3, tol: float | None = None,
     combo_labels = [f"(x={jc.hidden_states[x]},S={_set_label(jc, es)})" for x, es in combos]
     target_labels = [f" -> {label}" for label in combo_labels]
 
-    marginal = jc.init @ T             # law of the pair at time n - 1
+    marginal = contract(jc.init, T)    # law of the pair at time n - 1
     vec, trails = marginal[None], [""]  # live trails of times 1..n-2, advanced to time n-1
     # the trails and inner-depth skips in trail order: live row i as i, skip j as ~j
     order, cut = np.zeros(1, dtype=np.int64), []
@@ -367,15 +360,15 @@ def check_splitting(model, N: int = 3, tol: float | None = None,
         order = expanded
         parent, c = divmod(live, C)
         trails = [f"{trails[r]} {combo_labels[k]}".lstrip() for r, k in zip(parent, c)]
-        last_x, vec, den = x_of[c], _gemv_rows(nxt.reshape(-1, jc.n_pairs)[live], T), mass[live]
+        last_x, vec, den = x_of[c], contract(nxt.reshape(-1, jc.n_pairs)[live], T), mass[live]
 
         # time n: one-step predictions from X_(n-1) alone
         u = marginal * np.array([jc.mask(hidden=x) for x in range(X)])
         rden = u.sum(axis=-1)
         rhs_ok = rden > MASS_FLOOR
-        rhs = ((_gemv_rows(u, T)[:, None, :] * masks).sum(axis=-1)
+        rhs = ((contract(u, T)[:, None, :] * masks).sum(axis=-1)
                / np.where(rhs_ok, rden, 1.0)[:, None])
-        marginal = marginal @ T
+        marginal = contract(marginal, T)
 
         report = order < 0
         report[order >= 0] = ~rhs_ok[last_x]          # the live rows, in row order
@@ -401,13 +394,6 @@ def check_splitting(model, N: int = 3, tol: float | None = None,
 # Strong splitting across the first hitting time
 
 
-def _gemv_rows(V: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """``v @ M`` for every row ``v`` of ``V``, each its own vector-matrix product
-    rounding as the 1-D product does (a 2-D ``V @ M`` is a matrix-matrix product
-    and rounds differently)."""
-    return (V[..., None, :] @ M)[..., 0, :]
-
-
 def _require_realized(event: str, mass: float, floor: float | None,
                       advice: str = "increase the horizon or use the Monte Carlo mode") -> None:
     """Raise :class:`TruncationError` when ``event`` happens within the horizon
@@ -431,9 +417,8 @@ def check_strong_splitting(model, spec: HittingTimeSpec, k: int, horizon: int = 
     With lag ``k = 0`` both sides reduce to the indicator of ``x = x~``; target
     symbol sets are then fixed to the full alphabet.
 
-    Each ``n`` is one batched propagation: the lines of all ``(x-, S1)`` advance
-    together and every ``(x-, S1, x~, S2)`` instance takes one dot product per
-    target, so every value rounds exactly as a per-instance evaluation does.
+    Each ``n`` is one batched propagation of the lines of all ``(x-, S1)``, and one
+    contraction of every ``(x-, S1, x~, S2)`` instance against every target.
     """
     tol = DEFAULT.tol_exact if tol is None else tol
     if k < 0:
@@ -445,11 +430,13 @@ def check_strong_splitting(model, spec: HittingTimeSpec, k: int, horizon: int = 
     A = spec.mask(jc)
     Ac = 1.0 - A
     T = jc.trans
-    Tk = np.linalg.matrix_power(T, k)
+    Tk = np.eye(len(T))
+    for _ in range(k):
+        Tk = contract(Tk, T)
 
     w = [jc.init]
     for _ in range(horizon + 1):
-        w.append((w[-1] * Ac) @ T)
+        w.append(contract(w[-1] * Ac, T))
     unrealized = float(w[horizon + 1].sum())
     _require_realized("first hitting time", 1.0 - unrealized, floor)
     # early[r]: mass of hitting by time r, summed in time order
@@ -466,21 +453,21 @@ def check_strong_splitting(model, spec: HittingTimeSpec, k: int, horizon: int = 
     cond_labels = [_opt_label(jc, o) for o in conds]
     target_labels = [f" -> {_opt_label(jc, o)} k={k}" for o in targets]
     M = np.array([jc.mask(hidden=x, symbols=es) for x, es in conds])
-    Q = np.array([Tk @ jc.mask(hidden=x, symbols=es) for x, es in targets])
+    Q = contract(Tk, np.array([jc.mask(hidden=x, symbols=es) for x, es in targets]).T)
     x_of = np.array([x for x, _ in conds])
     R = early[horizon] * np.array([jc.mask(hidden=x) for x in range(X)])
     rden = R.sum(axis=-1)
     rhs_ok = rden > MASS_FLOOR
-    rhs = np.vecdot(R[:, None, :], Q) / np.where(rhs_ok, rden, 1.0)[:, None]
+    rhs = contract(R, Q) / np.where(rhs_ok, rden, 1.0)[:, None]
 
     cols, skipped = [], []              # cols: per n, (n, b, t, lhs, rhs, gap, allowed)
     for n in n_values:
         line = w[n] * M
         later = np.zeros_like(line)        # hits of each line after time n
         for _ in range(n, horizon):
-            line = _gemv_rows(line * Ac, T)
+            line = contract(line * Ac, T)
             later = later + line * A
-        tail_b = _gemv_rows(line * Ac, T).sum(axis=-1)
+        tail_b = contract(line * Ac, T).sum(axis=-1)
         # V[b, t]: mass of (x-, S1) = conds[b] at gamma^n and (x~, S2) = conds[t] at gamma
         V = (early[n] * M)[:, None, :] * M + later[:, None, :] * M
         den = V.sum(axis=-1)
@@ -490,7 +477,7 @@ def check_strong_splitting(model, spec: HittingTimeSpec, k: int, horizon: int = 
             skipped.append(base if den[b, t] <= MASS_FLOOR else base + " (rhs side has no mass)")
         b, t = np.nonzero(ok)
         d, xt = den[b, t], x_of[t]
-        lhs = np.vecdot(V[b, t][:, None, :], Q) / d[:, None]
+        lhs = contract(V[b, t], Q) / d[:, None]
         allowed = tol + tail_b[b] / d + unrealized / rden[xt]
         cols.append((np.full(len(b), n), b, t, lhs.ravel(), rhs[xt].ravel(),
                      np.abs(lhs - rhs[xt]).ravel(), np.repeat(allowed, len(targets))))
@@ -525,7 +512,7 @@ def _occurrence_masses(jc: JointChain, A: np.ndarray, occ: np.ndarray, shifted,
     T = jc.trans
 
     def tail():
-        return (_gemv_rows(V[:, N], T) * shifted[:, N - 1]).sum(axis=-1)
+        return (contract(V[:, N], T) * shifted[:, N - 1]).sum(axis=-1)
 
     done = np.zeros(B)
     V = np.zeros((B, N + 1, P))
@@ -539,10 +526,10 @@ def _occurrence_masses(jc: JointChain, A: np.ndarray, occ: np.ndarray, shifted,
     for _ in range(horizon):
         if shifted is not None:
             done += tail()
-        W = _gemv_rows(V[:, :N] * A, T)
+        W = contract(V[:, :N] * A, T)
         if shifted is not None:
             W[:, 1:] *= shifted[:, :-1]     # the step after occurrence kk >= 1
-        W += _gemv_rows(V[:, :N] * Ac, T)
+        W += contract(V[:, :N] * Ac, T)
         entering = W * A
         entering *= occ
         W *= Ac
@@ -786,7 +773,7 @@ def check_hitting_time_lemmas(m, spec: HittingTimeSpec, N: int | None = None,
 
     Each identity becomes an instance table of ratios of mass requests, and the
     distinct requests of all four are evaluated together in batched
-    propagations (:class:`_MassRequests`) that round as one per request does.
+    propagations (:class:`_MassRequests`) that sum as one per request does.
     """
     tol = DEFAULT.tol_exact if tol is None else tol
     jc, A, N, requests, tables = _lemma_tables(m, spec, N, horizon, budget)

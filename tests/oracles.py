@@ -7,14 +7,17 @@ The reference samplers draw one trajectory at a time with scalar binary
 searches, in the documented draw order the lockstep samplers must reproduce.
 The reference verifiers propagate one request, line and instance at a time:
 they are the per-instance transfer-matrix code whose every float the batched
-exact lemma engine must reproduce. The reference Monte Carlo verifier
-enumerates its four families by hand over count tables, so the shared
+exact lemma engine must reproduce. Every float contraction of the exact law and
+lemma references is ``reference_contract``, an explicit left-to-right loop that
+shares no code with the library's einsum ``contract``. The reference Monte Carlo
+verifier enumerates its four families by hand over count tables, so the shared
 instance tables' path counts have an independent check. The graph references
 answer each structural question by its own search, where the library reads
 every answer from one reachability closure. The in-loop budget law checks its
 budget step by step as it enumerates, where the library counts live prefixes
 from the supports before any enumeration. The stationary reference solves the
-balance equations exactly in rationals, where the library eliminates in floats.
+balance equations exactly in rationals, where the library eliminates in floats,
+and the rational HMM law bounds the forward pass's floats.
 """
 
 from bisect import bisect_right
@@ -111,7 +114,7 @@ def partitioned_law_by_cell_paths(m, N):
 # ---------------------------------------------------------------------------
 # Reference law bodies: full K^length tables, every string enumerated, dead
 # ones included. The engine that extends only live prefixes must give the
-# same floats (mixtures, HMMs with nothing to prune) or a few ulp off them.
+# same floats on every live string.
 # They return the two-form law that the sorted (rank, prob) arrays replaced:
 # a dense flat table, or a dict of emit-index tuples below SPARSE_FRACTION.
 
@@ -179,14 +182,41 @@ def reference_markov_mixture_law(m, N):
     return reference_from_flat(m.alphabet, N, flat)
 
 
+def reference_contract(A, M):
+    """``A @ M`` as the explicit left-to-right loop ``out = ((0 + a_0 m_0) + a_1 m_1) + ...``
+    over the last axis of ``A`` and the first of ``M`` (a vector or a matrix): one
+    multiply and one add per term, in NumPy's elementwise ufuncs, so the order holds
+    on every CPU and build. Runs on object arrays of ``Fraction`` too."""
+    out = 0
+    for x in range(A.shape[-1]):
+        out = out + np.multiply.outer(A[..., x], M[x])
+    return out
+
+
 def reference_hmm_law(m, N):
     X, L = m.n_hidden, N + 1
     f = m.readout
     alphas = (m.pi.weights[:, None] * f).T
     for _ in range(L - 1):
-        beta = alphas @ m.P.rows
+        beta = reference_contract(alphas, m.P.rows)
         alphas = (beta[:, None, :] * f.T[None, :, :]).reshape(-1, X)
     return reference_from_flat(m.alphabet, L, alphas.sum(axis=1))
+
+
+def fraction_hmm_law(m, N):
+    """``{emit-index tuple: Fraction}``: the forward pass of ``reference_hmm_law`` in
+    exact rational arithmetic on the model's floats, over every string ``y_0..y_N``."""
+    def exact(a):
+        return np.vectorize(Fraction, otypes=[object])(a)
+
+    X, K = m.n_hidden, m.alphabet.size
+    f, P = exact(m.readout), exact(m.P.rows)
+    alphas = (exact(m.pi.weights)[:, None] * f).T
+    for _ in range(N):
+        beta = reference_contract(alphas, P)
+        alphas = (beta[:, None, :] * f.T[None, :, :]).reshape(-1, X)
+    return {idx: sum(alphas[r], Fraction(0))
+            for r, idx in enumerate(product(range(K), repeat=N + 1))}
 
 
 def reference_partitioned_mixture_law(m, N):
@@ -924,12 +954,12 @@ def reference_occurrence_mass(jc, A, occ_masks, shifted_masks, horizon):
             if not v[kk].any():
                 continue
             if kk == N:
-                done += float(((v[N] @ T) * shifted_masks[N - 1]).sum())
+                done += float((reference_contract(v[N], T) * shifted_masks[N - 1]).sum())
                 continue
-            w = (v[kk] * A) @ T
+            w = reference_contract(v[kk] * A, T)
             if kk >= 1 and shifted_masks[kk - 1] is not None:
                 w = w * shifted_masks[kk - 1]
-            w = w + (v[kk] * Ac) @ T
+            w = w + reference_contract(v[kk] * Ac, T)
             entering = w * A * occ(kk + 1)
             if kk + 1 == N and not need_tail:
                 done += float(entering.sum())
@@ -939,7 +969,7 @@ def reference_occurrence_mass(jc, A, occ_masks, shifted_masks, horizon):
         v = new
 
     if need_tail and v[N].any():
-        done += float(((v[N] @ T) * shifted_masks[N - 1]).sum())
+        done += float((reference_contract(v[N], T) * shifted_masks[N - 1]).sum())
         v[N][:] = 0.0
     residual = float(sum(v[kk].sum() for kk in range(N)))
     return done, residual
@@ -987,7 +1017,7 @@ def reference_splitting(model, N=3, tol=None, symbol_sets=None):
     for n in range(2, N + 1):
         marginal = jc.init.copy()
         for _ in range(n - 1):
-            marginal = marginal @ jc.trans
+            marginal = reference_contract(marginal, jc.trans)
         rhs_table = {}
         for x_prev in range(X):
             u = marginal * jc.mask(hidden=x_prev)
@@ -995,7 +1025,7 @@ def reference_splitting(model, N=3, tol=None, symbol_sets=None):
             if den <= MASS_FLOOR:
                 rhs_table[x_prev] = None
                 continue
-            v = u @ jc.trans
+            v = reference_contract(u, jc.trans)
             rhs_table[x_prev] = {key: float((v * mask).sum()) / den for key, mask in targets}
 
         def descend(vec, depth, trail, x_prev):
@@ -1008,7 +1038,7 @@ def reference_splitting(model, N=3, tol=None, symbol_sets=None):
                 if rhs_table[x_prev] is None:
                     skipped.append(f"n={n} cond[{cond}] (one-step side has no mass)")
                     return
-                post = vec @ jc.trans
+                post = reference_contract(vec, jc.trans)
                 for key, mask in targets:
                     lhs = float((post * mask).sum()) / den
                     rhs = rhs_table[x_prev][key]
@@ -1020,10 +1050,10 @@ def reference_splitting(model, N=3, tol=None, symbol_sets=None):
                 if float(nxt.sum()) <= MASS_FLOOR:
                     skipped.append(f"n={n} cond[{' '.join(trail)} {combo_label(x, es)} ...]")
                     continue
-                descend(nxt if depth == n - 1 else nxt @ jc.trans, depth + 1,
+                descend(nxt if depth == n - 1 else reference_contract(nxt, jc.trans), depth + 1,
                         trail + [combo_label(x, es)], x)
 
-        descend(jc.init @ jc.trans, 1, [], -1)
+        descend(reference_contract(jc.init, jc.trans), 1, [], -1)
 
     return LemmaCheckResult("splitting", tuple(checked), tuple(skipped), 0.0, tol)
 
@@ -1049,11 +1079,13 @@ def reference_strong_splitting(model, spec, k, horizon=8, n_values=None, tol=Non
     A = spec.mask(jc)
     Ac = 1.0 - A
     T = jc.trans
-    Tk = np.linalg.matrix_power(T, k)
+    Tk = np.eye(jc.n_pairs)
+    for _ in range(k):
+        Tk = reference_contract(Tk, T)
 
     w = [jc.init]
     for _ in range(horizon + 1):
-        w.append((w[-1] * Ac) @ T)
+        w.append(reference_contract(w[-1] * Ac, T))
     unrealized = float(w[horizon + 1].sum())
     if 1.0 - unrealized < floor:
         raise TruncationError(
@@ -1071,7 +1103,7 @@ def reference_strong_splitting(model, spec, k, horizon=8, n_values=None, tol=Non
     if any(n < 1 or n > horizon for n in n_values):
         raise ValueError("free conditioning times n must lie in 1..horizon")
 
-    q_cols = {(x, es): Tk @ jc.mask(hidden=x, symbols=es) for x in range(X)
+    q_cols = {(x, es): reference_contract(Tk, jc.mask(hidden=x, symbols=es)) for x in range(X)
               for es in target_sets}
     rhs_cache = {}
     for x_tilde in range(X):
@@ -1087,8 +1119,8 @@ def reference_strong_splitting(model, spec, k, horizon=8, n_values=None, tol=Non
                 wb = w[n] * maskB
                 line = [wb]
                 for _ in range(n, horizon):
-                    line.append((line[-1] * Ac) @ T)
-                tail_b = float(((line[-1] * Ac) @ T).sum())
+                    line.append(reference_contract(line[-1] * Ac, T))
+                tail_b = float(reference_contract(line[-1] * Ac, T).sum())
                 hitsB = [line[r - n] * A for r in range(n + 1, horizon + 1)]
                 sumB = sum(hitsB) if hitsB else np.zeros(jc.n_pairs)
                 early = sum(hits[r] for r in range(0, min(n, horizon) + 1)) * maskB
@@ -1110,8 +1142,8 @@ def reference_strong_splitting(model, spec, k, horizon=8, n_values=None, tol=Non
                         for x in range(X):
                             for s3 in target_sets:
                                 q = q_cols[(x, s3)]
-                                lhs = float(V @ q) / den
-                                rhs = float(R @ q) / rden
+                                lhs = float(reference_contract(V, q)) / den
+                                rhs = float(reference_contract(R, q)) / rden
                                 label = f"{base} -> ({hs[x]},{_set_label(jc, s3)}) k={k}"
                                 checked.append(InstanceCheck(label, lhs, rhs,
                                                              abs(lhs - rhs), allowed))

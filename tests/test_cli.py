@@ -203,6 +203,26 @@ def test_analyze_partitioned_symbol_chain(tmp_path, capsys):
         assert [e["classes"] for e in json.loads(out)] == classes
 
 
+# Cells c, d, e are unreachable from y0 = a; cell e's kernel has a negative weight,
+# which made the elimination divide by zero and print "stationary [nan, nan, nan]"
+NEGATIVE_UNREACHED_KERNEL = {
+    "type": "partitioned_kernel_mixture", "alphabet": ["a", "b", "c", "d", "e"],
+    "partition": [["a"], ["b"], ["c"], ["d"], ["e"]], "y0": "a", "weights": [1.0],
+    "kernels": [[[0.5, 0.5, 0, 0, 0], [0.3, 0.7, 0, 0, 0], [0, 0, 0, 1, 0],
+                 [0, 0, 0, 0, 1], [0, 0, 1, -1, 1]]]}
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["validate"], 1), (["analyze"], 2), (["law", "--horizon", "2"], 2)])
+def test_negative_kernel_weight_in_an_unreached_cell_is_invalid(argv, status, tmp_path, capsys):
+    path = tmp_path / "pm.json"
+    path.write_text(json.dumps(NEGATIVE_UNREACHED_KERNEL))
+    got, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert got == status
+    assert "kernel[0] cell 5: weight 3 is negative (-1)" in out + err
+    assert "nan" not in out
+
+
 def test_analyze_iid_mixture_rejected(tmp_path, capsys):
     path = tmp_path / "iid.json"
     path.write_text(json.dumps({"type": "iid_mixture", "alphabet": ["a"],
@@ -378,7 +398,7 @@ def test_recover_rejects_bad_cluster_tol(tol, how, tmp_path, capsys):
 ])
 def test_verify_lemmas_rejects_vacuous_steps_and_negative_lag(argv, message, capsys):
     # --steps 1 and --horizon 0 used to print "PASS (0 instances ...)"; a
-    # negative lag reached matrix_power, which inverts the transition matrix.
+    # negative lag has no T^k (the lag loop would take no step), so it is refused.
     # stay_swap_hmm hits its target at time 0 surely, so no floor error intervenes.
     model = Path(__file__).resolve().parent.parent / "models" / "stay_swap_hmm.json"
     status, out, err = run(capsys, "verify-lemmas", "--model", str(model), *argv)

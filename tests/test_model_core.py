@@ -130,6 +130,16 @@ def test_nan_in_a_reachable_kernel_row_is_invalid():
                                  "kernel[0] cell 2: sums to nan"]
 
 
+@pytest.mark.parametrize("bad, want", [(NAN, "NaN"), (-0.5, "negative (-0.5)")])
+def test_nan_or_negative_in_an_unreached_kernel_row_is_invalid(bad, want):
+    # cell 1 keeps its mass: cell 2's row is never used and need not sum to 1, but no
+    # weight may be NaN or negative
+    m = PartitionedKernelMixture(
+        Alphabet.of(["1", "2", "3"]), Partition((("1", "2"), ("3",))),
+        Distribution(np.array([1.0])), np.array([[[0.2, 0.8, 0.0], [bad, 0.0, 0.0]]]), "1")
+    assert validate_model(m) == [f"kernel[0] cell 2: weight 0 is {want}"]
+
+
 def test_negative_weight_message_is_unchanged():
     d = Distribution(np.array([1.1, -0.1]))
     assert validate_model(d) == ["distribution: weight 1 is negative (-0.1)"]
@@ -216,6 +226,41 @@ def test_markov_horizon_one_is_row_mixture():
               for mu, comp in zip(m.weights.weights, m.components))
     for i, s in enumerate(m.alphabet.emittable):
         assert law.prob((s,)) == pytest.approx(mix[i], abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# contract: one left-to-right sum per output entry
+
+
+def _layout(M, layout):
+    """``M``'s values in a C-contiguous, transposed-view or strided-view array."""
+    if layout == "transposed":
+        return np.ascontiguousarray(M.T).T
+    if layout == "strided":
+        wide = np.zeros((2 * M.shape[0], 3 * M.shape[1]))
+        wide[::2, ::3] = M
+        return wide[::2, ::3]
+    return M
+
+
+@given(st.lists(st.integers(1, 4), max_size=3), st.integers(1, 40), st.integers(1, 40),
+       st.sampled_from(["contiguous", "transposed", "strided"]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_contract_equals_the_left_to_right_loop_bit_for_bit(batch, X, Y, layout, seed):
+    r = rng(seed)
+    A, M = r.random((*batch, X)), r.random((X, Y))
+    for arr in (A, M):
+        arr[r.random(arr.shape) < 0.2] = 0.0
+        tiny = r.random(arr.shape) < 0.1
+        arr[tiny] *= 2.0 ** -1040                      # subnormal
+    if A.size > X:
+        A.reshape(-1, X)[r.integers(0, A.size // X)] = 0.0     # a zero row
+    if X > 1:
+        M[r.integers(0, X)] = 0.0
+    got = model_core.contract(A, _layout(M, layout))
+    want = oracles.reference_contract(A, M)
+    assert got.shape == want.shape == (*batch, Y)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
