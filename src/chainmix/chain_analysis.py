@@ -52,8 +52,7 @@ def reachability(adj: np.ndarray) -> np.ndarray:
 
 def recurrence_classes(R: np.ndarray) -> list[list[int]]:
     """Closed classes of the closure ``R``: the row ``R[v]`` of each recurrent ``v``
-    that is its row's smallest member, in order of that member. On a symmetric
-    closure every state recurs, and these are the connected components."""
+    that is its row's smallest member, in order of that member."""
     recurrent = (R <= R.T).all(axis=1)
     first = ~np.tril(R, -1).any(axis=1)
     return [np.flatnonzero(R[v]).tolist() for v in np.flatnonzero(recurrent & first)]

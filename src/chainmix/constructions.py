@@ -1,23 +1,26 @@
 """Model conversions between mixtures and hidden Markov models.
 
-The four constructions, each an executable law-preserving map:
+The three forward constructions, each an executable law-preserving map:
 
 * ``iid_mixture_to_hmm``        identity hidden chain, one state per component
 * ``markov_mixture_to_hmm``     hidden space = (symbol, component) pairs, direct-sum
   transition matrix, Kronecker-delta read-outs on the symbol coordinate
-* ``hmm_to_iid_mixture``        lump each recurrence class into one emission
-  distribution weighted by the class stationary vector
 * ``partitioned_mixture_to_hmm``  hidden space = (component, previous cell, current
   cell) triples with renormalized kernel restrictions as read-outs
 
-plus ``hmm_to_markov_mixture_exact``, which inverts ``markov_mixture_to_hmm`` on
-HMMs that carry the (symbol, component) product structure. The structure is
-detected, never assumed; anything else is directed to statistical recovery.
+and two inverses, ``hmm_to_iid_mixture`` and ``hmm_to_markov_mixture_exact``: one
+component per recurrence class of the hidden chain (reached transient states refused),
+weighted by its initial mass and built from its stationary vector. Each inverse
+certifies that its output's forward construction has the input's law at every
+horizon, and refuses anything else with a ``StructureError`` that points to
+statistical recovery.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
+from collections import deque
 
 import numpy as np
 
@@ -89,35 +92,6 @@ def markov_mixture_to_hmm(m: MarkovMixtureModel, prune: bool = True) -> HMMModel
         labels, pi, P, readout = _prune_hidden(labels, pi, P, readout)
     return HMMModel(labels, m.alphabet, Distribution(pi),
                     StochasticMatrix(P, labels), readout)
-
-
-def hmm_to_iid_mixture(m: HMMModel) -> IIDMixtureModel:
-    """Lump each recurrence class of the hidden chain into one i.i.d. component.
-
-    Component ``h`` emits ``F_h = sum_{x in C_h} p^h_x f_x`` (class stationary
-    vector against the read-outs) with weight ``mu_h`` = initial mass of ``C_h``.
-    The output law equals the input law whenever the input's output process is
-    exchangeable; for chains whose rows are identical within each class (and
-    invariant initial law) the equality is unconditional.
-    """
-    require_valid(m)
-    dec = decompose(m.P)
-    if dec.transient:
-        raise TransientStatesError(
-            f"underlying chain has transient states {list(dec.transient)}"
-        )
-    weights, components = [], []
-    for members, stat in zip(dec.classes, dec.stationary):
-        idx = list(members)
-        mu = float(m.pi.weights[idx].sum())
-        if mu <= 0.0:
-            warnings.warn(f"dropping recurrence class {idx}: zero initial mass")
-            continue
-        components.append(Distribution(contract(stat.weights, m.readout[idx])))
-        weights.append(mu)
-    if not components:
-        raise ConstructionError("every recurrence class carries zero initial mass")
-    return IIDMixtureModel(m.alphabet, Distribution(np.array(weights)), tuple(components))
 
 
 def has_block_iid_structure(m: HMMModel, tol: float = 1e-9) -> bool:
@@ -227,74 +201,90 @@ def partitioned_mixture_to_hmm(m: PartitionedKernelMixture,
                     StochasticMatrix(P, labels), readout)
 
 
-# --- exact inversion of the product construction ----------------------------
+# --- inverse constructions, certified ---------------------------------------
+
+
+def hmm_to_iid_mixture(m: HMMModel) -> IIDMixtureModel:
+    """One i.i.d. component per recurrence class: its stationary vector against the read-outs."""
+    weights, classes = _weighted_classes(m)
+    out = IIDMixtureModel(m.alphabet, weights, tuple(
+        Distribution(contract(stat, m.readout[idx])) for idx, stat in classes))
+    _certify(m, iid_mixture_to_hmm(out), "i.i.d. mixture")
+    return out
 
 
 def hmm_to_markov_mixture_exact(m: HMMModel) -> MarkovMixtureModel:
-    """Invert ``markov_mixture_to_hmm`` on HMMs carrying its product structure.
+    """One Markov component per recurrence class: row ``a`` mixes its states' next-symbol laws
+    by ``stationary * R[:, a]``, a self-loop if it never emits ``a``; ``y0`` is the likeliest."""
+    weights, classes = _weighted_classes(m)
+    PR, K = contract(m.P.rows, m.readout), m.alphabet.size
+    components = []
+    for idx, stat in classes:
+        W = (stat[:, None] * m.readout[idx]).T
+        mass = np.array([math.fsum(w) for w in W])[:, None]
+        rows = contract(W / np.where(mass > 0, mass, 1.0), PR[idx])
+        components.append(StochasticMatrix(np.where(mass > 0, rows, np.eye(K)),
+                                           m.alphabet.emittable))
+    y0 = m.alphabet.emittable[int(np.argmax(contract(m.pi.weights, m.readout)))]
+    out = MarkovMixtureModel(m.alphabet, y0, weights, tuple(components))
+    _certify(m, markov_mixture_to_hmm(out), "Markov mixture")
+    return out
 
-    Requires exactly deterministic read-outs, a block-diagonal transition matrix
-    (blocks = weakly connected components of the positive-transition graph),
-    one initial state per block, a common emitted start symbol, and distinct
-    emitted symbols within each block. Unreached symbols get self-loop rows.
-    """
+
+def _weighted_classes(m: HMMModel):
+    """Initial masses and ``(members, stationary vector)`` of the recurrence classes of a
+    valid HMM's hidden chain; a transient state it reaches is refused, zero-mass classes
+    are dropped, and states it never reaches do not enter the law."""
     require_valid(m)
-    K = m.alphabet.size
-    emit = []
-    for x, row in enumerate(m.readout):
-        top = int(np.argmax(row))
-        rest = np.delete(row, top)
-        if abs(row[top] - 1.0) > 1e-12 or (rest.size and float(rest.max()) > 1e-12):
-            raise StructureError(
-                f"read-out of hidden state {m.hidden_states[x]!r} is not deterministic; "
-                "use recovery.lln_recover for general HMMs"
-            )
-        emit.append(top)
-
-    edges = m.P.rows > EDGE_TOL
-    blocks = recurrence_classes(reachability(edges | edges.T))
-    weights, components, y0_candidates = [], [], []
-    dropped = 0
-    for block in blocks:
-        mu = float(m.pi.weights[block].sum())
+    dec = decompose(m.P)
+    if not is_recurrent(m.P, np.flatnonzero(m.pi.weights > 0)):
+        raise TransientStatesError(f"underlying chain reaches a transient state from its "
+                                   f"initial law (transient: {list(dec.transient)})")
+    weights, classes = [], []
+    for idx, stat in zip(map(list, dec.classes), dec.stationary):
+        mu = float(m.pi.weights[idx].sum())
         if mu <= 0.0:
-            warnings.warn(f"dropping block {block}: zero initial mass")
-            dropped += 1
+            warnings.warn(f"dropping recurrence class {idx}: zero initial mass")
             continue
-        support = [x for x in block if m.pi.weights[x] > 0.0]
-        if len(support) != 1:
-            raise StructureError(
-                "initial mass is not concentrated on one state per block; "
-                "use recovery.lln_recover for general HMMs"
-            )
-        symbols = [emit[x] for x in block]
-        if len(set(symbols)) != len(symbols):
-            raise StructureError(
-                "two states of one block emit the same symbol; "
-                "use recovery.lln_recover for general HMMs"
-            )
-        y0_candidates.append(emit[support[0]])
-        rows = np.eye(K)
-        for u in block:
-            rows[emit[u], :] = 0.0
-            for v in block:
-                rows[emit[u], emit[v]] = m.P.rows[u, v]
         weights.append(mu)
-        components.append(StochasticMatrix(rows, m.alphabet.emittable))
-    if not components:
-        raise ConstructionError("every block carries zero initial mass")
-    if len(set(y0_candidates)) != 1:
-        raise StructureError("blocks disagree on the start symbol; not in the image "
-                             "of markov_mixture_to_hmm")
-    y0 = m.alphabet.emittable[y0_candidates[0]]
-    for h, comp in enumerate(components):
-        if not is_recurrent(comp, [y0]):
-            raise StructureError(
-                f"recovered component {h} is not recurrent from {y0!r}; "
-                "use recovery.lln_recover for general HMMs"
-            )
-    return MarkovMixtureModel(m.alphabet, y0, Distribution(np.array(weights)),
-                              tuple(components))
+        classes.append((idx, stat.weights))
+    return Distribution(np.array(weights)), classes
+
+
+def _certify(m: HMMModel, image: HMMModel, name: str) -> None:
+    """``StructureError`` unless ``image`` has the law of ``m`` at every horizon: on the
+    direct sum of the chains (``n`` states), ``eta = [1, -1] / sqrt(n)`` must be orthogonal
+    to the span of the forward vectors ``(pi o R[:, w0]) M_w1 ... M_wN``, ``M_y = P
+    diag(R[:, y])`` (Schutzenberger 1961; Tzeng 1992), closed breadth first with two
+    projections per vector. A vector's noise is its level (``n u``, or its source's plus
+    ``n u``) times its norm plus its coefficients times the basis directions' noise; a
+    remainder within 64 noises adds no direction, and a direction ``q`` refutes equality
+    when ``|q . eta|`` exceeds 64 times its noise over the remainder's norm."""
+    na, n = m.n_hidden, m.n_hidden + image.n_hidden
+    P = np.zeros((n, n))
+    P[:na, :na], P[na:, na:] = m.P.rows, image.P.rows
+    R = np.vstack([m.readout, image.readout])
+    eta = np.repeat([1.0, -1.0], [na, n - na]) / math.sqrt(n)
+    nu = n * np.finfo(float).eps / 2
+    Q, noise_q, k = np.zeros((n, n)), np.zeros(n), 0
+    queue = deque((v, nu) for v in np.concatenate([m.pi.weights, image.pi.weights]) * R.T)
+    while queue and k < n:
+        v, level = queue.popleft()
+        c = contract(Q[:k], v[:, None])[:, 0]
+        noise = level * math.sqrt(math.fsum(v * v)) + math.fsum(np.abs(c) * noise_q[:k])
+        r = v - contract(c, Q[:k])
+        r = r - contract(contract(Q[:k], r[:, None])[:, 0], Q[:k])
+        norm = math.sqrt(math.fsum(r * r))
+        if norm <= 64 * noise:
+            continue
+        Q[k], noise_q[k] = r / norm, noise / norm
+        dot, bound = abs(contract(Q[k], eta[:, None])[0]), 64 * noise_q[k]
+        if dot > bound:
+            raise StructureError(f"the {name} of the recurrence classes does not have this "
+                                 f"HMM's law: |q.eta| = {dot:.3e} exceeds its rounding bound "
+                                 f"{bound:.3e}; use recovery.lln_recover for general HMMs")
+        queue.extend((w, noise_q[k] + nu) for w in contract(Q[k], P) * R.T)
+        k += 1
 
 
 # --- shared helpers ----------------------------------------------------------

@@ -42,7 +42,7 @@ class NonRecurrentComponentError(ChainmixError):
 
 
 class StructureError(ChainmixError):
-    """An HMM does not carry the product structure needed for exact inversion."""
+    """An HMM-to-mixture conversion's output does not have the input's law at every horizon."""
 
 
 class ConstructionError(ChainmixError):

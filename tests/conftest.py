@@ -105,6 +105,58 @@ def random_block_iid_hmm(r, n_blocks=2, max_block=3, n_symbols=3):
                     r.dirichlet(np.ones(n_symbols), size=n))
 
 
+def random_class_mixture(r, n_symbols=None, n_components=None):
+    """Each component splits the symbols into closed groups, irreducible by a cycle through
+    each: every state recurs, and the groups ``y0`` misses are zero-mass recurrence classes
+    of the unpruned ``markov_mixture_to_hmm`` image."""
+    k = n_symbols or int(r.integers(2, 5))
+    h = n_components or int(r.integers(1, 4))
+    alphabet = Alphabet.of(SYMBOLS[:k])
+    comps = []
+    for _ in range(h):
+        group = r.integers(0, int(r.integers(1, k + 1)), size=k)
+        keep = (r.random((k, k)) < 0.5) & (group[:, None] == group)
+        rows = r.dirichlet(np.ones(k), size=k) * keep
+        for g in np.unique(group):
+            members = np.flatnonzero(group == g)
+            rows[members, np.roll(members, -1)] += 0.5
+        comps.append(StochasticMatrix(rows / rows.sum(axis=1, keepdims=True), alphabet.emittable))
+    y0 = SYMBOLS[int(r.integers(0, k))]
+    return MarkovMixtureModel(alphabet, y0, random_distribution(r, h), tuple(comps))
+
+
+def split_hidden_state(m, r):
+    """``m`` with a random hidden state ``x`` split into two copies. Both keep ``x``'s row
+    and read-out, and they share ``x``'s column, row by row, and its initial mass in random
+    ratios. The output law does not change."""
+    n = m.n_hidden
+    x = int(r.integers(0, n))
+    P = np.zeros((n + 1, n + 1))
+    P[:n, :n] = m.P.rows
+    P[n] = P[x]
+    P[:, n] = P[:, x] * r.random(n + 1)
+    P[:, x] -= P[:, n]
+    pi = np.append(m.pi.weights, m.pi.weights[x] * r.random())
+    pi[x] -= pi[n]
+    hidden = (*m.hidden_states, m.hidden_states[x] + "'")
+    return HMMModel(hidden, m.alphabet, Distribution(pi), StochasticMatrix(P, hidden),
+                    np.vstack([m.readout, m.readout[x]]))
+
+
+def move_transition(m, r, eps):
+    """``m`` with ``eps`` (at most the entry) moved from a random positive transition to
+    another entry of its row."""
+    P = m.P.rows.copy()
+    positive = np.argwhere(P > 0)
+    i, j = positive[int(r.integers(0, len(positive)))]
+    c = (j + 1 + int(r.integers(0, len(P) - 1))) % len(P)
+    d = min(eps, P[i, j])
+    P[i, j] -= d
+    P[i, c] += d
+    return HMMModel(m.hidden_states, m.alphabet, m.pi, StochasticMatrix(P, m.hidden_states),
+                    m.readout)
+
+
 def random_partitioned(r, n_symbols=None, n_cells=None, n_components=None):
     k = n_symbols or int(r.integers(3, 6))
     j = n_cells or int(r.integers(2, min(4, k + 1)))

@@ -17,9 +17,12 @@ every answer from one reachability closure. The in-loop budget law checks its
 budget step by step as it enumerates, where the library counts live prefixes
 from the supports before any enumeration. The stationary reference solves the
 balance equations exactly in rationals, where the library eliminates in floats,
-and the rational HMM law bounds the forward pass's floats.
+and the rational HMM law bounds the forward pass's floats. The product inverse
+detects the block structure of ``markov_mixture_to_hmm``'s images, where the
+library builds one component per recurrence class and certifies its law.
 """
 
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +31,9 @@ from itertools import product
 import numpy as np
 
 from chainmix.chain_analysis import EDGE_TOL
+from chainmix.errors import StructureError
+from chainmix.model_core import (Distribution, MarkovMixtureModel, StochasticMatrix,
+                                 require_valid)
 
 
 def iid_law_by_paths(m, N):
@@ -448,6 +454,50 @@ def reference_weak_components(rows):
     for x in range(n):
         groups.setdefault(find(x), []).append(x)
     return sorted((sorted(g) for g in groups.values()), key=min)
+
+
+def reference_product_inverse(m):
+    """The inverse of ``markov_mixture_to_hmm`` by detecting its product structure, as the
+    library ran it before the class construction: deterministic read-outs, one initial
+    state and distinct symbols per weakly connected block, a common start symbol, and
+    recurrent recovered components, each refused with ``StructureError``."""
+    require_valid(m)
+    K = m.alphabet.size
+    emit = []
+    for x, row in enumerate(m.readout):
+        top = int(np.argmax(row))
+        rest = np.delete(row, top)
+        if abs(row[top] - 1.0) > 1e-12 or (rest.size and float(rest.max()) > 1e-12):
+            raise StructureError(f"read-out of hidden state {m.hidden_states[x]!r} is not "
+                                 "deterministic")
+        emit.append(top)
+    weights, components, y0_candidates = [], [], []
+    for block in reference_weak_components(m.P.rows):
+        mu = float(m.pi.weights[block].sum())
+        if mu <= 0.0:
+            warnings.warn(f"dropping block {block}: zero initial mass")
+            continue
+        support = [x for x in block if m.pi.weights[x] > 0.0]
+        if len(support) != 1:
+            raise StructureError("initial mass is not concentrated on one state per block")
+        symbols = [emit[x] for x in block]
+        if len(set(symbols)) != len(symbols):
+            raise StructureError("two states of one block emit the same symbol")
+        y0_candidates.append(emit[support[0]])
+        rows = np.eye(K)
+        for u in block:
+            rows[emit[u], :] = 0.0
+            for v in block:
+                rows[emit[u], emit[v]] = m.P.rows[u, v]
+        weights.append(mu)
+        components.append(StochasticMatrix(rows, m.alphabet.emittable))
+    if len(set(y0_candidates)) != 1:
+        raise StructureError("blocks disagree on the start symbol")
+    for h, comp in enumerate(components):
+        if not reference_is_recurrent(comp.rows, [y0_candidates[0]]):
+            raise StructureError(f"recovered component {h} is not recurrent")
+    return MarkovMixtureModel(m.alphabet, m.alphabet.emittable[y0_candidates[0]],
+                              Distribution(np.array(weights)), tuple(components))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 Every float contraction on an exact path is ``model_core.contract``, one fixed
 left-to-right sum that calls no BLAS, so ``law``, ``compare``, ``convert`` and exact
-``verify-lemmas`` must not move a digit when OpenBLAS loads another kernel. OpenBLAS
-reads ``OPENBLAS_CORETYPE`` once, when it loads, so each kernel runs the commands
-through ``cli.main`` in a child process of its own. Each child first prints the
-bytes of two BLAS products, which show that the kernels really differ.
+``verify-lemmas`` must not move a digit when OpenBLAS loads another kernel, and the
+certificate of the HMM-to-mixture conversions must reach the same verdict with the
+same message. OpenBLAS reads ``OPENBLAS_CORETYPE`` once, when it loads, so each kernel
+runs the commands through ``cli.main`` in a child process of its own and prints each
+command's stdout and stderr. Each child first prints the bytes of two BLAS products,
+which show that the kernels really differ.
 """
 
 import os
@@ -24,12 +26,15 @@ import contextlib, io, sys
 import numpy as np
 from chainmix import fixtures
 from chainmix.cli import main
+from chainmix.constructions import hmm_to_iid_mixture, iid_mixture_to_hmm
 from chainmix.model_io import save_model
 
 models, work = sys.argv[1:]
 noisy, separated = f"{models}/noisy_hmm.json", f"{models}/separated_mixture.json"
 battery, converted = f"{work}/battery.json", f"{work}/separated_hmm.json"
+lumped = f"{work}/lumped_hmm.json"
 save_model(fixtures.iid_rows_three_state(), battery)
+save_model(iid_mixture_to_hmm(hmm_to_iid_mixture(fixtures.block_identical_rows())), lumped)
 r = np.random.default_rng(0)
 A, B = r.random((8, 8)), r.random((8, 8))
 print("blas", (A @ B).tobytes().hex(), (A[0] @ B).tobytes().hex())
@@ -41,12 +46,15 @@ for argv in [
         ["verify-lemmas", "--model", noisy, "--lemma", "all", "--horizon", "12"],
         ["verify-lemmas", "--model", battery, "--lemma", "all", "--occurrences", "3",
          "--horizon", "16", "--target-symbol", "a"],
-        ["convert", noisy, "--to", "iid_mixture"]]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+        ["convert", noisy, "--to", "iid_mixture"],
+        ["convert", f"{models}/stay_swap_hmm.json", "--to", "markov_mixture"],
+        ["convert", lumped, "--to", "iid_mixture", "--check", "6"]]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = main(argv)
     print(*argv[:1], "exit", status)
     print(out.getvalue())
+    print(err.getvalue())
 """
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import rng, split_hidden_state
 from chainmix.cli import main
 from chainmix import stopping_verifier
 from chainmix.fixtures import (
@@ -136,6 +137,30 @@ def test_convert_and_check(mix_file, tmp_path, capsys):
     assert status == 0
     assert "tv" in err
     assert validate_model(load_model(out_path)) == []
+
+
+@pytest.mark.parametrize("name", ["noisy_hmm.json", "stay_swap_hmm.json"])
+def test_convert_refuses_a_lumping_without_the_hmm_law(name, tmp_path, capsys):
+    model = Path(__file__).resolve().parent.parent / "models" / name
+    out_path = tmp_path / "iid.json"
+    status, out, err = run(capsys, "convert", str(model), "--to", "iid_mixture",
+                           "--out", str(out_path))
+    assert (status, out) == (2, "")
+    assert "rounding bound" in err and "lln_recover" in err
+    assert not out_path.exists()
+
+
+def test_convert_inverts_a_split_state_hmm(tmp_path, capsys):
+    # one hidden state of a mixture image split into two copies: not the product form,
+    # but its law is the mixture's
+    path = tmp_path / "split.json"
+    save_model(split_hidden_state(markov_mixture_to_hmm(two_component_mixture()), rng(0)), path)
+    status, out, err = run(capsys, "convert", str(path), "--to", "markov_mixture",
+                           "--check", "6")
+    assert status == 0
+    assert json.loads(out)["type"] == "markov_mixture"
+    assert err.startswith("check horizon=6 tv ")
+    assert float(err.split()[-1]) <= 1e-12
 
 
 def test_convert_unsupported_route(hmm_file, tmp_path, capsys):

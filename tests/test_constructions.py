@@ -1,13 +1,23 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from conftest import (
+    move_transition,
     random_block_iid_hmm,
+    random_class_mixture,
+    random_hmm,
     random_iid_mixture,
     random_markov_mixture,
     random_partitioned,
     rng,
+    split_hidden_state,
 )
+from chainmix import constructions
 from chainmix.chain_analysis import decompose, is_recurrent
 from chainmix.constructions import (
     geometric_i0_law,
@@ -22,7 +32,7 @@ from chainmix.constructions import (
     uniform_i0_law,
 )
 from chainmix.errors import NonRecurrentComponentError, StructureError, TransientStatesError
-from chainmix.exact_law import condition_on_first, laws_equal, marginalize_first
+from chainmix.exact_law import condition_on_first, laws_equal, marginalize_first, total_variation
 from chainmix.fixtures import two_component_mixture, two_state_cycle
 from chainmix.model_core import (
     Alphabet,
@@ -37,6 +47,7 @@ from chainmix.model_core import (
     partitioned_mixture_law,
     validate_model,
 )
+from chainmix.model_io import model_to_dict
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +167,10 @@ def test_lumping_agrees_with_cesaro_substitution():
 
 
 def test_two_cycle_counterexample_not_exchangeable():
+    # 'abab...' is not exchangeable: its lumping has another law, which is refused
     m = two_state_cycle()
-    out = hmm_to_iid_mixture(m)       # the operation itself only needs recurrence
-    assert not laws_equal(iid_mixture_law(out, 2), hmm_law(m, 2), 1e-12)
+    with pytest.raises(StructureError, match="lln_recover"):
+        hmm_to_iid_mixture(m)
     assert not has_block_iid_structure(m)
 
 
@@ -314,3 +326,107 @@ def test_round_trip_b_iid():
             assert laws_equal(hmm_law(h, n), iid_mixture_law(m, n), 1e-12)
         back = hmm_to_iid_mixture(h)
         assert np.allclose(back.weights.weights, m.weights.weights, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The class construction and its certificate
+
+
+def _uncertified(inverse, m):
+    """What ``inverse`` builds from ``m`` before its certificate, as an HMM."""
+    forward = {hmm_to_iid_mixture: iid_mixture_to_hmm,
+               hmm_to_markov_mixture_exact: markov_mixture_to_hmm}[inverse]
+    with mock.patch.object(constructions, "_certify", lambda *args: None):
+        return forward(inverse(m))
+
+
+def _two_symbol_image(r, mixture=random_markov_mixture, prune=True):
+    m = mixture(r, n_symbols=2, n_components=int(r.integers(1, 4)))
+    return markov_mixture_to_hmm(m, prune=prune)
+
+
+def _with_class_construction(inverse, draw):
+    """``draw``'s HMM paired with the HMM of ``inverse``'s uncertified output."""
+    return lambda r: (lambda h: (h, _uncertified(inverse, h)))(draw(r))
+
+
+def _moved(r):
+    h = _two_symbol_image(r)
+    return h, move_transition(h, r, 10.0 ** -r.choice([3, 6]))
+
+
+# pairs of HMMs over one alphabet with at most 13 states together, at most 8 when K = 3;
+# moves of 1e-9 can fall below the certificate's resolution, so none is drawn
+CERTIFICATE_FAMILIES = {
+    "random pair": lambda r: (random_hmm(r, int(r.integers(1, 4)), 3),
+                              random_hmm(r, int(r.integers(1, 4)), 3)),
+    "mixture image": _with_class_construction(hmm_to_markov_mixture_exact, lambda r: (
+        _two_symbol_image(r, random_class_mixture, prune=bool(r.integers(0, 2))))),
+    "moved transition": _moved,
+    "block lumping": _with_class_construction(
+        hmm_to_iid_mixture, lambda r: random_block_iid_hmm(r, 2, 3)),
+    "random lumping": _with_class_construction(hmm_to_iid_mixture, lambda r: (
+        random_hmm(r, int(r.integers(2, 5)), int(r.integers(2, 4))))),
+    "split state": _with_class_construction(hmm_to_markov_mixture_exact, lambda r: (
+        split_hidden_state(_two_symbol_image(r), r))),
+    "random inverse": _with_class_construction(hmm_to_markov_mixture_exact, lambda r: (
+        random_hmm(r, int(r.integers(2, 4)), int(r.integers(2, 4))))),
+}
+
+
+@given(st.sampled_from(sorted(CERTIFICATE_FAMILIES)), st.integers(0, 2**32 - 1))
+@example("block lumping", 3026)     # nearly dependent read-outs: remainder 2.75e-7
+@settings(max_examples=200, deadline=None)
+def test_certificate_verdict_equals_brute_force(family, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # zero-mass classes of unpruned images
+        a, b = CERTIFICATE_FAMILIES[family](rng(seed))
+    N = a.n_hidden + b.n_hidden - 1         # strings of length X_a + X_b decide equality
+    equal = total_variation(hmm_law(a, N), hmm_law(b, N)) <= 1e-12
+    try:
+        constructions._certify(a, b, "model")
+        certified = True
+    except StructureError as err:
+        assert "use recovery.lln_recover" in str(err)
+        certified = False
+    assert certified == equal
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_class_construction_equals_the_product_inverse_on_images(seed, prune):
+    h = markov_mixture_to_hmm(random_class_mixture(rng(seed)), prune=prune)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # zero-mass classes of unpruned images
+        got, want = hmm_to_markov_mixture_exact(h), oracles.reference_product_inverse(h)
+    assert model_to_dict(got) == model_to_dict(want)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_split_state_hmms_invert_where_the_product_inverse_refused(seed):
+    r = rng(seed)
+    h = split_hidden_state(markov_mixture_to_hmm(random_markov_mixture(r)), r)
+    with pytest.raises(StructureError):
+        oracles.reference_product_inverse(h)
+    back = markov_mixture_to_hmm(hmm_to_markov_mixture_exact(h))
+    assert total_variation(hmm_law(h, 5), hmm_law(back, 5)) <= 1e-12
+
+
+def test_a_transient_state_counts_only_if_the_chain_reaches_it():
+    # the unpruned image of a chain whose state b leads into a's class but is never
+    # reached: b does not enter the law, and its symbol gets a self-loop row, where the
+    # product inverse copied b's row
+    alphabet = Alphabet.of(["a", "b"])
+    m = MarkovMixtureModel(alphabet, "a", Distribution(np.array([1.0])), (
+        StochasticMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]), alphabet.emittable),))
+    h = markov_mixture_to_hmm(m, prune=False)
+    assert hmm_to_markov_mixture_exact(h).components[0].rows.tolist() == [[1, 0], [0, 1]]
+    assert oracles.reference_product_inverse(h).components[0].rows.tolist() == [[1, 0], [1, 0]]
+    assert hmm_to_iid_mixture(h).components[0].weights.tolist() == [1, 0]
+    reached = HMMModel(h.hidden_states, alphabet, Distribution(np.array([0.5, 0.5])), h.P,
+                       h.readout)
+    for inverse in (hmm_to_iid_mixture, hmm_to_markov_mixture_exact):
+        with pytest.raises(TransientStatesError, match="reaches a transient state"):
+            inverse(reached)
+

@@ -1,7 +1,6 @@
 """Every structural question read from one reachability closure, checked against
 the per-question searches kept in ``tests/oracles.py``: Tarjan's strongly
-connected components, depth-first reach over states and over cells, and a
-union-find for weak components.
+connected components and depth-first reach over states and over cells.
 
 Graphs have 1 to 12 states. Entries exactly at ``EDGE_TOL`` are not edges and
 entries at twice it are. Rows with no edge at all occur too: a valid partitioned
@@ -11,18 +10,15 @@ model may leave all-zero the kernel of a cell that ``y0`` never reaches.
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from chainmix import chain_analysis
 from chainmix.chain_analysis import EDGE_TOL, decompose, is_recurrent, reachability
-from chainmix.constructions import _prune_hidden, hmm_to_markov_mixture_exact
-from chainmix.errors import StructureError
+from chainmix.constructions import _prune_hidden
 from chainmix.model_core import (
     Alphabet,
     Distribution,
-    HMMModel,
     Partition,
     PartitionedKernelMixture,
     StochasticMatrix,
@@ -77,42 +73,6 @@ def test_pruning_keeps_the_states_reachable_from_the_initial_support(rows, data)
     assert got[0] == tuple(labels[i] for i in keep)
     for a, b in zip(got[1:], (pi[keep], rows[np.ix_(keep, keep)], readout[keep])):
         assert np.array_equal(a, b)
-
-
-@given(edge_matrices(values=[EDGE_TOL, 2 * EDGE_TOL, 0.05]))
-@settings(max_examples=200, deadline=None)
-def test_exact_inversion_splits_the_chain_into_its_weak_components(off_diagonal):
-    # a stochastic chain with the drawn off-diagonal graph: at most 11 x 0.05 leaves
-    # the diagonal at least 0.45
-    n = len(off_diagonal)
-    P = off_diagonal * (1 - np.eye(n))
-    P[np.diag_indices(n)] = 1.0 - P.sum(axis=1)
-    blocks = oracles.reference_weak_components(P)
-    # state x emits its position in its block, and each block starts from its first
-    # state: the image of markov_mixture_to_hmm exactly when the blocks are these
-    K = max(map(len, blocks))
-    emit = np.zeros(n, dtype=int)
-    pi = np.zeros(n)
-    for b, block in enumerate(blocks):
-        emit[block] = np.arange(len(block))
-        pi[block[0]] = b + 1.0
-    pi /= pi.sum()
-    hidden = tuple(f"x{i}" for i in range(n))
-    hmm = HMMModel(hidden, Alphabet.of([f"s{y}" for y in range(K)]), Distribution(pi),
-                   StochasticMatrix(P, hidden), np.eye(K)[emit])
-    want = []
-    for block in blocks:
-        rows = np.eye(K)
-        rows[:len(block)] = 0.0
-        rows[:len(block), :len(block)] = P[np.ix_(block, block)]
-        want.append(rows)
-    if not all(oracles.reference_is_recurrent(rows, [0]) for rows in want):
-        with pytest.raises(StructureError, match="not recurrent"):
-            hmm_to_markov_mixture_exact(hmm)
-        return
-    got = hmm_to_markov_mixture_exact(hmm)
-    assert got.weights.weights.tolist() == [pi[block].sum() for block in blocks]
-    assert all(np.array_equal(c.rows, rows) for c, rows in zip(got.components, want))
 
 
 @given(st.integers(1, 12), st.integers(1, 3), st.data())
