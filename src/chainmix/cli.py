@@ -19,7 +19,7 @@ import numpy as np
 
 from . import chain_analysis, constructions, exact_law, model_core, recovery, successors
 from .config import DEFAULT, RunConfig, load_config
-from .errors import ChainmixError, InvalidModelError, ModelFormatError, TruncationError
+from .errors import ChainmixError, ModelFormatError
 from .model_core import (
     HMMModel,
     IIDMixtureModel,
@@ -171,24 +171,22 @@ def cmd_convert(args, cfg: RunConfig) -> int:
     return status
 
 
-def _matrices_for_analysis(model):
-    if isinstance(model, StochasticMatrix):
-        return [("matrix", model)]
-    if isinstance(model, HMMModel):
-        return [("underlying chain", model.P)]
-    if isinstance(model, MarkovMixtureModel):
-        return [(f"component {h}", c) for h, c in enumerate(model.components)]
-    if isinstance(model, PartitionedKernelMixture):
-        _, rows, state, _ = model_core.symbol_chains(model)
-        return [(f"component {h} (symbol chain)", StochasticMatrix(chain, model.alphabet.emittable))
-                for h, chain in enumerate(rows[:, state])]
-    raise ModelFormatError(f"{type(model).__name__} has no underlying matrix to analyze")
+# the named matrices that ``analyze`` decomposes, by model type
+_MATRICES = {StochasticMatrix: lambda m: [("matrix", m)],
+             HMMModel: lambda m: [("underlying chain", m.P)],
+             MarkovMixtureModel: lambda m: [(f"component {h}", c)
+                                            for h, c in enumerate(m.components)],
+             PartitionedKernelMixture: lambda m: [      # symbol chains: rows[:, state]
+                 (f"component {h} (symbol chain)", StochasticMatrix(c, m.alphabet.emittable))
+                 for h, c in enumerate(np.take(*model_core.symbol_chains(m)[1:3], axis=1))]}
 
 
 def cmd_analyze(args, cfg: RunConfig) -> int:
     model = model_core.require_valid(load_model(args.model))
+    if type(model) not in _MATRICES:
+        raise ModelFormatError(f"{type(model).__name__} has no underlying matrix to analyze")
     report = []
-    for name, mat in _matrices_for_analysis(model):
+    for name, mat in _MATRICES[type(model)](model):
         dec = chain_analysis.decompose(mat)
         entry = {
             "matrix": name,
@@ -478,8 +476,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return status
-    except (ModelFormatError, TruncationError, InvalidModelError, FileNotFoundError,
-            ChainmixError, ValueError) as exc:
+    except (ChainmixError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

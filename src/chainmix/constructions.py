@@ -24,7 +24,7 @@ from collections import deque
 
 import numpy as np
 
-from .chain_analysis import EDGE_TOL, decompose, is_recurrent, reachability, recurrence_classes
+from .chain_analysis import EDGE_TOL, decompose, is_recurrent, reachability
 from .errors import (
     ConstructionError,
     InvalidModelError,
@@ -39,6 +39,8 @@ from .model_core import (
     MarkovMixtureModel,
     PartitionedKernelMixture,
     StochasticMatrix,
+    _cell_masses,
+    _check_distribution,
     _check_markov_structure,
     contract,
     require_valid,
@@ -94,21 +96,6 @@ def markov_mixture_to_hmm(m: MarkovMixtureModel, prune: bool = True) -> HMMModel
                     StochasticMatrix(P, labels), readout)
 
 
-def has_block_iid_structure(m: HMMModel, tol: float = 1e-9) -> bool:
-    """True if the chain has identical rows within each recurrence class, no
-    transient states, and an invariant initial law (the lumping hypothesis under
-    which ``hmm_to_iid_mixture`` preserves the law unconditionally)."""
-    R = reachability(m.P.rows > EDGE_TOL)
-    if not (R <= R.T).all():
-        return False
-    for idx in recurrence_classes(R):
-        block = m.P.rows[idx]
-        if float(np.max(np.abs(block - block[0]))) > tol:
-            return False
-    drift = float(np.max(np.abs(contract(m.pi.weights, m.P.rows) - m.pi.weights)))
-    return drift <= tol
-
-
 # --- partitioned (fine-alphabet) construction -------------------------------
 
 
@@ -158,45 +145,35 @@ def partitioned_mixture_to_hmm(m: PartitionedKernelMixture,
     J, K, H = m.partition.n_cells, m.alphabet.size, m.n_components
     if i0.size != J + 1:
         raise ConstructionError(f"i0_law must cover cell indices 0..{J}")
-    if np.any(i0.weights < 0) or abs(float(i0.weights.sum()) - 1.0) > 1e-12:
-        raise ConstructionError("i0_law is not a distribution")
-    cell_of = m.cell_index_array            # (K,), values 1..J
-    y0 = m.alphabet.emit_index(m.y0)
-
-    # extended kernel: row 0 is the reserved-cell row, defined as delta_{y0}
-    ext = np.zeros((H, J + 1, K))
-    ext[:, 1:, :] = m.kernels
-    ext[:, 0, y0] = 1.0
-    # cell masses: mass[h, i, j] = t_h(i, E_j) for j = 1..J (into cell 0 is 0)
+    if violations := _check_distribution(i0.weights, "i0_law"):
+        raise ConstructionError(f"i0_law is not a distribution ({'; '.join(violations)})")
+    # cell masses: mass[h, i, j] = t_h(i, E_j); row 0, the reserved cell, is the point
+    # mass at y0, which lies in E_1; nothing enters cell 0
     mass = np.zeros((H, J + 1, J + 1))
-    for j in range(1, J + 1):
-        mass[:, :, j] = ext[:, :, cell_of == j].sum(axis=2)
+    mass[:, 1:, 1:], mass[:, 0, 1] = _cell_masses(m), 1.0
+    live = mass > 0.0
+    # one subset sum per component: a masked full-length sum may group the terms otherwise
+    z = np.array([i0.weights[emits].sum() for emits in live[:, :, 1]])
+    if not (z > 0.0).all():
+        raise ConstructionError(f"component {int(np.argmin(z > 0.0))}: i0_law puts no mass "
+                                f"on states that can emit into cell 1")
 
-    states = partitioned_product_states(m)
-    pos = {s: p for p, s in enumerate(states)}
-    n = len(states)
-    pi = np.zeros(n)
-    for h in range(H):
-        emittable_i = [i for i in range(J + 1) if mass[h, i, 1] > 0.0]
-        z = float(i0.weights[emittable_i].sum())
-        if z <= 0.0:
-            raise ConstructionError(
-                f"component {h}: i0_law puts no mass on states that can emit into cell 1"
-            )
-        for i in emittable_i:
-            pi[pos[(h, i, 1)]] = m.weights[h] * i0[i] / z
+    # triple (h, i, j) has flat index (h (J + 1) + i) (J + 1) + j and moves to (h, j, j')
+    h, i, j = np.indices((H, J + 1, J + 1))
+    pi = np.zeros((H, J + 1, J + 1))
+    start = m.weights.weights[:, None] * i0.weights / z[:, None]
+    pi[:, :, 1] = np.where(live[:, :, 1], start, 0.0)
+    P = np.zeros((H, J + 1, J + 1) * 2)
+    P[h, i, j, h, j] = mass[h, j]
+    ext = np.concatenate([np.broadcast_to(np.eye(K)[m.alphabet.emit_index(m.y0)], (H, 1, K)),
+                          m.kernels], axis=1)     # kernel rows by cell index, row 0 delta_y0
+    inside = m.cell_index_array == j[..., None]    # zero-mass triples are pruned below
+    readout = np.where(inside, ext[h, i], 0.0) / np.where(live, mass, 1.0)[..., None]
 
-    P = np.zeros((n, n))
-    readout = np.zeros((n, K))
-    for p, (h, i, j) in enumerate(states):
-        if j >= 1 and mass[h, i, j] > 0.0:
-            readout[p] = np.where(cell_of == j, ext[h, i], 0.0) / mass[h, i, j]
-        for j2 in range(1, J + 1):
-            if mass[h, j, j2] > 0.0:
-                P[p, pos[(h, j, j2)]] = mass[h, j, j2]
-
-    labels = tuple(f"h{h}|i{i}|j{j}" for (h, i, j) in states)
-    labels, pi, P, readout = _prune_hidden(labels, pi, P, readout)
+    n = H * (J + 1) ** 2
+    labels = tuple(f"h{h}|i{i}|j{j}" for (h, i, j) in partitioned_product_states(m))
+    labels, pi, P, readout = _prune_hidden(labels, pi.ravel(), P.reshape(n, n),
+                                           readout.reshape(n, K))
     return HMMModel(labels, m.alphabet, Distribution(pi),
                     StochasticMatrix(P, labels), readout)
 

@@ -605,15 +605,19 @@ def _check_partitioned(m: PartitionedKernelMixture) -> list[str]:
         out.append(f"y0: {m.y0!r} must lie in cell 1")
     from .chain_analysis import EDGE_TOL, reachability  # late import, as above
 
-    cell_of = m.cell_index_array
-    # mass[h, i, j]: kernel mass that cell i + 1 sends into cell j + 1
-    mass = np.stack([m.kernels[:, :, cell_of == j].sum(axis=2) for j in range(1, J + 1)],
-                    axis=2)
-    for h in range(m.n_components):
-        reached = reachability(mass[h] > EDGE_TOL)[0]
+    for h, mass in enumerate(_cell_masses(m)):
+        reached = reachability(mass > EDGE_TOL)[0]
         for j, row in enumerate(m.kernels[h], start=1):    # unreached rows need no sum of 1
             out += _check_distribution(row, f"kernel[{h}] cell {j}", sums=reached[j - 1])
     return out
+
+
+def _cell_masses(m: PartitionedKernelMixture) -> np.ndarray:
+    """``mass[h, i, j]``: the kernel mass that component ``h`` sends from cell ``i + 1``
+    into cell ``j + 1``, each a sum over the cell's symbols in alphabet order."""
+    cell_of = m.cell_index_array
+    return np.stack([m.kernels[:, :, cell_of == j].sum(axis=2)
+                     for j in range(1, m.partition.n_cells + 1)], axis=2)
 
 
 # ---------------------------------------------------------------------------

@@ -320,12 +320,12 @@ def check_splitting(model, N: int = 3, tol: float | None = None,
     against ``P(X_n=x, Y_n in S_n | X_{n-1}=x_{n-1})``. Zero-mass conditioning
     events are reported as skipped. Needs ``N >= 2``: no instance has ``n < 2``.
 
-    Runs one batch per depth: the live conditioning trails of times ``1..d``
-    are the rows of one array, masked by every option at once and advanced by
-    one :func:`~chainmix.model_core.contract`. The trails of depth ``n - 1``
-    condition the instances of ``n``, which come out in trail order, as do the
-    skipped labels: a trail cut off at an inner depth is reported in its
-    prefix's place.
+    Runs one batch per depth: the live conditioning trails of times ``1..d`` are
+    rows of option indices, their vectors the rows of one array, masked by every
+    option at once and advanced by one :func:`~chainmix.model_core.contract`. The
+    trails of depth ``n - 1`` condition the instances of ``n``, which come out in
+    trail order; skipped labels are sorted by trail, so a trail cut off at an inner
+    depth is reported in its prefix's place.
     """
     tol = DEFAULT.tol_exact if tol is None else tol
     if N < 2:
@@ -340,27 +340,23 @@ def check_splitting(model, N: int = 3, tol: float | None = None,
     target_labels = [f" -> {label}" for label in combo_labels]
 
     marginal = contract(jc.init, T)    # law of the pair at time n - 1
-    vec, trails = marginal[None], [""]  # live trails of times 1..n-2, advanced to time n-1
-    # the trails and inner-depth skips in trail order: live row i as i, skip j as ~j
-    order, cut = np.zeros(1, dtype=np.int64), []
-    cols, leaf_n, leaf_trails, skipped = [], [], [], []
+    # live trails of times 1..n-2, advanced to time n - 1; (path, label) of those cut off
+    vec, paths, dry = marginal[None], np.zeros((1, 0), dtype=np.int64), []
+    cols, leaves, skipped = [], [], []
+
+    def trail(path) -> str:
+        return " ".join(combo_labels[c] for c in path)
+
     for n in range(2, N + 1):
         # depth n - 1: mask every live trail by every option
         nxt = vec[:, None, :] * masks
         mass = nxt.sum(axis=-1).ravel()
         keep = mass > MASS_FLOOR
-        live, dead = np.flatnonzero(keep), np.flatnonzero(~keep)
-        children = np.empty(len(mass), dtype=np.int64)
-        children[live] = np.arange(len(live))
-        children[dead] = ~np.arange(len(cut), len(cut) + len(dead))
-        cut += [f"cond[{trails[r]} {combo_labels[c]} ...]" for r, c in zip(*divmod(dead, C))]
-        fans = np.where(order >= 0, C, 1)
-        expanded = np.repeat(order, fans)
-        expanded[np.repeat(order >= 0, fans)] = children
-        order = expanded
-        parent, c = divmod(live, C)
-        trails = [f"{trails[r]} {combo_labels[k]}".lstrip() for r, k in zip(parent, c)]
-        last_x, vec, den = x_of[c], contract(nxt.reshape(-1, jc.n_pairs)[live], T), mass[live]
+        parent, c = divmod(np.arange(mass.size), C)
+        dry += [((*p, k), f"cond[{trail(p)} {combo_labels[k]} ...]")
+                for p, k in zip(paths[parent[~keep]].tolist(), c[~keep].tolist())]
+        paths, last_x = np.column_stack([paths[parent[keep]], c[keep]]), x_of[c[keep]]
+        vec, den = contract(nxt.reshape(-1, jc.n_pairs)[keep], T), mass[keep]
 
         # time n: one-step predictions from X_(n-1) alone
         u = marginal * np.array([jc.mask(hidden=x) for x in range(X)])
@@ -370,21 +366,20 @@ def check_splitting(model, N: int = 3, tol: float | None = None,
                / np.where(rhs_ok, rden, 1.0)[:, None])
         marginal = contract(marginal, T)
 
-        report = order < 0
-        report[order >= 0] = ~rhs_ok[last_x]          # the live rows, in row order
-        for e in order[report].tolist():
-            skipped.append(f"n={n} " + (cut[~e] if e < 0 else
-                                        f"cond[{trails[e]}] (one-step side has no mass)"))
+        # skips in depth-first order: a cut trail sorts at its prefix's place
+        alone = [(tuple(p), f"cond[{trail(p)}] (one-step side has no mass)")
+                 for p in paths[~rhs_ok[last_x]].tolist()]
+        skipped += [f"n={n} {label}" for _, label in sorted(dry + alone)]
         rows = np.flatnonzero(rhs_ok[last_x])
         lhs = (vec[rows][:, None, :] * masks).sum(axis=-1) / den[rows][:, None]
         gap = np.abs(lhs - rhs[last_x[rows]])
         cols.append((lhs.ravel(), rhs[last_x[rows]].ravel(), gap.ravel(), np.full(gap.size, tol)))
-        leaf_n += [n] * len(rows)
-        leaf_trails += [trails[r] for r in rows.tolist()]
+        leaves += [(n, p) for p in paths[rows].tolist()]
 
     def label(i: int) -> str:
         j, target = divmod(i, C)
-        return f"n={leaf_n[j]} cond[{leaf_trails[j]}]{target_labels[target]}"
+        n, path = leaves[j]
+        return f"n={n} cond[{trail(path)}]{target_labels[target]}"
 
     values = (np.concatenate(c) for c in zip(*cols))
     return LemmaCheckResult("splitting", InstanceTable(*values, label), tuple(skipped), 0.0, tol)
@@ -659,7 +654,6 @@ def _lemma_tables(m, spec: HittingTimeSpec, N: int | None, horizon: int, budget)
     if not isinstance(m, HMMModel):
         raise TypeError("the hitting-time lemmas need an HMMModel "
                         "(the read-out identity references its read-out rows)")
-    require_valid(m)
     jc = JointChain.from_hmm(m)
     A = spec.mask(jc)
     N = spec.occurrences if N is None else N

@@ -500,6 +500,44 @@ def reference_product_inverse(m):
                               Distribution(np.array(weights)), tuple(components))
 
 
+def reference_partitioned_to_hmm(m, i0):
+    """``partitioned_mixture_to_hmm`` as the library ran it before the array form: every
+    (component, previous cell, current cell) triple walked in Python through a position
+    table, its cell masses summed over the extended kernel whose row 0 is ``delta_y0``."""
+    from chainmix.constructions import _prune_hidden, partitioned_product_states
+    from chainmix.model_core import HMMModel
+
+    J, K, H = m.partition.n_cells, m.alphabet.size, m.n_components
+    cell_of = m.cell_index_array
+    ext = np.zeros((H, J + 1, K))
+    ext[:, 1:, :] = m.kernels
+    ext[:, 0, m.alphabet.emit_index(m.y0)] = 1.0
+    mass = np.zeros((H, J + 1, J + 1))
+    for j in range(1, J + 1):
+        mass[:, :, j] = ext[:, :, cell_of == j].sum(axis=2)
+
+    states = partitioned_product_states(m)
+    pos = {s: p for p, s in enumerate(states)}
+    n = len(states)
+    pi = np.zeros(n)
+    for h in range(H):
+        emittable_i = [i for i in range(J + 1) if mass[h, i, 1] > 0.0]
+        z = float(i0.weights[emittable_i].sum())
+        for i in emittable_i:
+            pi[pos[(h, i, 1)]] = m.weights[h] * i0[i] / z
+    P = np.zeros((n, n))
+    readout = np.zeros((n, K))
+    for p, (h, i, j) in enumerate(states):
+        if j >= 1 and mass[h, i, j] > 0.0:
+            readout[p] = np.where(cell_of == j, ext[h, i], 0.0) / mass[h, i, j]
+        for j2 in range(1, J + 1):
+            if mass[h, j, j2] > 0.0:
+                P[p, pos[(h, j, j2)]] = mass[h, j, j2]
+    labels = tuple(f"h{h}|i{i}|j{j}" for (h, i, j) in states)
+    labels, pi, P, readout = _prune_hidden(labels, pi, P, readout)
+    return HMMModel(labels, m.alphabet, Distribution(pi), StochasticMatrix(P, labels), readout)
+
+
 # ---------------------------------------------------------------------------
 # Reference draw order: one trajectory at a time, one scalar lookup per draw
 

@@ -48,7 +48,8 @@ for argv in [
          "--horizon", "16", "--target-symbol", "a"],
         ["convert", noisy, "--to", "iid_mixture"],
         ["convert", f"{models}/stay_swap_hmm.json", "--to", "markov_mixture"],
-        ["convert", lumped, "--to", "iid_mixture", "--check", "6"]]:
+        ["convert", lumped, "--to", "iid_mixture", "--check", "6"],
+        ["convert", f"{models}/two_cell_partitioned.json", "--to", "hmm", "--check", "6"]]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = main(argv)

@@ -1,3 +1,4 @@
+import json
 import warnings
 from unittest import mock
 
@@ -21,7 +22,6 @@ from chainmix import constructions
 from chainmix.chain_analysis import decompose, is_recurrent
 from chainmix.constructions import (
     geometric_i0_law,
-    has_block_iid_structure,
     hmm_to_iid_mixture,
     hmm_to_markov_mixture_exact,
     iid_mixture_to_hmm,
@@ -31,7 +31,12 @@ from chainmix.constructions import (
     point_i0_law,
     uniform_i0_law,
 )
-from chainmix.errors import NonRecurrentComponentError, StructureError, TransientStatesError
+from chainmix.errors import (
+    ConstructionError,
+    NonRecurrentComponentError,
+    StructureError,
+    TransientStatesError,
+)
 from chainmix.exact_law import condition_on_first, laws_equal, marginalize_first, total_variation
 from chainmix.fixtures import two_component_mixture, two_state_cycle
 from chainmix.model_core import (
@@ -40,6 +45,7 @@ from chainmix.model_core import (
     HMMModel,
     IIDMixtureModel,
     MarkovMixtureModel,
+    PartitionedKernelMixture,
     StochasticMatrix,
     hmm_law,
     iid_mixture_law,
@@ -145,7 +151,6 @@ def test_one_block_identical_rows_hand_example():
 def test_lumping_law_equality_under_hypothesis():
     for seed in range(5):
         m = random_block_iid_hmm(rng(50 + seed))
-        assert has_block_iid_structure(m)
         out = hmm_to_iid_mixture(m)
         for n in (1, 3, 6):
             assert laws_equal(iid_mixture_law(out, n), hmm_law(m, n), 1e-12)
@@ -171,7 +176,6 @@ def test_two_cycle_counterexample_not_exchangeable():
     m = two_state_cycle()
     with pytest.raises(StructureError, match="lln_recover"):
         hmm_to_iid_mixture(m)
-    assert not has_block_iid_structure(m)
 
 
 def test_exchangeable_output_without_identical_rows():
@@ -182,7 +186,6 @@ def test_exchangeable_output_without_identical_rows():
     m = HMMModel(hidden, Alphabet.of(["a", "b"]),
                  Distribution(np.array([0.5, 0.5])),
                  StochasticMatrix(np.array([[0.3, 0.7], [0.6, 0.4]]), hidden), f)
-    assert not has_block_iid_structure(m)     # rows differ within the class
     out = hmm_to_iid_mixture(m)
     for n in (1, 3, 5):
         assert laws_equal(iid_mixture_law(out, n), hmm_law(m, n), 1e-12)
@@ -259,6 +262,57 @@ def test_singleton_cells_single_component_is_plain_chain():
     h = partitioned_mixture_to_hmm(m)
     assert laws_equal(marginalize_first(hmm_law(h, 3)),
                       markov_mixture_law(mm, 3), 1e-12)
+
+
+@pytest.mark.parametrize("weights", [[np.nan, 0.5, 0.5], [-0.5, 1.0, 0.5]],
+                         ids=["nan", "negative"])
+def test_an_i0_law_that_is_no_distribution_is_refused(weights):
+    from chainmix.fixtures import two_cell_partitioned_mixture
+
+    with pytest.raises(ConstructionError, match="i0_law is not a distribution"):
+        partitioned_mixture_to_hmm(two_cell_partitioned_mixture(),
+                                   Distribution(np.array(weights)))
+
+
+def _sparse_partitioned(r, J):
+    """A random partitioned mixture on ``J`` cells whose components reach a random set of
+    cells from cell 1, with all-zero kernels on the cells they never reach and random
+    zeros inside the rows they do; half the time every zero is -0.0."""
+    m = random_partitioned(r, n_symbols=int(r.integers(J, 6)), n_cells=J,
+                           n_components=int(r.integers(1, 4)))
+    cell_of = m.cell_index_array
+    kernels = np.zeros(m.kernels.shape)
+    for h in range(m.n_components):
+        reached = np.append(True, r.random(J - 1) < 0.6)       # cell 1 is always reached
+        targets = np.flatnonzero(reached[cell_of - 1])
+        for j in np.flatnonzero(reached):
+            allowed = np.isin(np.arange(len(cell_of)), targets) & (r.random(len(cell_of)) < 0.7)
+            allowed[r.choice(targets)] = True
+            w = r.dirichlet(np.ones(len(cell_of))) * allowed
+            kernels[h, j] = w / w.sum()
+    if r.random() < 0.5:
+        kernels[kernels == 0.0] = -0.0
+    return PartitionedKernelMixture(m.alphabet, m.partition, m.weights, kernels, m.y0)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4),
+       st.sampled_from(["point", "uniform", "geometric", "random"]))
+@settings(max_examples=200, deadline=None)
+def test_partitioned_construction_equals_the_triple_loop(seed, J, law):
+    # the array form against the loop over (component, previous cell, current cell)
+    # triples: the same states, labels and floats, signed zeros included
+    r = rng(seed)
+    m = _sparse_partitioned(r, J)
+    if law == "random":
+        w = r.dirichlet(np.ones(J + 1)) * np.append(1.0, r.random(J) < 0.7)
+        i0 = Distribution(w / w.sum())
+    else:
+        i0 = {"point": point_i0_law, "uniform": uniform_i0_law,
+              "geometric": geometric_i0_law}[law](m)
+    got = partitioned_mixture_to_hmm(m, i0)
+    assert validate_model(got) == []
+    want = oracles.reference_partitioned_to_hmm(m, i0)
+    assert json.dumps(model_to_dict(got)) == json.dumps(model_to_dict(want))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ def cli_block() -> list[str]:
 def test_readme_cli_block_exits_0(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     lines = cli_block()
-    assert len(lines) == 13
+    assert len(lines) == 14
     for line in lines:
         line = line.replace("/tmp/", f"{tmp_path}/").removesuffix(" | head")
         command, _, target = line.partition(" > ")
