@@ -9,22 +9,18 @@ so trajectories are a pure function of ``(model, length, seed, stream)``.
 Each draw's outcome, a label's index, goes straight into one code array per
 block of trajectories (:class:`Trajectory` holds codes, not labels).
 
-Every model is sampled as one automaton, a mixture's built from its symbol
-chains (:func:`chainmix.model_core.symbol_chains`), and a batch of trajectories
-advances in lockstep: one vectorised lookup (:func:`walk`) takes the next draw
-of all of them. Batches too small for that to pay, such as a single trajectory,
-take one scalar lookup per draw, and i.i.d. components (one row each) all their
-draws at once. Each trajectory still reads its own stream in the order above,
-fetched in time chunks; Philox draws split across calls equal one call, so a
-trajectory is the same whether it is sampled alone or in a batch of any size.
+Every model is sampled as one automaton through one lookup table (:func:`walk`),
+a mixture's built from its symbol chains. Each trajectory reads its own stream
+in the order above, in time chunks; Philox draws split across calls equal one
+call, so a trajectory is the same whether sampled alone or in a batch.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -32,10 +28,8 @@ from .model_core import Alphabet, FiniteLaw, HMMModel, require_valid, symbol_cha
 
 STREAMS_PER_BLOCK = 1024   # trajectories advanced together
 DRAWS_PER_CHUNK = 1 << 15  # uniforms held in memory at once
-# Lockstep pays for its per-draw vector operations (about one per table column)
-# once a batch holds this many automata per column: the measured crossover
-# with scalar bisect_right, for tables of 2 to 20 columns, lies at 10 to 20.
-LOCKSTEP_PER_COLUMN = 16
+_TABLE_ENTRIES = 1 << 14  # (row, bucket tuple) entries of walk's table, 16 B each at m = 4
+_LISTS_BELOW = 4           # fewer automata walk through lists (measured crossover 4-6)
 
 
 @dataclass(frozen=True)
@@ -126,54 +120,62 @@ class Trajectory:
 
 
 def cdf_table(rows) -> np.ndarray:
-    """Running sums of distributions of any widths, one row each, for :func:`walk`.
-
-    Each row's last entry, and the padding after it, is stored as +inf, so
-    ``#{j : cum[r, j] <= u}`` never exceeds ``n - 1``.
-    """
+    """Running sums of distributions of any widths, one row each, for :func:`walk`;
+    each row's last entry and its padding are +inf, so ``#{j : cum[r, j] <= u} < n``."""
     out = np.full((len(rows), max(len(r) for r in rows)), np.inf)
     for i, r in enumerate(rows):
         out[i, :len(r) - 1] = np.cumsum(r)[:-1]
     return out
 
 
-def walk(cum: np.ndarray, nxt: np.ndarray, row: np.ndarray, us: np.ndarray):
-    """Advance one automaton per row of ``us``, one draw per column.
-
-    Automaton ``i`` at row ``r`` draws, for its next uniform ``u``, outcome
-    ``c = min(#{j : cum[r, j] <= u}, n - 1)`` of the ``n`` outcomes of row ``r``
-    (``bisect_right`` clamped to the last outcome, the choice a scalar lookup
-    makes with the same uniform), then moves to ``nxt[r, c]``. Returns the
-    outcomes, one row per draw, and the rows after the last draw.
-
-    Three loops give the same outcomes; the arguments choose one. When every
-    automaton sits on a row it never leaves (an i.i.d. component), all draws
-    are looked up at once. Otherwise a batch of at least ``LOCKSTEP_PER_COLUMN``
-    automata per column of ``cum`` advances in lockstep, one vector operation
-    per column and draw, reading the columns one at a time so that no automata
-    by width block is gathered; a smaller batch is cheaper as one scalar
-    ``bisect_right`` per automaton and draw.
+def walk(cum: np.ndarray, nxt: np.ndarray, count: int, draws: int):
+    """``step(row, us)`` moves automaton ``i`` from row ``row[i]`` by one draw per
+    uniform of ``us[i]``: outcome ``c = #{j : cum[r, j] <= u}`` at row ``r``, then row
+    ``nxt[r, c]``; it returns the outcomes and the last rows. ``c = tab[r, b]`` exactly
+    for the bucket ``b = #{i : B_i <= u}`` among the distinct finite entries ``B`` of
+    ``cum``, so a table of the outcomes and rows after each row and ``m``-tuple of
+    buckets takes ``m`` draws per two gathers, or list lookups for fewer than
+    ``_LISTS_BELOW`` of the ``count`` automata. Past ``_TABLE_ENTRIES`` each draw
+    gathers and compares rows instead; ``m`` is capped by the ``draws`` served.
     """
-    out = np.zeros(us.shape[::-1], dtype=np.intp)
-    if (nxt[row] == row[:, None]).all():
-        for col in cum.T[:-1]:
-            out += col[row] <= us.T
-        return out, row
-    if len(row) < LOCKSTEP_PER_COLUMN * cum.shape[1]:
-        cl, nl, rows = cum[:, :-1].tolist(), nxt.tolist(), row.tolist()
-        for i, ui in enumerate(us.tolist()):
-            r, cs = rows[i], []
-            for u in ui:
-                c = bisect_right(cl[r], u)
-                cs.append(c)
-                r = nl[r][c]
-            out[:, i], rows[i] = cs, r
-        return out, np.array(rows, dtype=np.intp)
-    for c, u in zip(out, us.T):
-        for col in cum.T[:-1]:
-            c += col[row] <= u
-        row = nxt[row, c]
-    return out, row
+    B = np.array(sorted(set(cum[np.isfinite(cum)].tolist())))  # np.unique imports numpy.ma
+    R, nb = len(cum), B.size + 1
+    if R * nb > _TABLE_ENTRIES:
+        def step(row, us):
+            out = np.empty(us.shape, np.intp)
+            for t, u in enumerate(us.T):
+                out[:, t] = c = (cum[row] <= u[:, None]).sum(1)
+                row = nxt[row, c]
+            return out, row
+        return step
+    tab = np.array([c.searchsorted(np.r_[-np.inf, B], "right") for c in cum])  # rows ascend
+    m = max(k for k in range(1, 17) if k == 1 or R * nb ** k <= min(_TABLE_ENTRIES, draws))
+    outs = np.empty((R * nb ** m, m), np.min_scalar_type(cum.shape[1] - 1))  # [row, tuple]
+    rows = np.empty(outs.shape, np.min_scalar_type(R - 1))       # the row after each draw
+    r = np.arange(R)[:, None]
+    for i, bi in enumerate(np.indices((nb,) * m).reshape(m, -1)):
+        outs[:, i] = (c := tab[r, bi]).ravel()
+        rows[:, i] = (r := nxt[r, c]).ravel()
+    after = rows[:, -1].astype(np.intp) * nb ** m      # the next group's table offset
+    lists = after.tolist() if count < _LISTS_BELOW else None
+
+    def step(row, us):
+        b = (B.searchsorted(us, "right") if B.size >= 160 else   # one pass each up to 160
+             sum((us >= x for x in B), np.zeros(us.shape, np.uint8)))
+        b = np.pad(b, ((0, 0), (0, -(T := us.shape[1]) % m))).T   # extra draws are dropped
+        F = b[::m].astype(np.intp, order="C")         # [group, automaton]: bucket tuple
+        for i in range(1, m):
+            F = F * nb + b[i::m]
+        F[:1] += row * nb ** m                        # then each group's table entry
+        if lists is None:
+            for f, g in zip(F, F[1:]):
+                g += after.take(f)
+        else:
+            F = np.array([list(accumulate(col, lambda f, x: lists[f] + x))
+                          for col in F.T.tolist()], np.intp).T
+        last = rows[F[-1], (T - 1) % m].astype(np.intp) if T else row
+        return outs[F.T].reshape(len(row), -1)[:, :T], last
+    return step
 
 
 def _automaton(model):
@@ -198,10 +200,7 @@ def _automaton(model):
     s0 = 0 if y0 is None else state[model.alphabet.emit_index(y0)]
     cum = cdf_table([*rows.reshape(H * S, K), weights])
     nxt = np.zeros(cum.shape, dtype=np.intp)
-    # padding columns, never drawn, stay in the component, so that an i.i.d.
-    # component's row maps every column to itself
-    nxt[:H * S] = np.repeat(np.arange(H) * S, S)[:, None]
-    nxt[:H * S, :K] += state
+    nxt[:H * S, :K] = np.repeat(np.arange(H) * S, S)[:, None] + state
     nxt[H * S, :H] = np.arange(H) * S + s0
     return cum, nxt, H * S, 1, 1, y0
 
@@ -215,10 +214,10 @@ def _sample_streams(model, length, srcs, trace_hidden) -> list[Trajectory]:
     cum, nxt, start, lead, stride, first = _automaton(model)
     gens = [src.generator() for src in srcs]
     draw = lambda n: np.array([g.random(n) for g in gens])   # next n uniforms per stream
-    _, row = walk(cum, nxt, np.full(len(gens), start), draw(lead))
+    step = walk(cum, nxt, len(gens), len(gens) * (lead + length * stride))
+    _, row = step(np.full(len(gens), start), draw(lead))
     em, hs = model.alphabet.emittable, getattr(model, "hidden_states", None)
-    # one code array per block, filled chunk by chunk, so that no count x length
-    # array of int64 outcomes or uniforms is ever held
+    # one code array per block, filled chunk by chunk: no count x length uniforms
     shape = (len(gens), length)
     codes = np.empty(shape, np.min_scalar_type(len(em) - 1))
     hidden = np.empty(shape, np.min_scalar_type(len(hs) - 1)) if trace_hidden else None
@@ -226,10 +225,10 @@ def _sample_streams(model, length, srcs, trace_hidden) -> list[Trajectory]:
         codes[:, 0] = model.alphabet.emit_index(first)
     chunk = max(1, DRAWS_PER_CHUNK // (len(gens) * stride))
     for t0 in range(0, length - skip, chunk):
-        out, row = walk(cum, nxt, row, draw(min(chunk, length - skip - t0) * stride))
-        codes[:, skip + t0:skip + t0 + len(out) // stride] = out[stride - 1::stride].T
+        out, row = step(row, draw(min(chunk, length - skip - t0) * stride))
+        codes[:, skip + t0:skip + t0 + out.shape[1] // stride] = out[:, stride - 1::stride]
         if trace_hidden:
-            hidden[:, t0:t0 + len(out) // stride] = out[::stride].T
+            hidden[:, t0:t0 + out.shape[1] // stride] = out[:, ::stride]
     return [Trajectory(codes[i], None if hidden is None else hidden[i], src, em, hs)
             for i, src in enumerate(srcs)]
 
@@ -255,6 +254,7 @@ def sample_many(model, length: int, count: int, src: RandomSource,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    src.derive(count - 1)      # a count past the substreams is refused before any draw
     require_valid(model)
     out = []
     for lo in range(0, count, STREAMS_PER_BLOCK):

@@ -790,17 +790,17 @@ def check_hitting_time_lemmas(m, spec: HittingTimeSpec, N: int | None = None,
 
 def _sample_joint_paths(jc: JointChain, length: int, count: int,
                         src: RandomSource) -> np.ndarray:
-    """``count`` paths of pair indices, advanced in lockstep; path ``i`` reads
-    row ``i`` of a row-major ``(count, length)`` block of ``src``'s uniforms."""
+    """``count`` paths of pair indices (one byte each up to 256 pairs); path ``i``
+    reads row ``i`` of a row-major ``(count, length)`` block of ``src``'s uniforms."""
     gen = src.generator()
     P = jc.n_pairs
     cum = cdf_table([*jc.trans, jc.init])           # row P draws the first pair
-    nxt = np.broadcast_to(np.arange(cum.shape[1]), cum.shape)
-    out = np.empty((count, length), dtype=np.int64)
     block = max(1, DRAWS_PER_CHUNK // length)
+    step = walk(cum, np.broadcast_to(np.arange(cum.shape[1]), cum.shape), block, count * length)
+    out = np.empty((count, length), dtype=np.min_scalar_type(P - 1))
     for lo in range(0, count, block):
         us = gen.random((min(block, count - lo), length))
-        out[lo:lo + len(us)] = walk(cum, nxt, np.full(len(us), P), us)[0].T
+        out[lo:lo + len(us)] = step(np.full(len(us), P), us)[0]
     return out
 
 
@@ -810,7 +810,7 @@ def check_lemmas_mc(m, spec: HittingTimeSpec, samples: int, src: RandomSource,
                     budget=None) -> tuple[LemmaCheckResult, ...]:
     """Monte Carlo counterpart of :func:`check_hitting_time_lemmas`, over the same
     instance tables: each mass request becomes the count of the ``samples``
-    joint paths (sampled in lockstep, see :mod:`chainmix.sim`) that realize it.
+    joint paths (sampled together, see :mod:`chainmix.sim`) that realize it.
 
     An instance passes when its gap is within ``z`` combined binomial standard
     errors of its lhs and factors, ``z`` two-sided Bonferroni at level ``alpha``

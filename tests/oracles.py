@@ -4,7 +4,9 @@ Everything here evaluates the defining sums directly by enumerating strings,
 hidden paths, or cell paths with itertools -- no forward recursions, no closed
 forms -- so the oracles share no code path with the implementations they check.
 The reference samplers draw one trajectory at a time with scalar binary
-searches, in the documented draw order the lockstep samplers must reproduce.
+searches, in the documented draw order the table-walk samplers must reproduce,
+and ``reference_walk`` is the sampler's former walk (per-column comparisons or
+``bisect_right``, no table), whose every outcome the table walk must equal.
 The reference verifiers propagate one request, line and instance at a time:
 they are the per-instance transfer-matrix code whose every float the batched
 exact lemma engine must reproduce. Every float contraction of the exact law and
@@ -596,6 +598,50 @@ def reference_sample(m, length, src, trace_hidden=False):
         out.append(em[nxt])
         j = cells[nxt]
     return tuple(out), None
+
+
+# The sampler's walk before it became table-driven: an i.i.d. loop, a lockstep
+# loop of one vector operation per column and draw, and a scalar loop
+LOCKSTEP_PER_COLUMN = 16
+
+
+def reference_walk(cum, nxt, row, us, per_column=LOCKSTEP_PER_COLUMN):
+    """Advance one automaton per row of ``us``, one draw per column.
+
+    Automaton ``i`` at row ``r`` draws, for its next uniform ``u``, outcome
+    ``c = min(#{j : cum[r, j] <= u}, n - 1)`` of the ``n`` outcomes of row ``r``
+    (``bisect_right`` clamped to the last outcome, the choice a scalar lookup
+    makes with the same uniform), then moves to ``nxt[r, c]``. Returns the
+    outcomes, one row per draw, and the rows after the last draw.
+
+    Three loops give the same outcomes; the arguments choose one. When every
+    automaton sits on a row it never leaves (an i.i.d. component), all draws
+    are looked up at once. Otherwise a batch of at least ``per_column``
+    automata per column of ``cum`` advances in lockstep, one vector operation
+    per column and draw, reading the columns one at a time so that no automata
+    by width block is gathered; a smaller batch is cheaper as one scalar
+    ``bisect_right`` per automaton and draw.
+    """
+    out = np.zeros(us.shape[::-1], dtype=np.intp)
+    if (nxt[row] == row[:, None]).all():
+        for col in cum.T[:-1]:
+            out += col[row] <= us.T
+        return out, row
+    if len(row) < per_column * cum.shape[1]:
+        cl, nl, rows = cum[:, :-1].tolist(), nxt.tolist(), row.tolist()
+        for i, ui in enumerate(us.tolist()):
+            r, cs = rows[i], []
+            for u in ui:
+                c = bisect_right(cl[r], u)
+                cs.append(c)
+                r = nl[r][c]
+            out[:, i], rows[i] = cs, r
+        return out, np.array(rows, dtype=np.intp)
+    for c, u in zip(out, us.T):
+        for col in cum.T[:-1]:
+            c += col[row] <= u
+        row = nxt[row, c]
+    return out, row
 
 
 def reference_joint_paths(jc, length, count, src):

@@ -1,6 +1,7 @@
 import json
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -572,6 +573,14 @@ def test_labels_a_trajectory_file_cannot_carry_are_refused(raw, label, tmp_path,
 def test_simulate_refuses_a_count_below_one(count, mix_file, capsys):
     assert run(capsys, "simulate", mix_file, "--length", "5", "--count", count) == (
         2, "", "error: count must be >= 1\n")
+
+
+def test_simulate_refuses_a_count_past_the_substreams_before_sampling(mix_file, capsys):
+    # trajectory 2**20 would reuse another stream; no block may be sampled first
+    with mock.patch("chainmix.sim._sample_streams", side_effect=AssertionError("sampled")):
+        assert run(capsys, "simulate", mix_file, "--length", "10000", "--count", "1048577") == (
+            2, "", "error: substream 1048576 is outside [0, 2**20) "
+                   "and would reuse another stream\n")
 
 
 def test_index_reads_only_as_far_as_the_wanted_trajectory(tmp_path, capsys):

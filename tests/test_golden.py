@@ -3,7 +3,7 @@
 The digests were computed with the one-trajectory-at-a-time scalar samplers
 that ``tests/oracles.py`` keeps as the reference draw order, so any change to
 draw order, inverse-CDF choices or Monte Carlo counting shows up here. Sizes
-cross the lockstep samplers' block and chunk boundaries. The ``check_lemmas_mc``
+cross the batch samplers' block and chunk boundaries. The ``check_lemmas_mc``
 digests hash ``repr`` of the results: labels, lhs, rhs, gap, allowed, skipped
 and residual. They were pinned again when the MC checks began to count paths
 over the exact mode's instance tables with Bonferroni bounds: the read-out
@@ -107,6 +107,11 @@ def digest(text: str) -> str:
      "c0652156f6327656644d258a417b810d185ac7e26c2fce611ac444e8bddc0782"),
     ("separated_mixture.json", 3, 1100, 11, False,
      "9fdfdeedfd80e20b54a11e427fefaae0753ee181a7d79f1c292ec0cc3aad15e0"),
+    # single trajectories across several chunks: pinned with the scalar bisect_right loop
+    ("separated_mixture.json", 50_000, 1, 21, False,
+     "52d3c2edefd17ba395c9b0abf16b4fc0a32b9353bb4f1a8c22742d2555608c19"),
+    ("noisy_hmm.json", 50_000, 1, 21, True,
+     "84d38b11c7214643ead0d8ee484c50ee42114d90dae7bf909a3ac34695d2d3bc"),
 ])
 def test_simulate_stdout_digest(model, length, count, seed, hidden, expected,
                                 tmp_path, capsys):

@@ -344,7 +344,7 @@ def test_partitioned_singleton_cells_equals_markov():
         assert partitioned_mixture_law(pm, n) == markov_mixture_law(mm, n)
     src = RandomSource(105)
     assert sample_many(pm, 30, 40, src) == sample_many(mm, 30, 40, src)
-    # an i.i.d. component is one row that never moves, so walk takes all its draws at once
+    # an i.i.d. component is one row that never moves, so walk's table maps it to itself
     im = IIDMixtureModel(Alphabet.of(symbols), weights,
                          tuple(Distribution(p) for p in kernels[:, 0]))
     cum, nxt, start, *_ = sim._automaton(im)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import SYMBOLS, random_hmm, random_iid_mixture, random_markov_mixture, rng
-from oracles import reference_joint_paths, reference_sample
+from oracles import reference_joint_paths, reference_sample, reference_walk
 from chainmix import fixtures, sim, stopping_verifier
 from chainmix.errors import InvalidModelError
 from chainmix.exact_law import total_variation
@@ -195,7 +195,7 @@ def test_codes_take_the_smallest_unsigned_dtype():
 
 
 # ---------------------------------------------------------------------------
-# Lockstep samplers against the one-at-a-time reference draw order
+# The table walk against the former walk and the one-at-a-time reference draw order
 
 _REAL_GENERATOR = RandomSource.generator
 EDGES = np.array([0.0, 0.25, 0.5, 0.75, 1 - 2 ** -53])
@@ -222,18 +222,19 @@ def edge_draws(src):
     return EdgeGenerator(src)
 
 
-# LOCKSTEP_PER_COLUMN values that send every batch to the lockstep or the scalar path
-PATHS = st.sampled_from([0, 10 ** 9])
+# patches of sim that force each driver of the table walk: vector gathers,
+# Python lists, and no table (a budget below the one-step table)
+DRIVERS = [{"_LISTS_BELOW": 0}, {"_LISTS_BELOW": 10 ** 9}, {"_TABLE_ENTRIES": 0}]
+PATHS = st.sampled_from(DRIVERS)
 
 
 @contextlib.contextmanager
-def edge_draws_and_small_chunks(per_column):
+def edge_draws_and_small_chunks(driver):
     """Edge-valued uniforms, blocks and chunks small enough that the tests'
-    counts and lengths cross their boundaries, and the walk path fixed by
-    ``per_column``."""
+    counts and lengths cross their boundaries, and the walk driver fixed by
+    ``driver``."""
     with mock.patch.object(RandomSource, "generator", edge_draws), \
-            mock.patch.multiple(sim, STREAMS_PER_BLOCK=2, DRAWS_PER_CHUNK=3,
-                                LOCKSTEP_PER_COLUMN=per_column), \
+            mock.patch.multiple(sim, STREAMS_PER_BLOCK=2, DRAWS_PER_CHUNK=3, **driver), \
             mock.patch.object(stopping_verifier, "DRAWS_PER_CHUNK", 5):
         yield
 
@@ -279,12 +280,12 @@ def models(draw, kinds=("iid", "markov", "partitioned", "hmm")):
 @given(models(), st.integers(1, 7), st.integers(0, 5), st.integers(0, 2 ** 32),
        st.booleans(), PATHS)
 @settings(max_examples=300, deadline=None)
-@example(fixtures.two_state_noisy(), 1, 0, 7, True, 0)
-@example(fixtures.two_cell_partitioned_mixture(), 2, 1, 7, False, 10 ** 9)
-def test_lockstep_sampler_matches_reference(model, length, count, seed, trace, per_column):
+@example(fixtures.two_state_noisy(), 1, 0, 7, True, DRIVERS[0])
+@example(fixtures.two_cell_partitioned_mixture(), 2, 1, 7, False, DRIVERS[1])
+def test_lockstep_sampler_matches_reference(model, length, count, seed, trace, driver):
     trace = trace and isinstance(model, HMMModel)
     src = RandomSource(seed, 3)
-    with edge_draws_and_small_chunks(per_column):
+    with edge_draws_and_small_chunks(driver):
         if count:
             many = sample_many(model, length, count, src, trace)
         else:
@@ -302,16 +303,16 @@ def test_lockstep_sampler_matches_reference(model, length, count, seed, trace, p
 @given(models(kinds=("hmm",)), st.integers(1, 6),
        st.integers(1, 12), st.integers(0, 2 ** 32), PATHS)
 @settings(max_examples=100, deadline=None)
-def test_lockstep_joint_paths_match_reference(model, length, count, seed, per_column):
+def test_lockstep_joint_paths_match_reference(model, length, count, seed, driver):
     jc = JointChain.from_hmm(model)
-    with edge_draws_and_small_chunks(per_column):
+    with edge_draws_and_small_chunks(driver):
         got = _sample_joint_paths(jc, length, count, RandomSource(seed))
         ref = reference_joint_paths(jc, length, count, RandomSource(seed))
     assert np.array_equal(got, ref)
 
 
-@pytest.mark.parametrize("per_column", [0, 10 ** 9])
-def test_row_summing_below_one_clamps_to_last_symbol(per_column):
+@pytest.mark.parametrize("lists_below", [0, 10 ** 9])     # vector gathers, Python lists
+def test_row_summing_below_one_clamps_to_last_symbol(lists_below):
     # read-out rows, narrower than the rows of P, whose running sums end below 1
     f = np.tile(np.array([1, 4, 1]) / 6, (4, 1))
     hidden = ("s0", "s1", "s2", "s3")
@@ -319,7 +320,7 @@ def test_row_summing_below_one_clamps_to_last_symbol(per_column):
                  StochasticMatrix(np.full((4, 4), 0.25), hidden), f)
     assert np.cumsum(f[0])[-1] == 1 - 2 ** -53
     with mock.patch.object(RandomSource, "generator", edge_draws), \
-            mock.patch.object(sim, "LOCKSTEP_PER_COLUMN", per_column):
+            mock.patch.object(sim, "_LISTS_BELOW", lists_below):
         t = sample(m, 400, RandomSource(4))
         assert (t.symbols, None) == reference_sample(m, 400, RandomSource(4))
         u = EdgeGenerator(RandomSource(4)).random(800)[1::2]    # the symbol draws
@@ -327,19 +328,87 @@ def test_row_summing_below_one_clamps_to_last_symbol(per_column):
     assert all(s == "c" for s, x in zip(t.symbols, u) if x == 1 - 2 ** -53)
 
 
-@pytest.mark.parametrize("length, count, per_column", [
-    (3, sim.STREAMS_PER_BLOCK + 5, sim.LOCKSTEP_PER_COLUMN),
-    (20_000, 2, sim.LOCKSTEP_PER_COLUMN),      # few automata: the scalar path
+# lists_below 16: the full block of 1,024 takes vector gathers, the last 5
+# trajectories and the pairs Python lists; 0: vector gathers throughout
+@pytest.mark.parametrize("length, count, lists_below", [
+    (3, sim.STREAMS_PER_BLOCK + 5, 16),
+    (20_000, 2, 16),
     (20_000, 2, 0),
 ])
-def test_lockstep_matches_reference_beyond_block_and_chunk(length, count, per_column):
+def test_lockstep_matches_reference_beyond_block_and_chunk(length, count, lists_below):
     src = RandomSource(12)
     for m in (random_iid_mixture(rng(2)), random_markov_mixture(rng(3)), random_hmm(rng(4))):
         trace = isinstance(m, HMMModel)
-        with mock.patch.object(sim, "LOCKSTEP_PER_COLUMN", per_column):
+        with mock.patch.object(sim, "_LISTS_BELOW", lists_below):
             got = sample_many(m, length, count, src, trace)
         for i, t in enumerate(got):
             assert (t.symbols, t.hidden) == reference_sample(m, length, src.derive(i), trace)
+
+
+@st.composite
+def automata(draw):
+    """``(cum, nxt)`` of an automaton of 1 to 5 rows, 1 to 4 outcomes each: small
+    integer weights with zeros and ``-0.0`` entries, normalized and some scaled to
+    sum below 1, rows padded to the widest, and rows that never move (i.i.d.)
+    beside rows that do."""
+    rows, moves = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        w = np.array(draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0, 4.0]),
+                                   min_size=1, max_size=4)))
+        assume(w.sum() > 0)
+        rows.append(w / w.sum() * draw(st.sampled_from([1.0, 0.9, 1 - 2 ** -53])))
+        moves.append(draw(st.booleans()))
+    cum = sim.cdf_table(rows)
+    R, W = cum.shape
+    nxt = np.array([draw(st.lists(st.integers(0, R - 1), min_size=W, max_size=W))
+                    if move else [r] * W for r, move in enumerate(moves)], dtype=np.intp)
+    return cum, nxt
+
+
+@given(automata(), st.integers(1, 6), st.lists(st.integers(0, 7), max_size=6),
+       st.integers(0, 2 ** 32), st.sampled_from([0, 10 ** 9]),
+       st.sampled_from([1 << 16, 64, 0]), st.sampled_from([1, 10 ** 9]))
+@settings(max_examples=300, deadline=None)
+def test_walk_matches_reference_walk(automaton, count, chunks, seed, lists_below, budget,
+                                     draws):
+    """Outcomes and final rows equal the former walk's, with uniforms on breakpoints,
+    chunks shorter than a group of m draws, both table drivers, and budgets that
+    shrink m or leave no room for the one-step table."""
+    cum, nxt = automaton
+    r = np.random.default_rng(seed)
+    us = EdgeGenerator(RandomSource(seed)).random((count, sum(chunks)))
+    breakpoints = np.unique(cum[np.isfinite(cum)])
+    if breakpoints.size:
+        on = r.random(us.shape) < 0.3
+        us[on] = r.choice(breakpoints, on.sum())
+    start = r.integers(0, len(cum), count)
+    with mock.patch.multiple(sim, _LISTS_BELOW=lists_below, _TABLE_ENTRIES=budget):
+        step = sim.walk(cum, nxt, count, draws)
+    got, row, t = [], start, 0
+    for n in chunks:
+        out, row = step(row, us[:, t:t + n])
+        got.append(out)
+        t += n
+    for per_column in (0, 10 ** 9):
+        ref, ref_row = reference_walk(cum, nxt, start, us, per_column)
+        assert np.array_equal(np.concatenate([ref.T[:, :0], *got], axis=1), ref.T)
+        assert np.array_equal(row, ref_row)
+
+
+@pytest.mark.parametrize("lists_below", [0, 10 ** 9])
+def test_walk_buckets_a_long_breakpoint_list_by_searchsorted(lists_below):
+    # rows of 200 outcomes: several hundred breakpoints, too many for one pass each
+    r = np.random.default_rng(7)
+    cum = sim.cdf_table(list(r.dirichlet(np.ones(200), 3)))
+    nxt = r.integers(0, 3, cum.shape)
+    assert np.unique(cum[np.isfinite(cum)]).size >= 160
+    us = r.random((5, 103))
+    us[:, ::3] = r.choice(cum[np.isfinite(cum)], (5, 35))
+    start = r.integers(0, 3, 5)
+    with mock.patch.object(sim, "_LISTS_BELOW", lists_below):
+        out, row = sim.walk(cum, nxt, 5, 10 ** 9)(start, us)
+    ref, ref_row = reference_walk(cum, nxt, start, us)
+    assert np.array_equal(out, ref.T) and np.array_equal(row, ref_row)
 
 
 def test_sampling_a_model_without_symbol_chains_is_a_type_error():
