@@ -2,10 +2,10 @@
 
 Exit status: 0 = success / check passed, 1 = a check failed (validation
 violations, law mismatch beyond tolerance, rejected exchangeability, failed
-lemma instance), 2 = usage or input error. Data goes to stdout, diagnostics to
-stderr; ``--json`` switches reports to machine-readable JSON. A reader that
-closes stdout early (``| head``) is not an error. No subcommand mutates its
-input files.
+lemma instance), 2 = usage or input error, an unreadable path and a failed
+allocation included. Data goes to stdout, diagnostics to stderr; ``--json``
+switches reports to machine-readable JSON. A reader that closes stdout early
+(``| head``) is not an error. No subcommand mutates its input files.
 """
 
 from __future__ import annotations
@@ -476,8 +476,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return status
-    except (ChainmixError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ChainmixError, OSError, MemoryError, ValueError) as exc:
+        # BrokenPipeError, an OSError, is caught above; the rest are input errors, not verdicts
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -8,6 +8,11 @@ Four generative model classes over a shared finite alphabet:
 * ``PartitionedKernelMixture`` chain whose kernel depends on the current symbol only
   through the cell of a fixed partition (finite stand-in for a general state space)
 
+Each type checks its array shapes and its matrices' labels against its alphabet,
+hidden states, components and cells when it is built, and raises ``ValueError``
+if they do not fit. What the arrays hold is validation: :func:`validate_model`
+returns the violations.
+
 Each class gets an exact law operation producing a :class:`FiniteLaw`, the
 universal comparison object, held as the sorted ranks and probabilities of its
 live strings; :func:`model_law` dispatches on the model type. The three mixtures
@@ -45,12 +50,18 @@ LAW_SUM_TOL = 1e-9        # enumeration rounding budget for law tables
 BLOCK = 4096              # ranks decoded at a time: bounds the codec's scratch arrays
 
 
-def _frozen(a, ndim):
+def _frozen(a, ndim, name):
     a = np.array(a, dtype=float)
     if a.ndim != ndim:
-        raise ValueError(f"expected a {ndim}-d array, got shape {a.shape}")
+        raise ValueError(f"{name}: expected a {ndim}-d array, got shape {a.shape}")
     a.setflags(write=False)
     return a
+
+
+def _fits(name: str, shape: tuple, expected: tuple, what: str) -> None:
+    """Refuse a field whose shape does not match the sizes the rest of the object fixes."""
+    if shape != expected:
+        raise ValueError(f"{name}: shape {shape}, expected {expected} for {what}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +109,7 @@ class Distribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _frozen(self.weights, 1))
+        object.__setattr__(self, "weights", _frozen(self.weights, 1, "weights"))
 
     @property
     def size(self) -> int:
@@ -116,10 +127,13 @@ class StochasticMatrix:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        rows = _frozen(self.rows, 2)
+        rows = _frozen(self.rows, 2, "rows")
         object.__setattr__(self, "rows", rows)
         labels = tuple(self.labels) or tuple(str(i) for i in range(rows.shape[0]))
         object.__setattr__(self, "labels", labels)
+        if rows.shape != (len(labels),) * 2:
+            raise ValueError(f"rows: shape {rows.shape}, expected {(len(labels),) * 2} "
+                             f"for labels {labels}")
 
     @property
     def size(self) -> int:
@@ -149,7 +163,12 @@ class HMMModel:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_states", tuple(self.hidden_states))
-        object.__setattr__(self, "readout", _frozen(self.readout, 2))
+        object.__setattr__(self, "readout", _frozen(self.readout, 2, "readout"))
+        n, k = self.n_hidden, self.alphabet.size
+        _fits("pi", self.pi.weights.shape, (n,), "the hidden states")
+        _fits("readout", self.readout.shape, (n, k), "the hidden states and symbols")
+        if self.P.labels != self.hidden_states:
+            raise ValueError(f"P: labels {self.P.labels} differ from hidden_states")
 
     @property
     def n_hidden(self) -> int:
@@ -167,6 +186,10 @@ class MarkovMixtureModel:
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
+        _fits("weights", self.weights.weights.shape, (self.n_components,), "the components")
+        for h, comp in enumerate(self.components):
+            if comp.labels != self.alphabet.emittable:
+                raise ValueError(f"component {h}: labels {comp.labels} differ from the alphabet")
 
     @property
     def n_components(self) -> int:
@@ -183,6 +206,9 @@ class IIDMixtureModel:
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
+        _fits("weights", self.weights.weights.shape, (self.n_components,), "the components")
+        for h, comp in enumerate(self.components):
+            _fits(f"component {h}", comp.weights.shape, (self.alphabet.size,), "the alphabet")
 
     @property
     def n_components(self) -> int:
@@ -234,7 +260,10 @@ class PartitionedKernelMixture:
     y0: str
 
     def __post_init__(self):
-        object.__setattr__(self, "kernels", _frozen(self.kernels, 3))
+        object.__setattr__(self, "kernels", _frozen(self.kernels, 3, "kernels"))
+        _fits("kernels", self.kernels.shape,
+              (self.weights.size, self.partition.n_cells, self.alphabet.size),
+              "the weights, cells and symbols")
 
     @property
     def n_components(self) -> int:
@@ -418,7 +447,8 @@ def rank_union(*rank_arrays) -> np.ndarray:
 
 
 def validate_model(model) -> list[str]:
-    """Check every invariant of the given object; return violations (empty = valid).
+    """Check what the given object holds; return violations (empty = valid). Its
+    shapes were checked when it was built.
 
     Accepts any of the model classes plus ``Alphabet``, ``Distribution``,
     ``StochasticMatrix`` and ``FiniteLaw``. Violations are returned, never raised.
@@ -456,8 +486,6 @@ def _check_alphabet(a: Alphabet) -> list[str]:
 
 def _check_distribution(w: np.ndarray, name: str, strictly_positive=False, sums=True) -> list[str]:
     out = []
-    if w.ndim != 1:
-        return [f"{name}: not a vector"]
     if not np.all(w >= 0):                 # a NaN fails this too
         bad = int(np.argmin(w))            # the first NaN, if any
         what = "NaN" if np.isnan(w[bad]) else f"negative ({w[bad]:g})"
@@ -473,10 +501,6 @@ def _check_distribution(w: np.ndarray, name: str, strictly_positive=False, sums=
 
 def _check_matrix(m: StochasticMatrix, name: str) -> list[str]:
     out = []
-    if m.rows.ndim != 2 or m.rows.shape[0] != m.rows.shape[1]:
-        return [f"{name}: not square (shape {m.rows.shape})"]
-    if len(m.labels) != m.rows.shape[0]:
-        out.append(f"{name}: {len(m.labels)} labels for {m.rows.shape[0]} states")
     for i, row in enumerate(m.rows):
         if not np.all(row >= 0):
             what = "NaN" if np.isnan(row).any() else "negative"
@@ -506,24 +530,11 @@ def _check_law(law: FiniteLaw) -> list[str]:
 
 
 def _check_hmm(m: HMMModel) -> list[str]:
-    out = _check_alphabet(m.alphabet)
-    n, k = m.n_hidden, m.alphabet.size
-    if m.pi.size != n:
-        out.append(f"pi: size {m.pi.size} for {n} hidden states")
-    else:
-        out += _check_distribution(m.pi.weights, "pi")
-    if m.P.rows.shape != (n, n):
-        out.append(f"P: shape {m.P.rows.shape} for {n} hidden states")
-    else:
-        out += _check_matrix(m.P, "P")
-        if m.P.labels != m.hidden_states:
-            out.append("P: labels differ from hidden_states")
-    if m.readout.shape != (n, k):
-        out.append(f"readout: shape {m.readout.shape}, expected {(n, k)}")
-    else:
-        for x in range(n):
-            out += _check_distribution(m.readout[x], f"readout row {x}")
-    if len(set(m.hidden_states)) != n:
+    out = _check_alphabet(m.alphabet) + _check_distribution(m.pi.weights, "pi")
+    out += _check_matrix(m.P, "P")
+    for x, row in enumerate(m.readout):
+        out += _check_distribution(row, f"readout row {x}")
+    if len(set(m.hidden_states)) != m.n_hidden:
         out.append("hidden_states: labels are not unique")
     return out
 
@@ -542,35 +553,19 @@ def _check_markov_mixture(m: MarkovMixtureModel) -> list[str]:
 def _check_markov_structure(m: MarkovMixtureModel) -> list[str]:
     """Every check of a Markov mixture but recurrence, which needs all of them to hold."""
     out = _check_alphabet(m.alphabet)
-    k = m.alphabet.size
-    if m.weights.size != m.n_components:
-        out.append(f"weights: size {m.weights.size} for {m.n_components} components")
-    else:
-        out += _check_distribution(m.weights.weights, "weights", strictly_positive=True)
+    out += _check_distribution(m.weights.weights, "weights", strictly_positive=True)
     if m.y0 not in m.alphabet:
         out.append(f"y0: {m.y0!r} not in the alphabet")
     for h, comp in enumerate(m.components):
-        if comp.rows.shape != (k, k):
-            out.append(f"component {h}: shape {comp.rows.shape}, expected {(k, k)}")
-            continue
         out += _check_matrix(comp, f"component {h}")
-        if comp.labels != m.alphabet.emittable:
-            out.append(f"component {h}: labels differ from the alphabet")
     return out
 
 
 def _check_iid_mixture(m: IIDMixtureModel) -> list[str]:
     out = _check_alphabet(m.alphabet)
-    k = m.alphabet.size
-    if m.weights.size != m.n_components:
-        out.append(f"weights: size {m.weights.size} for {m.n_components} components")
-    else:
-        out += _check_distribution(m.weights.weights, "weights", strictly_positive=True)
+    out += _check_distribution(m.weights.weights, "weights", strictly_positive=True)
     for h, comp in enumerate(m.components):
-        if comp.size != k:
-            out.append(f"component {h}: size {comp.size} for alphabet of {k}")
-        else:
-            out += _check_distribution(comp.weights, f"component {h}")
+        out += _check_distribution(comp.weights, f"component {h}")
     return out
 
 
@@ -578,10 +573,8 @@ def _check_partitioned(m: PartitionedKernelMixture) -> list[str]:
     out = _check_alphabet(m.alphabet)
     if out:
         return out
-    k = m.alphabet.size
-    cells = m.partition.cells
     seen: set[str] = set()
-    for j, cell in enumerate(cells, start=1):
+    for j, cell in enumerate(m.partition.cells, start=1):
         if not cell:
             out.append(f"partition: cell {j} is empty")
         for s in cell:
@@ -595,9 +588,6 @@ def _check_partitioned(m: PartitionedKernelMixture) -> list[str]:
         out.append(f"partition: symbols {sorted(missing)} belong to no cell")
     if out:
         return out
-    J = m.partition.n_cells
-    if m.kernels.shape != (m.weights.size, J, k):
-        return out + [f"kernels: shape {m.kernels.shape}, expected {(m.weights.size, J, k)}"]
     out += _check_distribution(m.weights.weights, "weights", strictly_positive=True)
     if m.y0 not in m.alphabet:
         out.append(f"y0: {m.y0!r} not in the alphabet")

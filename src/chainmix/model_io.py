@@ -6,10 +6,13 @@ auxiliary ``"stochastic_matrix"``) and fields mirroring the model dataclasses.
 Arrays are row-major nested lists; symbol labels are strings; the fictitious
 symbol is spelled ``@del`` and is implicit: it may not appear among a file's
 emittable symbols, and partition files list the real cells ``E_1..E_J`` only.
-The loader rejects unknown fields. One reader (:func:`read_json`) opens and
-parses every JSON input, config files included. ``_SCHEMAS`` lists each type's
-class and fields in file order; the key check and :func:`model_to_dict` both
-read it, the writer taking each field from the model attribute of that name.
+The loader rejects unknown fields. Shapes are the model types' own rules: a
+file whose arrays do not fit is refused by the type it builds, and the loader
+turns that refusal into a :class:`ModelFormatError` naming the file. One
+reader (:func:`read_json`) opens and parses every JSON input, config files
+included. ``_SCHEMAS`` lists each type's class and fields in file order; the
+key check and :func:`model_to_dict` both read it, the writer taking each field
+from the model attribute of that name.
 
 Trajectory files hold one trajectory per line as whitespace-separated symbols.
 A line ``# hidden: x0 x1 ...`` attaches a hidden trace to the preceding
@@ -52,12 +55,13 @@ _DATA = {Alphabet: "emittable", Distribution: "weights", StochasticMatrix: "rows
 
 
 def read_json(path, where=None):
-    """The parsed JSON of a model, partition or config file; malformed JSON is a
-    :class:`ModelFormatError` naming ``where`` (default: the path)."""
+    """The parsed JSON of a model, partition or config file; malformed JSON, or JSON
+    nested past the recursion limit, is a :class:`ModelFormatError` naming ``where``
+    (default: the path)."""
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ModelFormatError(f"{where or path}: not valid JSON ({exc})") from exc
 
 
@@ -101,15 +105,18 @@ def _partition(cells, name: str, where: str) -> Partition:
     return Partition(cells)
 
 
-def _array(raw, shape_hint: str, where: str) -> np.ndarray:
+def _array(raw, name: str, where: str) -> np.ndarray:
     try:
-        arr = np.array(raw, dtype=float)
+        if not isinstance(raw, list):
+            raise TypeError(f"{type(raw).__name__}, not a list")
+        return np.array(raw, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"{where}: {shape_hint} is not a numeric array ({exc})") from exc
-    return arr
+        raise ModelFormatError(f"{where}: {name} is not a numeric array ({exc})") from exc
 
 
 def model_from_dict(raw: dict, where: str = "model"):
+    """The model of a parsed file. The model types check their own shapes when built;
+    their refusal, like every schema error, is a :class:`ModelFormatError` naming ``where``."""
     if not isinstance(raw, dict):
         raise ModelFormatError(f"{where}: top level must be an object")
     kind = raw.get("type")
@@ -118,55 +125,36 @@ def model_from_dict(raw: dict, where: str = "model"):
             f"{where}: type must be one of {sorted(_SCHEMAS)}, got {kind!r}"
         )
     _check_keys(raw, kind, where)
+    try:
+        return _build(raw, kind, where)
+    except ValueError as exc:
+        raise ModelFormatError(f"{where}: {exc}") from exc
+
+
+def _build(raw: dict, kind: str, where: str):
     if kind == "stochastic_matrix":
         labels = raw["labels"]
-        if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
-            raise ModelFormatError(f"{where}: labels must be a list of strings")
-        rows = _array(raw["rows"], "rows", where)
-        if rows.ndim != 2 or rows.shape[0] != rows.shape[1] or rows.shape[0] != len(labels):
-            raise ModelFormatError(f"{where}: rows must be square and match the labels")
-        return StochasticMatrix(rows, tuple(labels))
+        if not (isinstance(labels, list) and labels and all(isinstance(s, str) for s in labels)):
+            raise ModelFormatError(f"{where}: labels must be a nonempty list of strings")
+        return StochasticMatrix(_array(raw["rows"], "rows", where), tuple(labels))
 
     alphabet = _alphabet(raw["alphabet"], where)
-    k = alphabet.size
     if kind == "hmm":
-        hidden = _labels(raw["hidden_states"], "hidden_states", where)
-        n = len(hidden)
-        pi = _array(raw["pi"], "pi", where)
-        P = _array(raw["P"], "P", where)
-        f = _array(raw["readout"], "readout", where)
-        if pi.shape != (n,) or P.shape != (n, n) or f.shape != (n, k):
-            raise ModelFormatError(f"{where}: pi/P/readout shapes do not match "
-                                   f"{n} hidden states and {k} symbols")
-        return HMMModel(tuple(hidden), alphabet, Distribution(pi),
-                        StochasticMatrix(P, tuple(hidden)), f)
+        hidden = tuple(_labels(raw["hidden_states"], "hidden_states", where))
+        return HMMModel(hidden, alphabet, Distribution(_array(raw["pi"], "pi", where)),
+                        StochasticMatrix(_array(raw["P"], "P", where), hidden),
+                        _array(raw["readout"], "readout", where))
+    w = Distribution(_array(raw["weights"], "weights", where))
     if kind == "markov_mixture":
-        w = _array(raw["weights"], "weights", where)
         comps = _array(raw["components"], "components", where)
-        if comps.ndim != 3 or comps.shape[1:] != (k, k) or comps.shape[0] != w.shape[0]:
-            raise ModelFormatError(f"{where}: components must be {w.shape[0]} matrices "
-                                   f"of shape {(k, k)}")
-        return MarkovMixtureModel(
-            alphabet, str(raw["y0"]), Distribution(w),
-            tuple(StochasticMatrix(c, alphabet.emittable) for c in comps))
+        return MarkovMixtureModel(alphabet, str(raw["y0"]), w,
+                                  tuple(StochasticMatrix(c, alphabet.emittable) for c in comps))
     if kind == "iid_mixture":
-        w = _array(raw["weights"], "weights", where)
         comps = _array(raw["components"], "components", where)
-        if comps.ndim != 2 or comps.shape != (w.shape[0], k):
-            raise ModelFormatError(f"{where}: components must have shape "
-                                   f"{(w.shape[0], k)}")
-        return IIDMixtureModel(alphabet, Distribution(w),
-                               tuple(Distribution(c) for c in comps))
+        return IIDMixtureModel(alphabet, w, tuple(Distribution(c) for c in comps))
     # partitioned_kernel_mixture
-    partition = _partition(raw["partition"], "partition", where)
-    w = _array(raw["weights"], "weights", where)
-    kernels = _array(raw["kernels"], "kernels", where)
-    if kernels.ndim != 3 or kernels.shape != (w.shape[0], partition.n_cells, k):
-        raise ModelFormatError(
-            f"{where}: kernels must have shape {(w.shape[0], partition.n_cells, k)}"
-        )
-    return PartitionedKernelMixture(alphabet, partition, Distribution(w),
-                                    kernels, str(raw["y0"]))
+    return PartitionedKernelMixture(alphabet, _partition(raw["partition"], "partition", where),
+                                    w, _array(raw["kernels"], "kernels", where), str(raw["y0"]))
 
 
 def _plain(value):

@@ -77,6 +77,51 @@ def test_validate_malformed_is_usage_error(tmp_path, capsys):
     assert "error:" in err
 
 
+def _partitioned_file(tmp_path, **fields):
+    path = tmp_path / "partitioned.json"
+    path.write_text(json.dumps({**model_to_dict(two_cell_partitioned_mixture()), **fields}))
+    return str(path)
+
+
+@pytest.mark.parametrize("fields, violation", [
+    ({"partition": [["1", "2"], [], ["3", "4"]], "kernels": [[[0.25] * 4] * 3] * 2},
+     "partition: cell 2 is empty"),
+    ({"partition": [["1", "2", "9"], ["3", "4"]]}, "partition: cell 1 contains unknown symbol '9'"),
+    ({"partition": [["1", "2"], ["2", "3", "4"]]},
+     "partition: symbol '2' appears in more than one cell"),
+    ({"partition": [["1", "2"], ["3"]]}, "partition: symbols ['4'] belong to no cell"),
+    ({"y0": "9"}, "y0: '9' not in the alphabet"),
+], ids=["empty cell", "unknown symbol", "two cells", "no cell", "y0"])
+def test_validate_lists_what_a_file_holds(fields, violation, tmp_path, capsys):
+    # what a field holds is a violation (exit 1); only shapes the types refuse are exit 2
+    path = _partitioned_file(tmp_path, **fields)
+    assert run(capsys, "validate", path) == (1, f"{violation}\n", "")
+    status, out, _ = run(capsys, "validate", path, "--json")
+    assert (status, json.loads(out)) == (1, {"valid": False, "violations": [violation]})
+
+
+def test_validate_json_of_a_valid_file(mix_file, capsys):
+    status, out, _ = run(capsys, "validate", mix_file, "--json")
+    assert (status, json.loads(out)) == (0, {"valid": True, "violations": []})
+
+
+def test_an_unusable_path_is_an_input_error(tmp_path, traj_file, capsys):
+    # IsADirectoryError used to escape main: a traceback and exit 1, validate's "invalid"
+    status, out, err = run(capsys, "validate", str(tmp_path))
+    assert (status, out) == (2, "") and err.startswith("error: ") and str(tmp_path) in err
+    status, _, err = run(capsys, "recover", traj_file, "--out", str(tmp_path))
+    assert status == 2 and err.startswith("error: ") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 95.4 GiB"), "Unable to allocate 95.4 GiB"),
+    (MemoryError(), "MemoryError"),
+], ids=["numpy's message", "no message"])
+def test_a_failed_allocation_is_an_input_error(exc, message, mix_file, capsys):
+    with mock.patch("chainmix.cli.sample_many", side_effect=exc):
+        assert run(capsys, "simulate", mix_file, "--length", "5") == (2, "", f"error: {message}\n")
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

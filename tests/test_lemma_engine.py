@@ -5,7 +5,8 @@ which shows every digit, the float types, the labels and the order of checked
 and skipped instances. The batched propagations must round exactly as the
 one-request, one-line, one-instance code that ``tests/oracles.py`` keeps.
 Models are random small HMMs (1-3 hidden states, 1-3 symbols, with and without
-zero entries) and, where a joint law suffices, their corrupted joints.
+zero entries) and, where a joint law suffices, their corrupted joints; a fixed
+4-symbol HMM reaches the default symbol sets past 3 symbols.
 
 The Monte Carlo checks count sampled paths over the exact mode's instance
 tables: their label sets equal the exact ones, and every instance the
@@ -17,7 +18,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import assert_same_text
@@ -36,7 +37,7 @@ from chainmix.stopping_verifier import (
 )
 from chainmix.sim import RandomSource
 
-SYMBOLS = ["a", "b", "c"]
+SYMBOLS = ["a", "b", "c", "d"]     # random models take the first 1-3
 
 
 def _rows(r, n, k, zeros):
@@ -141,11 +142,14 @@ def _draw_symbol_sets(r, K):
 
 
 FIXED_JOINTS = {"splitting_negative_control": fixtures.splitting_negative_control,
-                "two_state_cycle": fixtures.two_state_cycle}
+                "two_state_cycle": fixtures.two_state_cycle,
+                # 4 symbols: the default sets are the singletons and the full set
+                "four_symbols": lambda: _hmm(11, 2, 4, True)}
 
 
 @given(st.one_of(models, st.sampled_from(sorted(FIXED_JOINTS))), st.booleans(),
        st.integers(2, 4), st.integers(0, 2 ** 32 - 1))
+@example("four_symbols", False, 3, 2)      # draw seed 2: the default symbol sets
 @settings(max_examples=120, deadline=None)
 def test_splitting_equals_reference(model, corrupt, N, draw_seed):
     # the level-by-level batch against the depth-first recursion: same floats,

@@ -72,6 +72,42 @@ def test_alphabet_invariants():
     assert validate_model(Alphabet(("@del", "a", "a"))) != []  # duplicate
 
 
+def _st(labels=("s", "t")):
+    return StochasticMatrix(np.eye(len(labels)), labels)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: StochasticMatrix(np.ones((2, 3)) / 3), r"rows: shape \(2, 3\), expected \(2, 2\)"),
+    (lambda: StochasticMatrix(np.eye(2), ("u", "v", "w")),
+     r"rows: shape \(2, 2\), expected \(3, 3\) for labels \('u', 'v', 'w'\)"),
+    (lambda: Distribution(np.eye(2)), r"weights: expected a 1-d array, got shape \(2, 2\)"),
+    (lambda: HMMModel(("s", "t"), ab(), delta(3, 0), _st(), np.eye(2)),
+     r"pi: shape \(3,\), expected \(2,\)"),
+    (lambda: HMMModel(("s", "t"), ab(), delta(2, 0), _st(), np.ones((2, 3)) / 3),
+     r"readout: shape \(2, 3\), expected \(2, 2\)"),
+    (lambda: HMMModel(("s", "t"), ab(), delta(2, 0), _st(("t", "s")), np.eye(2)),
+     "P: labels .* differ from hidden_states"),
+    (lambda: MarkovMixtureModel(ab(), "a", delta(2, 0), (_st(("a", "b")),)),
+     r"weights: shape \(2,\), expected \(1,\)"),
+    (lambda: MarkovMixtureModel(ab(), "a", delta(1, 0), (_st(("b", "a")),)),
+     "component 0: labels .* differ from the alphabet"),
+    (lambda: MarkovMixtureModel(ab(), "a", delta(1, 0), (_st(("a", "b", "c")),)),
+     "component 0: labels .* differ from the alphabet"),
+    (lambda: IIDMixtureModel(ab(), delta(1, 0), (delta(2, 0), delta(2, 1))),
+     r"weights: shape \(1,\), expected \(2,\)"),
+    (lambda: IIDMixtureModel(ab(), delta(1, 0), (delta(3, 0),)),
+     r"component 0: shape \(3,\), expected \(2,\)"),
+    (lambda: PartitionedKernelMixture(ab(), Partition((("a",), ("b",))), delta(1, 0),
+                                      np.full((1, 1, 2), 0.5), "a"),
+     r"kernels: shape \(1, 1, 2\), expected \(1, 2, 2\)"),
+], ids=["square", "labels", "vector", "pi", "readout", "P labels", "markov weights",
+        "component labels", "component size", "iid weights", "iid component", "kernels"])
+def test_inconsistent_shapes_are_refused_when_built(build, message):
+    # shapes are each type's own rule, checked once when it is built, never a violation
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_partition_validation():
     alphabet = Alphabet.of(["1", "2", "3"])
     good = PartitionedKernelMixture(
@@ -84,6 +120,18 @@ def test_partition_validation():
         Distribution(np.array([1.0])),
         np.array([[[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]]]), "3")
     assert any("cell 1" in v for v in validate_model(off_cell))
+    # what the partition and y0 hold stays validation: listed, not raised when built
+    for cells, y0, want in [
+        ((("1", "2"), (), ("3",)), "1", ["partition: cell 2 is empty"]),
+        ((("1", "9"), ("2", "3")), "1", ["partition: cell 1 contains unknown symbol '9'"]),
+        ((("1", "2"), ("2", "3")), "1", ["partition: symbol '2' appears in more than one cell"]),
+        ((("1",), ("3",)), "1", ["partition: symbols ['2'] belong to no cell"]),
+        ((("1", "2"), ("3",)), "9", ["y0: '9' not in the alphabet"]),
+    ]:
+        kernels = np.full((1, len(cells), 3), 1 / 3)
+        m = PartitionedKernelMixture(alphabet, Partition(cells), Distribution(np.array([1.0])),
+                                     kernels, y0)
+        assert validate_model(m) == want
 
 
 # NaN probabilities: every comparison with NaN is false, so each check is written to

@@ -85,6 +85,14 @@ def test_malformed_json(tmp_path):
         load_model(path)
 
 
+def test_json_nested_past_the_recursion_limit_is_malformed(tmp_path):
+    # json.load raised RecursionError, which escaped the CLI: a traceback and exit 1
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ModelFormatError, match="not valid JSON"):
+        load_model(path)
+
+
 def test_stochastic_matrix_aux_type():
     m = model_from_dict({"type": "stochastic_matrix", "labels": ["u", "v"],
                          "rows": [[0.5, 0.5], [0.0, 1.0]]})
