@@ -113,9 +113,9 @@ def _law_json_blocks(law):
     at least 1, written ``BLOCK`` entries at a time by ``law.text_blocks``: each symbol
     as ``json.dumps`` writes it and each probability by ``repr``, as ``json.dumps``
     writes a float. Every entry opens with a comma, dropped from the first."""
-    entry = ",\n    [\n      [\n        %s\n      ],\n      %r\n    ]"
+    entry = ",\n    [\n      [\n        %s\n      ],\n      %s\n    ]"
     yield '{\n  "entries": ['
-    for i, block in enumerate(law.text_blocks(entry, json.dumps, ",\n        ")):
+    for i, block in enumerate(law.text_blocks(entry, json.dumps, ",\n        ", repr)):
         yield block if i else block[1:]
     yield ("\n  ]" if law.ranks.size else "]") + f',\n  "length": {law.length}\n}}\n'
 

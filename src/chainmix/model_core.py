@@ -40,6 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .bytetext import g17, joined, numbers, padded, text
 from .config import DEFAULT
 from .errors import (EnumerationBudgetError, InvalidModelError, ModelFormatError,
                      UnsupportedModelError)
@@ -382,40 +383,46 @@ class FiniteLaw:
             digits = rank_digits(self.ranks[i:i + BLOCK], self.alphabet.size, self.length)
             yield from zip(zip(*em[digits].T.tolist()), self.probs[i:i + BLOCK].tolist())
 
-    def text_blocks(self, line: str = "%s %.17g\n", spell=str, joiner: str = " "):
+    def text_blocks(self, line: str = "%s %s\n", spell=str, joiner: str = " ", number=None):
         """Yield the live entries as text, ``BLOCK`` at a time and in alphabet order:
-        ``line % (labels, probability)`` per entry, the labels being each symbol's
-        ``spell`` joined by ``joiner``. The defaults give the ``law`` lines; ``law
-        --json`` passes its entry template, ``json.dumps`` and its own joiner.
+        ``line`` per entry, its two ``%s`` filled with the labels and the probability,
+        the labels being each symbol's ``spell`` joined by ``joiner``, the probability
+        as ``'%.17g' %`` writes it (``bytetext.g17``) or as ``number`` writes it. The
+        defaults give the ``law`` lines; ``law --json`` passes its entry template,
+        ``json.dumps``, its own joiner and ``repr``.
 
         The labels of the last ``m`` symbols come from one table (the largest ``m``
         with ``K**m <= BLOCK``); the rest of a rank is a prefix, decoded and joined
-        once per run of equal prefixes. Each block is one ``%`` call, labels passed
-        as arguments (a label may contain ``%``), and only its own labels are alive.
+        once per run of equal prefixes. The text before the labels goes with the
+        prefixes and the text between labels and probability with the table. Each
+        block is one byte matrix, a row per entry with every piece padded to its
+        widest (``bytetext``).
         """
         k, m = self.alphabet.size, 0
         em = np.array([spell(s) for s in self.alphabet.emittable], dtype=object)
         while m < self.length and k ** (m + 1) <= BLOCK:
             m += 1
         sep = joiner if 0 < m < self.length else ""
-        suffixes = np.array([sep + joiner.join(s) for s in
-                             em[rank_digits(np.arange(k ** m), k, m)].tolist()], dtype=object)
+        before, middle, after = line.split("%s")
+        suffixes = padded([sep + joiner.join(s) + middle for s in
+                           em[rank_digits(np.arange(k ** m), k, m)].tolist()])
+        tail = padded([after])
         for i in range(0, self.ranks.size, BLOCK):
-            ranks = self.ranks[i:i + BLOCK]
+            ranks, probs = self.ranks[i:i + BLOCK], self.probs[i:i + BLOCK]
             prefixes, rest = ranks // k ** m, (ranks % k ** m).astype(np.int64)
-            starts = np.flatnonzero(np.r_[True, prefixes[1:] != prefixes[:-1]])
-            heads = [joiner.join(s) for s in
-                     em[rank_digits(prefixes[starts], k, self.length - m)].tolist()]
-            cells = np.empty(2 * ranks.size, dtype=object)
-            cells[0::2] = np.repeat(np.array(heads, dtype=object),
-                                    np.diff(np.r_[starts, ranks.size])) + suffixes[rest]
-            cells[1::2] = self.probs[i:i + BLOCK]
-            yield (line * ranks.size) % tuple(cells)
+            starts = np.r_[True, prefixes[1:] != prefixes[:-1]]
+            heads = padded([before + joiner.join(s) for s in
+                            em[rank_digits(prefixes[starts], k, self.length - m)].tolist()])
+            run = np.cumsum(starts) - 1
+            values = g17(probs)[0] if number is None else numbers(map(number, probs.tolist()))
+            yield text(joined([heads.take(run, axis=0), suffixes.take(rest, axis=0), values,
+                               tail], ranks.size))
 
 
 def rank_dtype(k: int, length: int):
-    """int64 while the ranks of ``length``-symbol strings over ``k`` fit it, else object."""
-    return np.int64 if k ** length <= 2 ** 63 else object
+    """int64 while the ranks of ``length``-symbol strings over ``k`` fit it, else object;
+    decided without forming ``k ** length`` past 64 symbols (``k ** 64 >= 2 ** 64`` for k >= 2)."""
+    return np.int64 if k < 2 or k ** min(length, 64) <= 2 ** 63 else object
 
 
 def _rank(k: int, digits) -> int:
@@ -621,8 +628,8 @@ def _check_law_input(m, N: int, length: int, budget, per_string: int = 1) -> int
         raise ValueError("horizon N must be >= 1")
     k, budget = m.alphabet.size, DEFAULT.enum_budget if budget is None else int(budget)
     if rank_dtype(k, length) is not np.int64:
-        raise EnumerationBudgetError(f"strings of {length} symbols over {k} have "
-                                     f"ranks up to {k ** length - 1}, beyond int64")
+        raise EnumerationBudgetError(f"horizon {N} over an alphabet of {k} symbols: the "
+                                     f"ranks of its strings of {length} symbols go beyond int64")
     _check_frontier(per_string * k, 1, budget)
     return budget
 

@@ -39,6 +39,15 @@ def test_a_reader_that_closes_stdout_early_is_not_an_error():
     assert len(first.split()) == 16        # Y_0..Y_14 and the probability
 
 
+def test_law_imports_neither_fractions_nor_decimal():
+    # the digit tables come from integer arithmetic, at no cost in start-up or memory
+    code = ("import sys, chainmix.cli; chainmix.cli.main(['law', sys.argv[1], '--horizon', '3']);"
+            " print(sorted({'fractions', 'decimal'} & set(sys.modules)), file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", code, MODELS / "noisy_hmm.json"],
+                          capture_output=True, text=True, env=ENV, timeout=120)
+    assert (done.returncode, done.stdout.count("\n"), done.stderr) == (0, 16, "[]\n")
+
+
 def test_validate_of_a_valid_file():
     done = chainmix("validate", MODELS / "noisy_hmm.json")
     assert (done.returncode, done.stdout, done.stderr) == (0, "valid\n", "")

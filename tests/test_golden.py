@@ -25,7 +25,11 @@ horizon-8 and stay/swap horizon-20 digests were computed with the full-table
 law bodies that ``tests/oracles.py`` keeps as ``reference_*_law``: tables of
 1.7M and 2.1M strings, of which 124,511 and 2 are live. The ``noisy_hmm``
 horizon-16 digest (131,072 lines, 32 blocks of the block writer) was computed
-with the one-line-at-a-time writer kept as ``reference_law_text``.
+with the one-line-at-a-time writer kept as ``reference_law_text``. The
+``seeded_sparse6`` and ``relabelled_hmm`` digests were computed with the
+``text_blocks`` that formatted every probability with Python's ``%``: the
+benchmark's sparse law shape, and labels of one to three characters with ``%``
+and non-ASCII, in text and JSON.
 
 The ``recover``, ``successors`` and ``test-exchangeability`` digests were
 computed with the per-symbol successors and histogram loops and the pairwise
@@ -69,12 +73,14 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracles
 from chainmix import fixtures, recovery
 from chainmix.cli import main
-from chainmix.model_io import save_model
+from chainmix.model_core import validate_model
+from chainmix.model_io import model_from_dict, save_model
 from chainmix.sim import RandomSource
 from chainmix.stopping_verifier import (
     HittingTimeSpec,
@@ -161,8 +167,29 @@ def _sparse6(weights):
                            _rows([0.1, 0.2, 0.3, 0.4], [0, 2, 3, 5])]}
 
 
+def _seeded_sparse6(seed):
+    """Markov mixture over 6 symbols, 2 components with 4 Dirichlet entries per row at
+    random places, redrawn until valid: the shape of the laws benchmark's sparse law."""
+    rng = np.random.default_rng(seed)
+    while True:
+        components = []
+        for _ in range(2):
+            rows = np.zeros((6, 6))
+            for y in range(6):
+                rows[y, rng.choice(6, 4, replace=False)] = rng.dirichlet(np.ones(4))
+            components.append(rows.tolist())
+        raw = {"type": "markov_mixture", "alphabet": list("abcdef"), "y0": "a",
+               "weights": rng.dirichlet(np.ones(2)).tolist(), "components": components}
+        if not validate_model(model_from_dict(raw)):
+            return raw
+
+
+# noisy_hmm with labels of one to three characters, among them ``%`` and non-ASCII
+RELABELLED = {**json.loads((MODELS / "noisy_hmm.json").read_text()), "alphabet": ["%", "é%s"]}
 EXTRA_MODELS = {"iid.json": IID, "sparse6.json": _sparse6([0.3, 0.7]),
-                "sparse6b.json": _sparse6([0.35, 0.65])}
+                "sparse6b.json": _sparse6([0.35, 0.65]),
+                "seeded_sparse6.json": _seeded_sparse6(2707),
+                "relabelled_hmm.json": RELABELLED}
 
 
 @pytest.fixture()
@@ -275,6 +302,16 @@ LAW_DIGESTS = {
     # the laws benchmark's dense law: 131,072 lines, 32 blocks
     ("noisy_hmm.json", 16, False):
         "ebeafec204d74aea5cede25234df6b9e8fc44a26d69da8db14b0ec90d7afa2fe",
+    # the laws benchmark's sparse shape (suffix table of 6**4 strings): 127,932 lines
+    ("seeded_sparse6.json", 8, False):
+        "7d2cc9b4b8aa4c0b3cd6be4b33549be93081a74e14552973c5ef14d695b2ddfe",
+    ("seeded_sparse6.json", 8, True):
+        "a16cd6449f2cac07aa1cf32013a18435daf33f04b02194f638a59576078e9c95",
+    # labels of unequal widths, ``%`` and non-ASCII: 8,192 lines
+    ("relabelled_hmm.json", 12, False):
+        "45707f73f25a3a9d9f4d407e86ab5aacce4518363d615933c1e2be0570d6989e",
+    ("relabelled_hmm.json", 12, True):
+        "0134b84ebb9aaf851ec1548a524f61cb7559f23c572875f36cbb1b87aa1b4d51",
 }
 
 

@@ -2,12 +2,19 @@
 
 ``FiniteLaw.text_blocks`` must give, byte for byte, the one-line-at-a-time
 writer that ``tests/oracles.py`` keeps as ``reference_law_text``: on one to six
-symbols, labels of several characters, non-ASCII, ``%`` and braces; lengths
-inside and past the suffix table; laws of more than one block whose runs of
-equal prefixes cross a block boundary; all-live laws and sparse ones. The
+symbols, labels of several characters, non-ASCII, ``%``, braces and a lone
+surrogate; lengths inside and past the suffix table; laws of more than one
+block whose runs of equal prefixes cross a block boundary; all-live laws and
+sparse ones. The
 ``--json`` writer must give one ``json.dumps`` of the whole report
 (``reference_law_json``), labels that need escaping included. A reader that
 stops reading ``law`` output early is not an error.
+
+``bytetext.g17`` must write every double as ``'%.17g' %`` does: random bit
+patterns, subnormals, the neighbours of every power of ten (the decades' edges,
+E = -4/-5 among them), three-digit exponents, exact decimal ties and values
+outside (0, 1). Its fast path must carry all but a few of a real law's
+probabilities, and every exact tie must go to ``%``.
 """
 
 import os
@@ -20,13 +27,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from chainmix.bytetext import g17, text
 from chainmix.cli import _law_json_blocks
-from chainmix.model_core import BLOCK, Alphabet, FiniteLaw
+from chainmix.model_core import BLOCK, Alphabet, FiniteLaw, model_law
+from chainmix.model_io import load_model
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
 
-LABELS = st.text(alphabet="ab%{}s.é€", min_size=1, max_size=3).filter(lambda s: s != "@del")
+# a lone surrogate too: a label from a JSON file may hold one, and it must come out as it went in
+LABELS = st.text(alphabet="ab%{}s.é€\udc80", min_size=1,
+                 max_size=3).filter(lambda s: s != "@del")
 
 
 def random_law(r, alphabet, length, live):
@@ -94,6 +105,76 @@ def test_text_blocks_beyond_int64_ranks():
     law = FiniteLaw.from_probs(Alphabet.of(["a", "b%", "c"]), 41, strings)
     assert law.ranks.dtype == object
     assert_text_is_reference(law)
+
+
+def g17_is_percent(x):
+    """``g17`` of ``x`` against ``'%.17g' %``: the same bytes and the same length per value."""
+    out, fallback = g17(x)
+    want = ["%.17g" % v for v in np.asarray(x, dtype=float).tolist()]
+    assert text(out) == "".join(want)
+    assert (out != 0xFF).sum(axis=1).tolist() == [len(w) for w in want]
+    return fallback
+
+
+def dyadic_ties():
+    """Every ``m * 2**-(k+1)``, ``m`` odd and k = 17..22, with 18 significant digits, the
+    last a 5: exactly halfway between two 17-digit decimals."""
+    return np.concatenate([np.arange(-(-10 ** 17 // 5 ** (k + 1)) | 1, 10 ** 18 // 5 ** (k + 1),
+                                     2) * 2.0 ** -(k + 1) for k in range(17, 23)])
+
+
+POWERS = 10.0 ** -np.arange(1, 324)
+EDGES = np.concatenate([np.nextafter(POWERS, 0.0), POWERS, np.nextafter(POWERS, 1.0),
+                        np.nextafter(np.nextafter(POWERS, 0.0), 0.0), np.nextafter(
+                            np.nextafter(POWERS, 1.0), 1.0)])
+
+
+def test_g17_is_percent_on_many_doubles():
+    r = np.random.default_rng(1717)
+    bits = r.integers(1, 0x3FF0000000000000, size=400_000, dtype=np.int64).view(float)
+    subnormal = r.integers(1, 2 ** 52, size=50_000, dtype=np.int64).view(float)
+    odd = [1.0, 0.0, -0.0, -0.25, 2.0, 1e300, np.inf, -np.inf, np.nan, 5e-324, 1 - 2 ** -53]
+    fallback = g17_is_percent(np.concatenate([bits, r.random(200_000) ** 9, subnormal,
+                                              EDGES, odd]))
+    assert fallback[-len(odd):].sum() == 9       # all but the two values in (0, 1)
+
+
+def test_g17_sends_every_exact_tie_to_percent():
+    ties = dyadic_ties()
+    assert ties.size == 147_444 and "%.18g" % ties[0] == "0.100002288818359375"
+    assert g17_is_percent(ties).all()
+
+
+@pytest.mark.parametrize("guess", [-np.inf, np.inf])
+def test_g17_corrects_a_wrong_decade(guess, monkeypatch):
+    # a guess of the lower (upper) decade of every binade: each value of the other
+    # decade must be moved there by the check on its scaled value
+    r = np.random.default_rng(17)
+    monkeypatch.setattr(np, "log10", lambda v: np.full(np.shape(v), guess))
+    g17_is_percent(np.concatenate([EDGES, r.integers(1, 0x3FF0000000000000, size=50_000,
+                                                     dtype=np.int64).view(float),
+                                   r.choice(dyadic_ties(), 1000)]))
+
+
+def test_g17_fast_path_carries_a_law():
+    # the laws benchmark's dense law: a broken fast path that sent every value to
+    # ``%`` would still print the right bytes
+    probs = model_law(load_model(MODELS / "noisy_hmm.json"), 16).probs
+    assert g17_is_percent(probs).mean() <= 0.01
+
+
+@given(st.lists(st.one_of(
+    st.integers(1, 0x3FF0000000000000).map(lambda b: float(np.int64(b).view(float))),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 2.0 ** -1022),
+    st.sampled_from(EDGES.tolist()),
+    st.sampled_from(dyadic_ties().tolist()),
+    st.floats(1e-5, 1e-4).flatmap(lambda v: st.sampled_from([v, np.nextafter(v, 0.0)])),
+    st.floats(0.0, 1e-100),
+    st.just(1.0)), min_size=1, max_size=50))
+@settings(max_examples=300, deadline=None)
+def test_g17_is_percent(values):
+    g17_is_percent(values)
 
 
 JSON_LABELS = st.text(alphabet='ab"\\/\n\t\x01%é€\U0001f600', min_size=1,

@@ -155,6 +155,21 @@ def test_law_ranks_beyond_int64_are_refused(tmp_path, capsys):
         markov_mixture_law(m, 64, budget=1e30)
 
 
+def test_a_huge_horizon_is_refused_in_little_memory(capsys):
+    # 2**100000000 would be a 12.5 MB integer, and too long to print
+    tracemalloc.start()
+    try:
+        status = main(["law", str(MODELS / "separated_mixture.json"), "--horizon", "100000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 2
+    assert capsys.readouterr().err == (
+        "error: horizon 100000000 over an alphabet of 2 symbols: the ranks of its strings "
+        "of 100000000 symbols go beyond int64\n")
+    assert peak < 2 ** 20
+
+
 def test_compare_memory_follows_live_entries(capsys):
     # 4**8 live strings per law, lifted to length 9
     model = str(MODELS / "two_cell_partitioned.json")
