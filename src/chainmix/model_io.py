@@ -16,10 +16,12 @@ from the model attribute of that name.
 
 Trajectory files hold one trajectory per line as whitespace-separated symbols.
 A line ``# hidden: x0 x1 ...`` attaches a hidden trace to the preceding
-trajectory; other ``#`` lines are comments. So the loader refuses ``alphabet``
-and ``hidden_states`` labels that are empty, hold whitespace or start with
-``#``. Labels exist only at this boundary: the reader encodes each line
-through one label -> code map, and the writer decodes each line at once.
+trajectory, which takes one at most; other ``#`` lines are comments. So the
+loader refuses ``alphabet`` and ``hidden_states`` labels that are empty, hold
+whitespace or start with ``#``. Labels exist only at this boundary: the reader
+encodes each line through one label -> code map, and the writer decodes each
+line at once. A line of one-character labels in the writer's shape is sliced,
+not split; every other line is stripped and split, to the same codes.
 """
 
 from __future__ import annotations
@@ -190,18 +192,30 @@ def load_partition(path) -> Partition:
     return _partition(raw["cells"], "cells", str(path))
 
 
-def _encode_words(words: list, index: dict) -> np.ndarray:
-    """:func:`encode` of the words of one line; words of one character each are
-    looked up once per distinct code point."""
-    joined = "".join(words)
-    if len(joined) != len(words):        # a word of several characters
-        return encode(words, index)
+def _encode_chars(joined: str, index: dict) -> np.ndarray:
+    """:func:`encode` of the characters of ``joined`` as one-character labels, each
+    distinct code point looked up once; new labels enter ``index`` in code-point order."""
     points = np.frombuffer(joined.encode("utf-32-le"), "<u4")
     present = np.flatnonzero(np.bincount(points))
     codes = encode(map(chr, present.tolist()), index)
     lut = np.zeros(present[-1] + 1, codes.dtype)
     lut[present] = codes
-    return lut[points]
+    return lut.take(points)
+
+
+def _encode_words(words: list, index: dict) -> np.ndarray:
+    """:func:`encode` of one line's words, by :func:`_encode_chars` if each is one character."""
+    joined = "".join(words)
+    return encode(words, index) if len(joined) != len(words) else _encode_chars(joined, index)
+
+
+def _one_char_labels(line: str) -> str | None:
+    """The labels of a trajectory line in the shape written for one-character labels
+    (a label at each even offset, a space at each odd one), else None."""
+    body = line.removesuffix("\n")
+    chars = body[::2]
+    return chars if (body[1::2] == " " * (len(body) // 2)
+                     and chars.split() == [chars] and chars[0] != "#") else None
 
 
 def read_trajectories(path, index: int | None = None):
@@ -210,29 +224,34 @@ def read_trajectories(path, index: int | None = None):
     its ``# hidden:`` line, and an index outside the file reads on only to count.
     Symbols share one label -> code map, hidden traces another."""
     found, symbols, states = [], {}, {}   # [codes, hidden codes or None] per kept trajectory
-    n = length = 0                        # trajectories so far, and the length of the last
+    n = length = traced = 0               # trajectories so far, the last's length, last traced
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line.startswith("#"):
+            chars = _one_char_labels(line)
+            if chars is None and (line := line.strip()).startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("hidden:"):
                     if not n:
                         raise ModelFormatError(f"{path}:{lineno}: hidden trace before any "
                                                "trajectory")
+                    if traced == n:
+                        raise ModelFormatError(f"{path}:{lineno}: second hidden trace for "
+                                               f"trajectory {n}")
                     hidden = body[len("hidden:"):].split()
                     if len(hidden) != length:
                         raise ModelFormatError(f"{path}:{lineno}: hidden trace length "
                                                f"{len(hidden)} != trajectory length {length}")
+                    traced = n
                     if index in (None, n - 1):
                         found[-1][1] = _encode_words(hidden, states)
-            elif line:
+            elif chars is not None or line:
                 if index is not None and 0 <= index < n:
                     break
-                tokens = line.split()
-                n, length = n + 1, len(tokens)
+                words = line.split() if chars is None else chars
+                n, length = n + 1, len(words)
                 if index in (None, n - 1):
-                    found.append([_encode_words(tokens, symbols), None])
+                    found.append([_encode_words(words, symbols) if chars is None
+                                  else _encode_chars(chars, symbols), None])
     if not n:
         raise ModelFormatError(f"{path}: no trajectories found")
     if index is not None and not 0 <= index < n:
@@ -246,8 +265,8 @@ def _line(codes: np.ndarray, labels: tuple) -> str:
     if all have one width, else of labels."""
     cells = [s.encode() + b" " for s in labels]
     if len(set(map(len, cells))) > 1:
-        return " ".join(np.array(labels, dtype=object)[codes].tolist()) + "\n"
-    return np.array(cells)[codes].tobytes()[:-1].decode() + "\n"
+        return " ".join(np.array(labels, dtype=object).take(codes).tolist()) + "\n"
+    return np.array(cells).take(codes).tobytes()[:-1].decode() + "\n"
 
 
 def write_trajectories(fh, trajectories, trace_hidden: bool = False) -> None:

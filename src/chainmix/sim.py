@@ -27,7 +27,7 @@ import numpy as np
 from .model_core import Alphabet, FiniteLaw, HMMModel, require_valid, symbol_chains
 
 STREAMS_PER_BLOCK = 1024   # trajectories advanced together
-DRAWS_PER_CHUNK = 1 << 15  # uniforms held in memory at once
+DRAWS_PER_CHUNK = 1 << 17  # uniforms held in memory at once
 _TABLE_ENTRIES = 1 << 14  # (row, bucket tuple) entries of walk's table, 16 B each at m = 4
 _LISTS_BELOW = 4           # fewer automata walk through lists (measured crossover 4-6)
 
@@ -213,7 +213,13 @@ def _sample_streams(model, length, srcs, trace_hidden) -> list[Trajectory]:
         raise ValueError("hidden tracing requires an HMM")
     cum, nxt, start, lead, stride, first = _automaton(model)
     gens = [src.generator() for src in srcs]
-    draw = lambda n: np.array([g.random(n) for g in gens])   # next n uniforms per stream
+
+    def draw(n):        # the next n uniforms of each stream, one row each
+        u = np.empty((len(gens), n))
+        for g, row in zip(gens, u):
+            g.random(out=row)
+        return u
+
     step = walk(cum, nxt, len(gens), len(gens) * (lead + length * stride))
     _, row = step(np.full(len(gens), start), draw(lead))
     em, hs = model.alphabet.emittable, getattr(model, "hidden_states", None)

@@ -15,9 +15,11 @@ shares no code with the library's einsum ``contract``. The reference Monte Carlo
 verifier enumerates its four families by hand over count tables, so the shared
 instance tables' path counts have an independent check. The graph references
 answer each structural question by its own search, where the library reads
-every answer from one reachability closure. The in-loop budget law checks its
-budget step by step as it enumerates, where the library counts live prefixes
-from the supports before any enumeration. The stationary reference solves the
+every answer from one reachability closure. The reference trajectory reader
+strips and splits every line, where the library slices lines of one-character
+labels. The in-loop budget law checks its budget step by step as it
+enumerates, where the library counts live prefixes from the supports before
+any enumeration. The stationary reference solves the
 balance equations exactly in rationals, where the library eliminates in floats,
 and the rational HMM law bounds the forward pass's floats. The product inverse
 detects the block structure of ``markov_mixture_to_hmm``'s images, where the
@@ -785,6 +787,58 @@ def reference_extract_partitioned(t, partition):
     except KeyError as exc:
         raise ValueError(str(exc)) from None
     return SuccessorsArray({k: tuple(v) for k, v in rows.items()}, len(t))
+
+
+def _reference_encode_line(words, index):
+    """``encode`` of one line's words; when each word is one character, the line's
+    new labels enter ``index`` in code-point order, as the reader's table takes them."""
+    from chainmix.sim import encode
+
+    if all(len(w) == 1 for w in words):
+        encode(sorted(set(words)), index)
+    return encode(words, index)
+
+
+def reference_read_trajectories(path, index=None):
+    """The trajectory reader that strips and splits every line, with its messages:
+    the per-line parser the reader's one-character fast path must reproduce."""
+    from chainmix.errors import ModelFormatError
+    from chainmix.sim import Trajectory
+
+    found, symbols, states = [], {}, {}
+    n = length = traced = 0
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("hidden:"):
+                    if not n:
+                        raise ModelFormatError(f"{path}:{lineno}: hidden trace before any "
+                                               "trajectory")
+                    if traced == n:
+                        raise ModelFormatError(f"{path}:{lineno}: second hidden trace for "
+                                               f"trajectory {n}")
+                    hidden = body[len("hidden:"):].split()
+                    if len(hidden) != length:
+                        raise ModelFormatError(f"{path}:{lineno}: hidden trace length "
+                                               f"{len(hidden)} != trajectory length {length}")
+                    traced = n
+                    if index in (None, n - 1):
+                        found[-1][1] = _reference_encode_line(hidden, states)
+            elif line:
+                if index is not None and 0 <= index < n:
+                    break
+                tokens = line.split()
+                n, length = n + 1, len(tokens)
+                if index in (None, n - 1):
+                    found.append([_reference_encode_line(tokens, symbols), None])
+    if not n:
+        raise ModelFormatError(f"{path}: no trajectories found")
+    if index is not None and not 0 <= index < n:
+        raise ModelFormatError(f"trajectory index {index} out of range (file has {n})")
+    out = [Trajectory(c, h, None, tuple(symbols), tuple(states)) for c, h in found]
+    return out if index is None else out[0]
 
 
 def reference_estimate(t, alphabet, min_count):

@@ -636,6 +636,13 @@ def test_index_reads_only_as_far_as_the_wanted_trajectory(tmp_path, capsys):
         2, "", f"error: {path}:5: hidden trace length 2 != trajectory length 4\n")
 
 
+def test_successors_refuses_a_second_hidden_trace(tmp_path, capsys):
+    path = tmp_path / "t.txt"
+    path.write_text("a b\n# hidden: s0 s1\n# hidden: s1 s1\n")
+    assert run(capsys, "successors", str(path), "--index", "0") == (
+        2, "", f"error: {path}:3: second hidden trace for trajectory 1\n")
+
+
 def test_simulate_holds_codes_not_labels(tmp_path, monkeypatch):
     # 200 x 10^4 symbols: one uint8 code array of 2 MB, where label lists took 16 MB
     import sys

@@ -133,6 +133,24 @@ def test_trajectory_orphan_hidden_rejected(tmp_path):
         read_trajectories(path)
 
 
+def test_a_second_hidden_trace_is_refused(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("a b\n# hidden: s0 s1\n# hidden: s1 s1\n")
+    for index in (None, 0):
+        with pytest.raises(ModelFormatError) as err:
+            read_trajectories(path, index)
+        assert str(err.value) == f"{path}:3: second hidden trace for trajectory 1"
+
+
+def test_one_character_labels_enter_in_code_point_order(tmp_path):
+    # each line's new labels are taken in code-point order, not in order of appearance
+    path = tmp_path / "t.txt"
+    path.write_text("b a b\n€ c é\n", encoding="utf-8")
+    back = read_trajectories(path)
+    assert back[0].labels == ("a", "b", "c", "é", "€")
+    assert [t.codes.tolist() for t in back] == [[1, 0, 1], [4, 2, 3]]
+
+
 def test_empty_trajectory_file_rejected(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("# only comments\n")
@@ -212,3 +230,73 @@ def test_demo_models_script_writes_the_committed_models(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == names and len(names) == 5
     for name in names:
         assert (tmp_path / name).read_bytes() == (committed / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# The reader against the reference reader that strips and splits every line
+
+# one-character labels, a later one often of a smaller code point, and
+# whitespace that str.split splits on but a line break does not end
+ONE_CHAR = st.sampled_from(["a", "b", "Z", "é", "€", "#", "%", "\x0c", "\x85", "\u2028"])
+WORD = st.text("ab%é€#Z", min_size=1, max_size=3)
+SEPARATOR = st.sampled_from([" ", " ", " ", "  ", "\t", "\x0c", "\x85", "\u2028"])
+EDGE = st.sampled_from(["", "", "", " ", "\t", "  "])        # leading or trailing blanks
+END = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+HIDDEN = st.sampled_from(["s0", "s1", "x", "é", "a"])
+HIDDEN_TAG = st.sampled_from(["# hidden: ", "#hidden:", "  # hidden:", "# hidden:\t"])
+
+
+@st.composite
+def trajectory_texts(draw):
+    """File texts mixing lines in the writer's shape for one-character labels with
+    lines of any other shape: hidden traces, comments, blank lines, several
+    separators, and every line ending, the last one possibly missing."""
+    lines, length = [], 0     # length: tokens of the last trajectory line, for hidden traces
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["one_char", "one_char", "words", "hidden", "comment",
+                                     "blank"]))
+        if kind == "one_char":
+            line = " ".join(draw(st.lists(ONE_CHAR, min_size=1, max_size=8)))
+            if draw(st.integers(0, 3)) == 0:
+                line = draw(EDGE) + line + draw(EDGE)
+        elif kind == "words":
+            words = draw(st.lists(WORD, min_size=1, max_size=5))
+            line = draw(EDGE) + "".join(w + draw(SEPARATOR) for w in words[:-1]) + words[-1]
+            line += draw(EDGE)
+        elif kind == "hidden":
+            size = length if draw(st.integers(0, 3)) else draw(st.integers(0, 4))
+            line = draw(HIDDEN_TAG) + " ".join(draw(st.lists(HIDDEN, min_size=size,
+                                                             max_size=size)))
+        elif kind == "comment":
+            line = draw(st.sampled_from(["#", "# note", "#a b", "  # x\ty"]))
+        else:
+            line = draw(EDGE)
+        if (stripped := line.strip()) and not stripped.startswith("#"):
+            length = len(stripped.split())
+        lines.append(line + draw(END))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines)
+
+
+def _read_outcome(reader, path, index):
+    """What ``reader`` makes of the file: codes with their dtypes and labels, or
+    the type and message of its error."""
+    try:
+        got = reader(path, index)
+    except Exception as exc:       # any error: its type and message are compared
+        return type(exc), str(exc)
+    coded = lambda c: None if c is None else (c.tolist(), c.dtype.str)
+    return [(coded(t.codes), t.labels, coded(t.hidden_codes), t.hidden_labels)
+            for t in (got if index is None else [got])]
+
+
+@given(trajectory_texts(), st.integers(-1, 9))
+@settings(max_examples=400, deadline=None)
+def test_reader_equals_the_reference_reader(text, index):
+    with tempfile.TemporaryDirectory() as tmp:   # no tmp_path: one per example
+        path = Path(tmp) / "t.txt"
+        path.write_bytes(text.encode("utf-8"))
+        for i in (None, index):
+            assert (_read_outcome(read_trajectories, path, i)
+                    == _read_outcome(oracles.reference_read_trajectories, path, i))

@@ -210,11 +210,14 @@ class EdgeGenerator:
     def __init__(self, src):
         self._gen = _REAL_GENERATOR(src)
 
-    def random(self, size=None):
-        u = np.asarray(self._gen.random(size))
+    def random(self, size=None, out=None):
+        u = np.asarray(self._gen.random(size, out=out))
         k = (u * 25).astype(np.intp)
-        out = np.where(k < EDGES.size, EDGES[np.minimum(k, EDGES.size - 1)], u)
-        return out if size is not None else float(out)
+        edged = np.where(k < EDGES.size, EDGES[np.minimum(k, EDGES.size - 1)], u)
+        if out is not None:
+            out[...] = edged
+            return out
+        return edged if size is not None else float(edged)
 
 
 def edge_draws(src):
