@@ -1,16 +1,25 @@
 #!/usr/bin/env python3
-"""Paired benchmark runs of two checkouts, for a claim that one is faster.
+"""Paired benchmark runs of two checkouts, for a gain or a no-regression claim.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload recover --pairs 10 --seed 553311
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload all --pairs 10 --seed 553311
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, and the side
 that goes first alternates from pair to pair, so that a drift of the host's
 speed favours neither. Every run has ``PYTHONDONTWRITEBYTECODE=1``, and a
 checkout that holds a ``__pycache__`` is refused: set-up then compiles every
-module in both checkouts, as in a fresh clone. The report gives, for every
-end-to-end metric of the change's ``BENCHMARK.json``, each side's median and
-quartiles, the pairs the change wins and ties, and whether the change's median is
-better than the parent's by more than the parent's interquartile range.
+module in both checkouts, as in a fresh clone. ``--workload`` may be repeated,
+and ``all`` names every workload of the change's ``BENCHMARK.json``.
+
+The report gives, per workload and for every end-to-end metric of that file,
+each side's median and quartiles, the pairs the change wins and ties, and two
+verdicts. The gain verdict: is the change's median better than the parent's by
+more than the parent's interquartile range? The no-regression verdict reads the
+metric's ``bound`` as a fraction of the parent's median, the allowance: it is
+``unresolved`` when the parent's interquartile range is wider than the
+allowance, unless every change run is better than every parent run; else ``no``
+when the change's median is worse than the parent's by more than the allowance,
+and ``yes`` otherwise.
 """
 
 from __future__ import annotations
@@ -33,18 +42,25 @@ def quartiles(values) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(parent, change, better: str = "lower") -> dict:
+def summarize(parent, change, better: str = "lower", bound: float = 0.0) -> dict:
     """Pair ``i`` is ``(parent[i], change[i])``. A pair is a win when the change's
-    value is better in the direction ``better``, and a tie when the two are equal."""
+    value is better in the direction ``better``, and a tie when the two are equal.
+    ``bound`` is the worsening allowed, as a fraction of the parent's median."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same nonzero number of runs on each side")
     sign = 1 if better == "lower" else -1
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     ties = sum(p == c for p, c in zip(parent, change))
     (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(parent), quartiles(change)
+    allowed = bound * abs(pmed)
+    if pq3 - pq1 > allowed and not all(sign * (p - c) > 0 for p in parent for c in change):
+        no_regression = "unresolved"
+    else:
+        no_regression = "no" if sign * (cmed - pmed) > allowed else "yes"
     return {"parent": (pq1, pmed, pq3), "change": (cq1, cmed, cq3), "pairs": len(parent),
             "wins": wins, "ties": ties,
-            "beyond_parent_iqr": sign * (pmed - cmed) > pq3 - pq1}
+            "beyond_parent_iqr": sign * (pmed - cmed) > pq3 - pq1,
+            "no_regression": no_regression}
 
 
 def refuse_bytecode(checkout: Path) -> None:
@@ -55,6 +71,13 @@ def refuse_bytecode(checkout: Path) -> None:
     cached = next(checkout.rglob("__pycache__"), None)
     if cached is not None:
         sys.exit(f"error: {cached} holds bytecode; remove it so that both sides compile alike")
+
+
+def workloads_of(asked, spec: dict) -> list[str]:
+    """The workloads ``--workload`` names, ``all`` standing for every one in ``spec``,
+    each once and in the order first named."""
+    names = [w["name"] for w in spec["workloads"]]
+    return list(dict.fromkeys(w for a in asked for w in (names if a == "all" else [a])))
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -76,7 +99,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", action="append", required=True,
+                    help="a workload of BENCHMARK.json, or all; may be repeated")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, default=20)
@@ -84,29 +108,32 @@ def main(argv=None) -> int:
     for checkout in (args.parent, args.change):
         refuse_bytecode(checkout)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
-    runs = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(run_once(getattr(args, side), args.workload, args.seed,
-                                       args.seconds))
-        print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
-            f"{side} {name} {runs[side][-1][name]:.4g}" for side in order for name in better),
-            file=sys.stderr)
+    for workload in workloads_of(args.workload, spec):
+        runs = {"parent": [], "change": []}
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(run_once(getattr(args, side), workload, args.seed,
+                                           args.seconds))
+            print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(
+                f"{side} {name} {runs[side][-1][name]:.4g}" for side in order
+                for name in metrics), file=sys.stderr)
 
-    print(f"workload {args.workload}, seed {args.seed}, {args.pairs} alternating pairs, "
-          f"{args.seconds:g} s runs")
-    print(f"{'metric':<12} {'side':<7} {'q1':>10} {'median':>10} {'q3':>10}")
-    for name, direction in better.items():
-        s = summarize([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
-                      direction)
-        for side in ("parent", "change"):
-            print(f"{name:<12} {side:<7} " + " ".join(f"{v:>10.4g}" for v in s[side]))
-        print(f"{'':<12} change wins {s['wins']}/{s['pairs']} ({s['ties']} ties); its median "
-              f"is better by more than the parent's IQR: "
-              f"{'yes' if s['beyond_parent_iqr'] else 'no'}")
+        print(f"workload {workload}, seed {args.seed}, {args.pairs} alternating pairs, "
+              f"{args.seconds:g} s runs")
+        print(f"{'metric':<12} {'side':<7} {'q1':>10} {'median':>10} {'q3':>10}  runs")
+        for name, (direction, bound) in metrics.items():
+            values = {side: [r[name] for r in runs[side]] for side in runs}
+            s = summarize(values["parent"], values["change"], direction, bound)
+            for side in ("parent", "change"):
+                print(f"{name:<12} {side:<7} " + " ".join(f"{v:>10.4g}" for v in s[side])
+                      + "  " + " ".join(f"{v:.4g}" for v in values[side]))
+            print(f"{'':<12} change wins {s['wins']}/{s['pairs']} ({s['ties']} ties); its "
+                  f"median is better by more than the parent's IQR: "
+                  f"{'yes' if s['beyond_parent_iqr'] else 'no'}; no regression beyond "
+                  f"{bound:g} of the parent's median: {s['no_regression']}")
     return 0
 
 

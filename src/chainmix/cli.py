@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import chain_analysis, constructions, exact_law, model_core, recovery, successors
-from .config import DEFAULT, RunConfig, load_config
+from .config import DEFAULT, RunConfig, _require_tol, load_config
 from .errors import ChainmixError, ModelFormatError
 from .model_core import (
     HMMModel,
@@ -121,8 +121,8 @@ def _law_json_blocks(law):
 
 
 def cmd_compare(args, cfg: RunConfig) -> int:
+    tol = _require_tol(cfg.tol_exact if args.tol is None else args.tol)
     a, b = load_model(args.model_a), load_model(args.model_b)
-    tol = cfg.tol_exact if args.tol is None else args.tol
     la, lb = comparable_laws(a, b, args.horizon, cfg.enum_budget,
                              drop_first=args.drop_first)
     tv = exact_law.total_variation(la, lb)
@@ -144,6 +144,7 @@ def cmd_convert(args, cfg: RunConfig) -> int:
     if not source or (args.model and args.model_from):
         raise ModelFormatError("convert takes exactly one input model "
                                "(positional or --from)")
+    tol = _require_tol(cfg.tol_exact)     # refused before the converted model is written
     model = load_model(source)
     routes = {
         (MarkovMixtureModel, "hmm"): constructions.markov_mixture_to_hmm,
@@ -167,7 +168,7 @@ def cmd_convert(args, cfg: RunConfig) -> int:
         la, lb = comparable_laws(model, result, args.check, cfg.enum_budget)
         tv = exact_law.total_variation(la, lb)
         print(f"check horizon={args.check} tv {_fmt(tv)}", file=sys.stderr)
-        status = 0 if tv <= cfg.tol_exact else 1
+        status = 0 if tv <= tol else 1
     return status
 
 

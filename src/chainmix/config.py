@@ -28,6 +28,22 @@ class RunConfig:
 DEFAULT = RunConfig()
 
 
+def _require_level(level: float | None) -> float:
+    """The test level (default ``DEFAULT.alpha``), refused outside (0, 1)."""
+    level = DEFAULT.alpha if level is None else level
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {level}")
+    return level
+
+
+def _require_tol(tol: float | None, name: str = "tolerance") -> float:
+    """A tolerance (default ``DEFAULT.tol_exact``), refused below 0 or NaN."""
+    tol = DEFAULT.tol_exact if tol is None else tol
+    if not tol >= 0:
+        raise ValueError(f"{name} must be >= 0, got {tol}")
+    return tol
+
+
 def load_config(path) -> RunConfig:
     """Read a RunConfig from a JSON file; unknown keys are rejected."""
     from .model_io import read_json     # late import: model_io builds on this module

@@ -275,12 +275,6 @@ class PartitionedKernelMixture:
         """1-based cell index per emittable symbol, as an array (0 for a symbol in no cell)."""
         return self.partition.cells_of(self.alphabet.emittable)
 
-    def kernel(self, h: int, j: int) -> np.ndarray:
-        """Row ``t_h(j, .)`` for a real cell index ``j >= 1``."""
-        if j < 1:
-            raise IndexError("cell 0 is the reserved {@del} cell; kernels cover cells 1..J")
-        return self.kernels[h, j - 1]
-
 
 @dataclass(frozen=True, eq=False)
 class FiniteLaw:

@@ -19,9 +19,9 @@ A line ``# hidden: x0 x1 ...`` attaches a hidden trace to the preceding
 trajectory, which takes one at most; other ``#`` lines are comments. So the
 loader refuses ``alphabet`` and ``hidden_states`` labels that are empty, hold
 whitespace or start with ``#``. Labels exist only at this boundary: the reader
-encodes each line through one label -> code map, and the writer decodes each
-line at once. A line of one-character labels in the writer's shape is sliced,
-not split; every other line is stripped and split, to the same codes.
+encodes each line by :func:`chainmix.sim.encode` into one label -> code map, and
+the writer decodes each line at once. A line of one-character labels in the
+writer's shape is sliced; every other line is stripped and split, to the same codes.
 """
 
 from __future__ import annotations
@@ -192,23 +192,6 @@ def load_partition(path) -> Partition:
     return _partition(raw["cells"], "cells", str(path))
 
 
-def _encode_chars(joined: str, index: dict) -> np.ndarray:
-    """:func:`encode` of the characters of ``joined`` as one-character labels, each
-    distinct code point looked up once; new labels enter ``index`` in code-point order."""
-    points = np.frombuffer(joined.encode("utf-32-le"), "<u4")
-    present = np.flatnonzero(np.bincount(points))
-    codes = encode(map(chr, present.tolist()), index)
-    lut = np.zeros(present[-1] + 1, codes.dtype)
-    lut[present] = codes
-    return lut.take(points)
-
-
-def _encode_words(words: list, index: dict) -> np.ndarray:
-    """:func:`encode` of one line's words, by :func:`_encode_chars` if each is one character."""
-    joined = "".join(words)
-    return encode(words, index) if len(joined) != len(words) else _encode_chars(joined, index)
-
-
 def _one_char_labels(line: str) -> str | None:
     """The labels of a trajectory line in the shape written for one-character labels
     (a label at each even offset, a space at each odd one), else None."""
@@ -243,15 +226,14 @@ def read_trajectories(path, index: int | None = None):
                                                f"{len(hidden)} != trajectory length {length}")
                     traced = n
                     if index in (None, n - 1):
-                        found[-1][1] = _encode_words(hidden, states)
+                        found[-1][1] = encode(hidden, states)
             elif chars is not None or line:
                 if index is not None and 0 <= index < n:
                     break
                 words = line.split() if chars is None else chars
                 n, length = n + 1, len(words)
                 if index in (None, n - 1):
-                    found.append([_encode_words(words, symbols) if chars is None
-                                  else _encode_chars(chars, symbols), None])
+                    found.append([encode(words, symbols), None])
     if not n:
         raise ModelFormatError(f"{path}: no trajectories found")
     if index is not None and not 0 <= index < n:

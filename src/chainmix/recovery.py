@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DEFAULT
+from .config import DEFAULT, _require_level, _require_tol
 from .errors import (
     InsufficientDataError,
     InsufficientVisitsError,
@@ -29,7 +29,7 @@ from .errors import (
     RowTooShortError,
 )
 from .model_core import Alphabet, Distribution
-from .sim import RandomSource, Trajectory
+from .sim import RandomSource, Trajectory, encode
 from .successors import SuccessorsArray, extract
 
 MIN_TEST_LENGTH = 20
@@ -106,9 +106,8 @@ def lln_recover(trajectories, cluster_tol: float | None = None,
     ``cluster_tol`` must be ``>= 0`` (``inf`` merges every pair with a common
     row); NaN would merge nothing.
     """
-    cluster_tol = DEFAULT.cluster_tol if cluster_tol is None else cluster_tol
-    if not cluster_tol >= 0:
-        raise ValueError(f"cluster_tol must be >= 0, got {cluster_tol}")
+    cluster_tol = _require_tol(DEFAULT.cluster_tol if cluster_tol is None else cluster_tol,
+                               "cluster_tol")
     min_count = _check_min_count(min_count)
     trajectories = list(trajectories)
     if not trajectories:
@@ -185,14 +184,6 @@ def _adjacent_equal_pairs(codes: np.ndarray) -> int:
     return int(np.count_nonzero(codes[:-1] == codes[1:]))
 
 
-def _require_level(level: float | None) -> float:
-    """The test level (default ``DEFAULT.alpha``), refused outside (0, 1)."""
-    level = DEFAULT.alpha if level is None else level
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {level}")
-    return level
-
-
 def _settling_hits(permutations: int, level: float) -> int:
     """``h``: at least 10, and the smallest count with ``2.0 * (h / permutations) >= level``.
 
@@ -226,12 +217,10 @@ def test_row_exchangeability(row, permutations: int, src: RandomSource,
     if permutations < 1:
         raise ValueError("permutations must be >= 1")
     level = _require_level(level)
-    row = list(row)
-    if len(row) < MIN_TEST_LENGTH:
-        raise RowTooShortError(f"row of length {len(row)} is below the minimum "
+    codes = encode(row, {}).astype(np.intp)      # the shuffle is fastest on intp items
+    if len(codes) < MIN_TEST_LENGTH:
+        raise RowTooShortError(f"row of length {len(codes)} is below the minimum "
                                f"of {MIN_TEST_LENGTH}")
-    index = {s: i for i, s in enumerate(sorted(set(row)))}
-    codes = np.fromiter(map(index.__getitem__, row), np.intp, count=len(row))
     observed = _adjacent_equal_pairs(codes)
     h = _settling_hits(permutations, level)
     gen = src.generator()
@@ -252,7 +241,7 @@ def test_row_exchangeability(row, permutations: int, src: RandomSource,
     p_low = h / low_at if low_at else (at_most + 1) / (permutations + 1)
     p_high = h / high_at if high_at else (at_least + 1) / (permutations + 1)
     p = min(1.0, 2.0 * min(p_low, p_high))
-    return RowTestResult(None, len(row), observed, p, p < level, draw)
+    return RowTestResult(None, len(codes), observed, p, p < level, draw)
 
 
 def test_partial_exchangeability(arr: SuccessorsArray, level: float | None = None,

@@ -7,7 +7,8 @@ an inverse-CDF lookup against one uniform, in a documented order (component
 index or initial hidden state first, then one or two uniforms per time step),
 so trajectories are a pure function of ``(model, length, seed, stream)``.
 Each draw's outcome, a label's index, goes straight into one code array per
-block of trajectories (:class:`Trajectory` holds codes, not labels).
+block of trajectories (:class:`Trajectory` holds codes, not labels). Every
+label -> code map, file lines' and successors rows' too, is filled by :func:`encode`.
 
 Every model is sampled as one automaton through one lookup table (:func:`walk`),
 a mixture's built from its symbol chains. Each trajectory reads its own stream
@@ -59,16 +60,36 @@ class RandomSource:
 
 
 def encode(labels, index: dict) -> np.ndarray:
-    """Codes of ``labels`` under ``index`` (label -> code), which first takes in each
-    new label, in order of first appearance; the smallest unsigned dtype that fits."""
-    labels = list(labels)
+    """Codes of ``labels`` under ``index`` (label -> code), in the smallest unsigned
+    dtype that fits. The labels a call adds enter ``index`` in sorted order, so a
+    label's code does not depend on where it first appears. A ``str`` is read as its
+    characters; labels of one character each are looked up once per code point."""
+    if not isinstance(labels, str):
+        labels = list(labels)
+        try:
+            joined = "".join(labels)
+        except TypeError:           # not all str
+            return _lookup(labels, index)
+        if len(joined) != len(labels) or "" in labels:
+            return _lookup(labels, index)
+        labels = joined
+    points = np.frombuffer(labels.encode("utf-32-le"), "<u4")
+    counts = np.bincount(points, minlength=1)
+    codes = _lookup(list(map(chr, np.flatnonzero(counts).tolist())), index)  # code-point order
+    lut = np.zeros(counts.size, codes.dtype)
+    lut[counts > 0] = codes
+    return lut.take(points)
+
+
+def _lookup(labels, index: dict) -> np.ndarray:
+    """:func:`encode` by one dict lookup per label."""
     dtype = np.min_scalar_type(max(len(index) - 1, 0))
     try:
         return np.fromiter(map(index.__getitem__, labels), dtype, len(labels))
     except KeyError:
-        for s in dict.fromkeys(labels):
-            index.setdefault(s, len(index))
-        return encode(labels, index)
+        for s in sorted(set(labels).difference(index)):
+            index[s] = len(index)
+        return _lookup(labels, index)
 
 
 @dataclass(frozen=True, init=False, eq=False)

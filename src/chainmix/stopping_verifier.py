@@ -39,7 +39,7 @@ from itertools import combinations, product as iter_product
 
 import numpy as np
 
-from .config import DEFAULT
+from .config import DEFAULT, _require_level, _require_tol
 from .errors import EnumerationBudgetError, TruncationError
 from .model_core import Alphabet, HMMModel, contract, require_valid
 from .sim import DRAWS_PER_CHUNK, RandomSource, cdf_table, walk
@@ -327,7 +327,7 @@ def check_splitting(model, N: int = 3, tol: float | None = None,
     trail order; skipped labels are sorted by trail, so a trail cut off at an inner
     depth is reported in its prefix's place.
     """
-    tol = DEFAULT.tol_exact if tol is None else tol
+    tol = _require_tol(tol)
     if N < 2:
         raise ValueError("splitting needs at least 2 time steps")
     jc = as_joint(model)
@@ -415,7 +415,7 @@ def check_strong_splitting(model, spec: HittingTimeSpec, k: int, horizon: int = 
     Each ``n`` is one batched propagation of the lines of all ``(x-, S1)``, and one
     contraction of every ``(x-, S1, x~, S2)`` instance against every target.
     """
-    tol = DEFAULT.tol_exact if tol is None else tol
+    tol = _require_tol(tol)
     if k < 0:
         raise ValueError("lag k must be >= 0")
     if horizon < 1:
@@ -769,7 +769,7 @@ def check_hitting_time_lemmas(m, spec: HittingTimeSpec, N: int | None = None,
     distinct requests of all four are evaluated together in batched
     propagations (:class:`_MassRequests`) that sum as one per request does.
     """
-    tol = DEFAULT.tol_exact if tol is None else tol
+    tol = _require_tol(tol)
     jc, A, N, requests, tables = _lemma_tables(m, spec, N, horizon, budget)
     mass, residual = requests.evaluate(jc, A, horizon)
     _require_realized(f"{N} occurrences", mass[0], floor)
@@ -821,9 +821,7 @@ def check_lemmas_mc(m, spec: HittingTimeSpec, samples: int, src: RandomSource,
     """
     if samples < 10_000:
         raise ValueError("Monte Carlo mode needs at least 10^4 samples")
-    alpha = DEFAULT.alpha if alpha is None else alpha
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    alpha = _require_level(alpha)
     jc, A, N, requests, tables = _lemma_tables(m, spec, N, horizon, budget)
     paths = _sample_joint_paths(jc, horizon + 2, samples, src)
 

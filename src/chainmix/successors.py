@@ -6,7 +6,7 @@ cell-keyed variant). The visit at the final position has no successor and is
 not counted, but every symbol, the last one included, must be a row key.
 Finite trajectories yield ragged rows; the fictitious padding
 symbol ``@del`` is a model-level convention only and never appears in rows.
-:func:`extract` counts pairs on the codes; its label rows are built when read.
+Both extractors code each position's row key and decode the label rows when read.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .model_core import DELTA, Alphabet, Partition
-from .sim import Trajectory
+from .sim import Trajectory, encode
 
 
 @dataclass(frozen=True)
@@ -36,22 +36,28 @@ class SuccessorsArray:
     pad_symbol: str = DELTA   # conceptual padding for infinite arrays; rows stay ragged
     pair_counts: np.ndarray | None = field(default=None, compare=False, repr=False)
 
-    def row(self, key) -> tuple[str, ...]:
-        return self.rows[key]
-
     def total_entries(self) -> int:   # every position but the last has one successor
         return self.trajectory_length - 1
 
 
 class _CodedRows(UserDict):
-    """The rows of a trajectory coded as indices into ``keys``, decoded on first read."""
+    """The successors rows of ``t`` keyed by ``keys``, decoded on first read. ``at[p]``
+    is ``key_of[s]`` for the label ``s`` at position ``p``: the index into ``keys``
+    of the row that position's successor joins (a cell's is its index - 1). ``stray``
+    is the first label in ``t`` whose index is out of range, or None."""
 
-    def __init__(self, keys, codes: np.ndarray):
-        self._keys, self._codes = keys, codes
+    def __init__(self, keys, key_of: np.ndarray, t: Trajectory):
+        if len(t) < 2:
+            raise ValueError("successors extraction needs a trajectory of length >= 2")
+        self._keys, self._t = keys, t
+        self.at = key_of.astype(np.intp).take(t.codes)   # signed, and wide enough for at * K
+        outside = (key_of < 0) | (key_of >= len(keys))      # per label, in t or not
+        where = np.flatnonzero(outside.take(t.codes)) if outside.any() else ()
+        self.stray = t.labels[t.codes[where[0]]] if len(where) else None
 
     @cached_property
     def data(self) -> dict:
-        prev, nxt = self._codes[:-1], np.array(self._keys, dtype=object)[self._codes[1:]]
+        prev, nxt = self.at[:-1], np.array(self._t.labels, dtype=object)[self._t.codes[1:]]
         return {k: tuple(nxt[prev == i].tolist()) for i, k in enumerate(self._keys)}
 
 
@@ -62,30 +68,21 @@ def extract(t: Trajectory, alphabet: Alphabet | None = None) -> SuccessorsArray:
     symbol, the last one included, must belong to it; otherwise rows exist for
     exactly the symbols observed in the trajectory.
     """
-    if len(t) < 2:
-        raise ValueError("successors extraction needs a trajectory of length >= 2")
     keys = alphabet.emittable if alphabet is not None else sorted(t.observed())
-    K, index = len(keys), {k: i for i, k in enumerate(keys)}
-    codes = np.take(np.array([index.get(s, K) for s in t.labels], dtype=np.intp), t.codes)
-    outside = np.flatnonzero(codes == K)
-    if outside.size:
-        raise ValueError(f"trajectory symbol {t.labels[t.codes[outside[0]]]!r} is not in "
-                         "the given alphabet")
-    pairs = np.bincount(codes[:-1] * K + codes[1:], minlength=K * K).reshape(K, K)
-    return SuccessorsArray(_CodedRows(keys, codes), len(t), pair_counts=pairs)
+    K = len(keys)     # labels outside the keys code to K and up
+    rows = _CodedRows(keys, encode(t.labels, {k: i for i, k in enumerate(keys)}), t)
+    if rows.stray is not None:
+        raise ValueError(f"trajectory symbol {rows.stray!r} is not in the given alphabet")
+    pairs = np.bincount(rows.at[:-1] * K + rows.at[1:], minlength=K * K).reshape(K, K)
+    return SuccessorsArray(rows, len(t), pair_counts=pairs)
 
 
 def extract_partitioned(t: Trajectory, partition: Partition) -> SuccessorsArray:
     """Successors array keyed by 1-based cell index; singleton cells reproduce extract."""
-    if len(t) < 2:
-        raise ValueError("successors extraction needs a trajectory of length >= 2")
-    # cell of each position, 0 outside the partition; labels that do not occur go unchecked
-    cells = partition.cells_of(t.labels)[t.codes]
-    if not cells.all():
-        try:   # the first position outside the partition (argmin: the first 0)
-            partition.cell_index_of(t.labels[t.codes[cells.argmin()]])
+    rows = _CodedRows(range(1, partition.n_cells + 1), partition.cells_of(t.labels) - 1, t)
+    if rows.stray is not None:
+        try:
+            partition.cell_index_of(rows.stray)
         except KeyError as exc:
             raise ValueError(str(exc)) from None
-    nxt = np.array(t.labels, dtype=object)[t.codes[1:]]
-    return SuccessorsArray({j: tuple(nxt[cells[:-1] == j].tolist())
-                            for j in range(1, partition.n_cells + 1)}, len(t))
+    return SuccessorsArray(rows, len(t))

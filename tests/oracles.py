@@ -790,13 +790,11 @@ def reference_extract_partitioned(t, partition):
 
 
 def _reference_encode_line(words, index):
-    """``encode`` of one line's words; when each word is one character, the line's
-    new labels enter ``index`` in code-point order, as the reader's table takes them."""
-    from chainmix.sim import encode
-
-    if all(len(w) == 1 for w in words):
-        encode(sorted(set(words)), index)
-    return encode(words, index)
+    """Codes of one line's words under ``index``, which first takes in the line's new
+    labels in sorted order; the smallest unsigned dtype that fits."""
+    for w in sorted(set(words) - set(index)):
+        index[w] = len(index)
+    return np.array([index[w] for w in words], np.min_scalar_type(max(len(index) - 1, 0)))
 
 
 def reference_read_trajectories(path, index=None):
@@ -1054,7 +1052,8 @@ def reference_row_exchangeability(row, permutations, src, level=None):
     """The fixed-count permutation test: all ``permutations`` draws, two-sided
     p-value with add-one smoothing."""
     from chainmix.errors import RowTooShortError
-    from chainmix.recovery import MIN_TEST_LENGTH, RowTestResult, _require_level
+    from chainmix.config import _require_level
+    from chainmix.recovery import MIN_TEST_LENGTH, RowTestResult
 
     if permutations < 1:
         raise ValueError("permutations must be >= 1")

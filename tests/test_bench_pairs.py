@@ -35,3 +35,36 @@ def test_a_checkout_holding_bytecode_is_refused(tmp_path):
     (tmp_path / "src" / "__pycache__").mkdir(parents=True)
     with pytest.raises(SystemExit, match="holds bytecode"):
         bench_pairs.refuse_bytecode(tmp_path)
+
+
+@pytest.mark.parametrize("change, verdict", [
+    ([1.05, 1.04, 1.06, 1.05, 1.05], "yes"),     # 0.05 worse, within 0.25 of 1.0
+    ([1.30, 1.28, 1.31, 1.30, 1.29], "no"),      # 0.30 worse
+    ([0.80, 0.90, 0.70, 0.85, 0.80], "yes"),     # better
+])
+def test_no_regression_reads_the_bound_as_a_share_of_the_parent_median(change, verdict):
+    parent = [1.00, 1.01, 0.99, 1.00, 1.02]      # median 1.0, IQR 0.01
+    assert bench_pairs.summarize(parent, change, "lower", 0.25)["no_regression"] == verdict
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved_unless_every_run_is_better():
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]           # median 3, IQR 2 > 0.25 * 3
+    assert bench_pairs.summarize(parent, [2.9] * 5, "lower", 0.25)["no_regression"] == (
+        "unresolved")
+    assert bench_pairs.summarize(parent, [0.5, 0.9, 0.1, 0.2, 0.3], "lower",
+                                 0.25)["no_regression"] == "yes"
+    assert bench_pairs.summarize(parent, [0.5, 0.9, 1.0, 0.2, 0.3], "lower",
+                                 0.25)["no_regression"] == "unresolved"   # one tie
+
+
+def test_no_regression_of_a_higher_is_better_metric():
+    parent = [10.0, 10.0, 10.0, 10.0]            # allowance 0.05 * 10 = 0.5
+    assert bench_pairs.summarize(parent, [9.6] * 4, "higher", 0.05)["no_regression"] == "yes"
+    assert bench_pairs.summarize(parent, [9.4] * 4, "higher", 0.05)["no_regression"] == "no"
+
+
+def test_all_names_every_workload_once():
+    spec = {"workloads": [{"name": "recover"}, {"name": "lemmas"}, {"name": "laws"}]}
+    assert bench_pairs.workloads_of(["all"], spec) == ["recover", "lemmas", "laws"]
+    assert bench_pairs.workloads_of(["laws", "all", "laws"], spec) == [
+        "laws", "recover", "lemmas"]

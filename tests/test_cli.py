@@ -466,6 +466,9 @@ def test_recover_rejects_bad_cluster_tol(tol, how, tmp_path, capsys):
     (["--lemma", "strong-splitting", "--lag", "-1"], "lag k must be >= 0"),
     (["--lemma", "all", "--lag", "-2"], "lag k must be >= 0"),
     (["--lemma", "strong-splitting", "--horizon", "0"], "horizon >= 1"),
+    (["--lemma", "hitting", "--target-symbol", "z"],
+     "hitting target matches no (hidden, symbol) pair"),
+    (["--mc", "--lemma", "splitting"], "Monte Carlo mode covers the hitting-time lemmas"),
 ])
 def test_verify_lemmas_rejects_vacuous_steps_and_negative_lag(argv, message, capsys):
     # --steps 1 and --horizon 0 used to print "PASS (0 instances ...)"; a
@@ -475,6 +478,30 @@ def test_verify_lemmas_rejects_vacuous_steps_and_negative_lag(argv, message, cap
     status, out, err = run(capsys, "verify-lemmas", "--model", str(model), *argv)
     assert status == 2
     assert out == "" and message in err
+
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+@pytest.mark.parametrize("argv, how", [
+    (["compare", "stay_swap_mixture.json", "stay_swap_hmm.json", "--horizon", "3"], "flag"),
+    (["compare", "stay_swap_mixture.json", "stay_swap_hmm.json", "--horizon", "3"], "config"),
+    (["verify-lemmas", "--model", "stay_swap_hmm.json", "--lemma", "splitting"], "config"),
+    (["convert", "stay_swap_mixture.json", "--to", "hmm", "--check", "3"], "config"),
+], ids=["compare --tol", "compare", "verify-lemmas", "convert --check"])
+def test_a_negative_or_nan_tolerance_is_refused(argv, how, tol, tmp_path, capsys):
+    # each used to print a verdict and exit 1: compare "worst_string a a a a", the
+    # splitting lemma "FAIL ... allowed -1", convert a model it then called unequal
+    argv = [str(MODELS / a) if a.endswith(".json") else a for a in argv]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"tol_exact": %s}' % ("NaN" if tol == "nan" else tol))
+    extra = ["--tol", tol] if how == "flag" else ["--config", str(cfg)]
+    status, out, err = run(capsys, *argv, *extra)
+    assert (status, out) == (2, "")
+    assert err == f"error: tolerance must be >= 0, got {float(tol)}\n"
+    cfg.write_text('{"tol_exact": 0}')
+    assert run(capsys, *argv, "--config", str(cfg))[0] == 0
 
 
 @pytest.mark.parametrize("mode", [["--mc"], []])
@@ -692,6 +719,51 @@ def test_simulate_on_a_matrix_file_is_an_input_error(tmp_path, capsys):
                     '"rows": [[0.5, 0.5], [0.0, 1.0]]}')
     assert run(capsys, "simulate", str(path), "--length", "5") == (
         2, "", "error: StochasticMatrix is not a mixture of symbol chains\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1e-12]", "top level must be an object"),
+    ('{"alpha": "0.05"}', "alpha must be a number"),
+    ('{"enum_budget": true}', "enum_budget must be a number"),
+])
+def test_malformed_config_files_are_refused(text, message, mix_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run(capsys, "validate", mix_file, "--config", str(cfg)) == (
+        2, "", f"error: config {cfg}: {message}\n")
+
+
+IID = {"type": "iid_mixture", "alphabet": ["a", "b"], "weights": [1.0],
+       "components": [[0.5, 0.5]]}
+
+
+@pytest.mark.parametrize("raw, message", [
+    ([IID], "top level must be an object"),
+    ({**IID, "alphabet": ["a", 2]}, "alphabet must be a list of strings"),
+    ({**IID, "alphabet": "ab"}, "alphabet must be a list of strings"),
+    ({**IID, "alphabet": ["a", "a"]}, "alphabet labels are not unique"),
+    ({**IID, "weights": 1.0}, "weights is not a numeric array (float, not a list)"),
+    ({**model_to_dict(two_cell_partitioned_mixture()), "partition": [["1", "2"], "34"]},
+     "partition must be a list of symbol lists"),
+    ({"type": "stochastic_matrix", "labels": [], "rows": []},
+     "labels must be a nonempty list of strings"),
+    ({"type": "stochastic_matrix", "labels": ["u", 1], "rows": [[1, 0], [0, 1]]},
+     "labels must be a nonempty list of strings"),
+], ids=["top level", "label type", "labels not a list", "duplicate labels", "field",
+        "partition", "no matrix labels", "matrix label type"])
+def test_malformed_model_files_are_refused(raw, message, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(raw))
+    assert run(capsys, "validate", str(path)) == (2, "", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--length", "0"], "length must be >= 1"),
+    (["law", "--horizon", "0"], "horizon N must be >= 1"),
+    (["law", "--horizon", "-2"], "horizon N must be >= 1"),
+])
+def test_a_length_or_horizon_below_one_is_refused(argv, message, mix_file, capsys):
+    assert run(capsys, argv[0], mix_file, *argv[1:]) == (2, "", f"error: {message}\n")
 
 
 def test_config_key_tol_sum_is_unknown(mix_file, tmp_path, capsys):

@@ -45,6 +45,7 @@ from chainmix.model_core import (
     HMMModel,
     IIDMixtureModel,
     MarkovMixtureModel,
+    Partition,
     PartitionedKernelMixture,
     StochasticMatrix,
     hmm_law,
@@ -272,6 +273,19 @@ def test_an_i0_law_that_is_no_distribution_is_refused(weights):
     with pytest.raises(ConstructionError, match="i0_law is not a distribution"):
         partitioned_mixture_to_hmm(two_cell_partitioned_mixture(),
                                    Distribution(np.array(weights)))
+
+
+@pytest.mark.parametrize("weights, message", [
+    ([0.5, 0.5], "i0_law must cover cell indices 0..2"),
+    ([0.0, 0.0, 1.0], "component 0: i0_law puts no mass on states that can emit into cell 1"),
+], ids=["size", "no way into cell 1"])
+def test_an_i0_law_of_the_wrong_size_or_leading_nowhere_is_refused(weights, message):
+    # each cell keeps to itself, so the states of cell 2 never emit into cell 1
+    m = PartitionedKernelMixture(Alphabet.of(["a", "b"]), Partition((("a",), ("b",))),
+                                 Distribution(np.array([1.0])),
+                                 np.array([[[1.0, 0.0], [0.0, 1.0]]]), "a")
+    with pytest.raises(ConstructionError, match=message):
+        partitioned_mixture_to_hmm(m, Distribution(np.array(weights)))
 
 
 def _sparse_partitioned(r, J):

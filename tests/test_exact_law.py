@@ -78,6 +78,8 @@ def test_marginalize_requires_length_two():
         marginalize_last(law_of({("a",): 1.0}))
     with pytest.raises(LawMismatchError):
         marginalize_first(law_of({("a",): 1.0}))
+    with pytest.raises(LawMismatchError, match="cannot condition a length-1 law"):
+        condition_on_first(law_of({("a",): 1.0}), "a")
 
 
 def test_condition_and_lift_round_trip():

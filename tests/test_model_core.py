@@ -68,8 +68,20 @@ def test_zero_weight_not_strictly_positive():
 
 def test_alphabet_invariants():
     assert validate_model(Alphabet.of(["a", "b"])) == []
-    assert validate_model(Alphabet(("a", "b"))) != []          # no reserved slot
-    assert validate_model(Alphabet(("@del", "a", "a"))) != []  # duplicate
+    assert validate_model(Alphabet(("a", "b"))) == [            # no reserved slot
+        "alphabet: index 0 must be the fictitious symbol '@del'"]
+    assert validate_model(Alphabet(("@del", "a", "a"))) == ["alphabet: labels are not unique"]
+    assert validate_model(Alphabet(())) == ["alphabet: empty"]
+    assert validate_model(Alphabet(("@del", "a", "@del"))) == [
+        "alphabet: labels are not unique", "alphabet: '@del' may appear only at index 0"]
+    assert validate_model(Alphabet(("@del",))) == ["alphabet: no emittable symbols"]
+
+
+def test_duplicate_hidden_state_labels_are_invalid():
+    hidden = ("s", "s")
+    m = HMMModel(hidden, ab(), Distribution(np.array([0.5, 0.5])),
+                 StochasticMatrix(np.eye(2), hidden), np.eye(2))
+    assert validate_model(m) == ["hidden_states: labels are not unique"]
 
 
 def _st(labels=("s", "t")):

@@ -151,6 +151,16 @@ def test_one_character_labels_enter_in_code_point_order(tmp_path):
     assert [t.codes.tolist() for t in back] == [[1, 0, 1], [4, 2, 3]]
 
 
+def test_multi_character_labels_enter_in_sorted_order(tmp_path):
+    # the same rule as for one-character labels: no code depends on first appearance
+    path = tmp_path / "t.txt"
+    path.write_text("bb aa bb\n# hidden: s1 s0 s1\ncc aa\n")
+    back = read_trajectories(path)
+    assert (back[0].labels, back[0].hidden_labels) == (("aa", "bb", "cc"), ("s0", "s1"))
+    assert [t.codes.tolist() for t in back] == [[1, 0, 1], [2, 0]]
+    assert back[0].hidden_codes.tolist() == [1, 0, 1]
+
+
 def test_empty_trajectory_file_rejected(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("# only comments\n")

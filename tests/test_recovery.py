@@ -131,6 +131,11 @@ def test_symbol_outside_alphabet_is_a_value_error():
             lln_recover([Trajectory(tuple("abab")), t], 0.1, alphabet=ab, min_count=1)
 
 
+def test_recovery_needs_a_trajectory():
+    with pytest.raises(InsufficientDataError, match="no trajectories given"):
+        lln_recover([])
+
+
 @pytest.mark.parametrize("min_count", [0, -3])
 def test_min_count_below_one_rejected(min_count):
     t = Trajectory(tuple("aaaab"))

@@ -181,14 +181,33 @@ def test_derive_rejects_stream_reuse():
         deep.derive(2 ** 20 - 1)       # child id 2**64 would wrap to stream 0
 
 
+@pytest.mark.parametrize("labels, index, codes, after", [
+    ("bab", {}, [1, 0, 1], ["a", "b"]),                    # a str is read as its characters
+    (["b", "a", "b"], {"z": 0}, [2, 1, 2], ["z", "a", "b"]),
+    (["bb", "a", "bb"], {"c": 0}, [2, 1, 2], ["c", "a", "bb"]),
+    (["ab", ""], {}, [1, 0], ["", "ab"]),                  # as many characters as labels
+    ((3, 1, 3), {}, [1, 0, 1], [1, 3]),                    # not str: the dict path
+    ([], {"a": 0}, [], ["a"]),
+    ("", {}, [], []),
+])
+def test_encode_adds_new_labels_in_sorted_order(labels, index, codes, after):
+    got = sim.encode(labels, index)
+    assert (got.tolist(), list(index), got.dtype) == (codes, after, np.uint8)
+
+
+def test_a_misaligned_hidden_trace_is_refused():
+    with pytest.raises(ValueError, match="hidden trace must align"):
+        Trajectory(("a", "b"), ("s",))
+
+
 def test_codes_take_the_smallest_unsigned_dtype():
     assert Trajectory([str(i) for i in range(256)]).codes.dtype == np.uint8
     assert Trajectory([str(i) for i in range(257)]).codes.dtype == np.uint16
-    t = Trajectory(("b", "a", "b"), ("s", "s", "t"), RandomSource(3))
+    t = Trajectory(("b", "a", "b"), ("t", "s", "t"), RandomSource(3))
     assert (t.codes.tolist(), t.labels, t.hidden_codes.tolist(), t.hidden_labels) == (
-        [0, 1, 0], ("b", "a"), [0, 0, 1], ("s", "t"))
-    assert (t.symbols, t.hidden, t.observed()) == (("b", "a", "b"), ("s", "s", "t"), ("b", "a"))
-    assert t == Trajectory(["b", "a", "b"], ["s", "s", "t"], RandomSource(3)) != Trajectory("bab")
+        [1, 0, 1], ("a", "b"), [1, 0, 1], ("s", "t"))    # new labels enter sorted
+    assert (t.symbols, t.hidden, t.observed()) == (("b", "a", "b"), ("t", "s", "t"), ("a", "b"))
+    assert t == Trajectory(["b", "a", "b"], ["t", "s", "t"], RandomSource(3)) != Trajectory("bab")
     trajs = sample_many(two_cycle_hmm(), 7, 3, RandomSource(1), trace_hidden=True)
     assert all(t.codes.dtype == t.hidden_codes.dtype == np.uint8 for t in trajs)
     assert all(t.codes.base is trajs[0].codes.base for t in trajs)   # one array per block

@@ -392,6 +392,27 @@ def test_strong_splitting_rejects_negative_lag():
         check_strong_splitting(two_state_noisy(), HittingTimeSpec.for_symbol("a"), k=-1)
 
 
+@pytest.mark.parametrize("check", [
+    lambda m, spec: check_hitting_time_lemmas(m, spec, 1),
+    lambda m, spec: check_lemmas_mc(m, spec, 10_000, RandomSource(0)),
+], ids=["exact", "mc"])
+def test_hitting_lemmas_need_an_hmm(check):
+    from chainmix.fixtures import two_component_mixture
+
+    with pytest.raises(TypeError, match="the hitting-time lemmas need an HMMModel"):
+        check(two_component_mixture(), HittingTimeSpec.for_symbol("a"))
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan")])
+def test_a_negative_or_nan_tolerance_is_refused(tol):
+    spec = HittingTimeSpec.for_symbol("a")
+    for check in (lambda: check_splitting(two_state_noisy(), 3, tol),
+                  lambda: check_strong_splitting(two_state_noisy(), spec, 1, tol=tol),
+                  lambda: check_hitting_time_lemmas(two_state_noisy(), spec, 1, tol=tol)):
+        with pytest.raises(ValueError, match="tolerance must be >= 0"):
+            check()
+
+
 @pytest.mark.parametrize("horizon", [0, -1])
 def test_strong_splitting_needs_a_free_time(horizon):
     # stay_swap_hmm's first symbol is the target surely, so the floor holds at horizon 0

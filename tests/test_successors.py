@@ -7,6 +7,7 @@ import oracles
 from chainmix.fixtures import separated_recovery_mixture
 from chainmix.model_core import Alphabet, Partition
 from chainmix.sim import RandomSource, Trajectory, sample
+from chainmix import successors
 from chainmix.successors import extract, extract_partitioned
 
 
@@ -33,8 +34,10 @@ def test_length_two():
 
 
 def test_too_short_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="length >= 2"):
         extract(traj("a"))
+    with pytest.raises(ValueError, match="length >= 2"):
+        extract_partitioned(traj("a"), Partition((("a",),)))
 
 
 def test_partitioned_singleton_cells_match_plain_extract():
@@ -108,12 +111,14 @@ def test_symbol_outside_alphabet_rejected_at_every_position(symbols):
         extract(Trajectory(symbols), Alphabet.of(["a"]))
 
 
-@given(st.integers(1, 6), st.lists(st.integers(0, 5), min_size=2, max_size=200),
-       st.booleans())
+@given(st.integers(1, 20), st.lists(st.integers(0, 19), min_size=2, max_size=200),
+       st.booleans(), st.integers(1, 2))
 @settings(max_examples=100, deadline=None)
-def test_extract_matches_reference(k, codes, explicit):
-    symbols = tuple("abcdef"[c % k] for c in codes)
-    alphabet = Alphabet.of("fedcba"[6 - k:]) if explicit else None
+def test_extract_matches_reference(k, codes, explicit, width):
+    # up to 20 keys, so pair codes pass 255; labels of one or two characters each
+    names = [c * width for c in "abcdefghijklmnopqrst"]
+    symbols = tuple(names[c % k] for c in codes)
+    alphabet = Alphabet.of(names[:k][::-1]) if explicit else None
     got = extract(Trajectory(symbols), alphabet)
     want = oracles.reference_extract(Trajectory(symbols), alphabet)
     assert got == want
@@ -145,4 +150,5 @@ def test_extract_partitioned_matches_reference(k, codes, cell_of, shared_labels)
         assert str(got.value) == str(exc)
         return
     got = extract_partitioned(t, partition)
+    assert isinstance(got.rows, successors._CodedRows)
     assert got == want and list(got.rows) == list(want.rows)
