@@ -20,6 +20,11 @@ metric's ``bound`` as a fraction of the parent's median, the allowance: it is
 allowance, unless every change run is better than every parent run; else ``no``
 when the change's median is worse than the parent's by more than the allowance,
 and ``yes`` otherwise.
+
+Below them come the per-command medians, the ``*_s`` entries other than
+``pipeline_s`` and ``setup_s`` in the ``end_to_end`` of each run's
+``perfbench/results/<workload>-seed<S>-trace0.json``: the same quartiles and
+wins, as diagnostic rows with no verdict.
 """
 
 from __future__ import annotations
@@ -80,8 +85,16 @@ def workloads_of(asked, spec: dict) -> list[str]:
     return list(dict.fromkeys(w for a in asked for w in (names if a == "all" else [a])))
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The end-to-end metrics of one untraced run in ``checkout``."""
+def command_medians(end_to_end: dict) -> dict:
+    """``{name: median}`` of a run record's ``end_to_end`` entries that time one
+    command: every ``*_s`` but ``pipeline_s`` and ``setup_s``."""
+    return {name: m["median"] for name, m in end_to_end.items()
+            if name.endswith("_s") and name not in ("pipeline_s", "setup_s")}
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """The end-to-end metrics and the per-command medians of one untraced run in
+    ``checkout``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -92,7 +105,36 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     record = json.loads(proc.stdout.strip().splitlines()[-1])
     if not record["correct"]:
         sys.exit(f"error: run in {checkout} failed {record['failed']} operations")
-    return {name: m["value"] for name, m in record["metrics"].items()}
+    saved = checkout / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+    commands = command_medians(json.loads(saved.read_text())["end_to_end"])
+    return {name: m["value"] for name, m in record["metrics"].items()}, commands
+
+
+def report_lines(runs: dict, metrics: dict) -> list[str]:
+    """The table of one workload: ``runs[side]`` lists ``(metrics, commands)`` per run,
+    and ``metrics`` maps each end-to-end metric to ``(better, bound)``. A metric gets
+    its rows and a verdict line, then each command its rows and wins alone."""
+    lines = [f"{'metric':<18} {'side':<7} {'q1':>10} {'median':>10} {'q3':>10}  runs"]
+
+    def rows(name, column, better, bound=0.0):
+        values = {side: [run[column][name] for run in runs[side]] for side in runs}
+        s = summarize(values["parent"], values["change"], better, bound)
+        for side in ("parent", "change"):
+            lines.append(f"{name:<18} {side:<7} " + " ".join(f"{v:>10.4g}" for v in s[side])
+                         + "  " + " ".join(f"{v:.4g}" for v in values[side]))
+        return s
+
+    for name, (better, bound) in metrics.items():
+        s = rows(name, 0, better, bound)
+        lines.append(f"{'':<18} change wins {s['wins']}/{s['pairs']} ({s['ties']} ties); its "
+                     f"median is better by more than the parent's IQR: "
+                     f"{'yes' if s['beyond_parent_iqr'] else 'no'}; no regression beyond "
+                     f"{bound:g} of the parent's median: {s['no_regression']}")
+    for name in runs["parent"][0][1]:
+        s = rows(name, 1, "lower")
+        lines.append(f"{'':<18} change wins {s['wins']}/{s['pairs']} ({s['ties']} ties); "
+                     "per-command median, a diagnostic")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -118,22 +160,12 @@ def main(argv=None) -> int:
                 runs[side].append(run_once(getattr(args, side), workload, args.seed,
                                            args.seconds))
             print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(
-                f"{side} {name} {runs[side][-1][name]:.4g}" for side in order
+                f"{side} {name} {runs[side][-1][0][name]:.4g}" for side in order
                 for name in metrics), file=sys.stderr)
 
         print(f"workload {workload}, seed {args.seed}, {args.pairs} alternating pairs, "
               f"{args.seconds:g} s runs")
-        print(f"{'metric':<12} {'side':<7} {'q1':>10} {'median':>10} {'q3':>10}  runs")
-        for name, (direction, bound) in metrics.items():
-            values = {side: [r[name] for r in runs[side]] for side in runs}
-            s = summarize(values["parent"], values["change"], direction, bound)
-            for side in ("parent", "change"):
-                print(f"{name:<12} {side:<7} " + " ".join(f"{v:>10.4g}" for v in s[side])
-                      + "  " + " ".join(f"{v:.4g}" for v in values[side]))
-            print(f"{'':<12} change wins {s['wins']}/{s['pairs']} ({s['ties']} ties); its "
-                  f"median is better by more than the parent's IQR: "
-                  f"{'yes' if s['beyond_parent_iqr'] else 'no'}; no regression beyond "
-                  f"{bound:g} of the parent's median: {s['no_regression']}")
+        print("\n".join(report_lines(runs, metrics)))
     return 0
 
 

@@ -159,17 +159,16 @@ def cmd_convert(args, cfg: RunConfig) -> int:
             f"no conversion from {type(model).__name__} to {args.to!r}"
         )
     result = fn(model)
+    if args.check is not None:      # decided before the converted model is written
+        tv = exact_law.total_variation(*comparable_laws(model, result, args.check,
+                                                        cfg.enum_budget))
     if args.out:
         save_model(result, args.out)
     else:
         _emit_json(model_to_dict(result))
-    status = 0
     if args.check is not None:
-        la, lb = comparable_laws(model, result, args.check, cfg.enum_budget)
-        tv = exact_law.total_variation(la, lb)
         print(f"check horizon={args.check} tv {_fmt(tv)}", file=sys.stderr)
-        status = 0 if tv <= tol else 1
-    return status
+    return 0 if args.check is None or tv <= tol else 1
 
 
 # the named matrices that ``analyze`` decomposes, by model type
@@ -246,6 +245,8 @@ def cmd_recover(args, cfg: RunConfig) -> int:
         "row_tv_stderr": [[None if np.isnan(e) else e for e in row]
                           for row in measure.diagnostics.row_tv_stderr],
     }
+    if args.out:        # saved before the report, which a failed save would leave behind
+        _write_recovered_model(measure, trajs, args.out)
     if args.json:
         _emit_json(report)
     else:
@@ -253,8 +254,6 @@ def cmd_recover(args, cfg: RunConfig) -> int:
         for h, comp in enumerate(measure.support):
             print(f"component {h} weight {_fmt(measure.weights[h])} "
                   f"members {comp.members}")
-    if args.out:
-        _write_recovered_model(measure, trajs, args.out)
     return 0
 
 
@@ -340,7 +339,8 @@ def cmd_verify_lemmas(args, cfg: RunConfig) -> int:
                                        alpha=cfg.alpha, budget=cfg.enum_budget))
     else:
         if args.lemma in ("splitting", "all"):
-            results.append(check_splitting(model, args.steps, cfg.tol_exact))
+            results.append(check_splitting(model, args.steps, cfg.tol_exact,
+                                           budget=cfg.enum_budget))
         if args.lemma in ("strong-splitting", "all"):
             results.append(check_strong_splitting(
                 model, spec, args.lag, args.horizon,

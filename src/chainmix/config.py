@@ -17,7 +17,8 @@ from .errors import ModelFormatError
 class RunConfig:
     tol_exact: float = 1e-12      # algebraic identities (law equalities, round trips)
     enum_budget: int = 20_000_000  # max law-step entries (live prefixes x values), paths,
-                                   # or hitting-lemma rows x (N + 1) x pairs x horizon
+                                   # hitting-lemma rows x (N + 1) x pairs x horizon,
+                                   # or splitting-step live trails x options x pairs
     min_row_count: int = 100      # minimum visits before a successors row is estimated
     cluster_tol: float = 0.1      # single-linkage threshold for mixing-measure recovery
     alpha: float = 0.01           # family-wise level: exchangeability tests, MC lemma checks

@@ -24,9 +24,10 @@ measured exactly and added to each instance's pass tolerance. An independent
 path-enumeration oracle (:func:`event_probability`) covers small instances.
 
 The hitting-time identities are one instance table of ratios of occurrence-mass
-requests, with two evaluators: exact batched propagations, each summed in the one
-order of :func:`~chainmix.model_core.contract` as a per-instance one is, and Monte
-Carlo path counts judged by Bonferroni bounds over every instance checked.
+requests, with two evaluators: one exact propagation over the requests' shared
+prefixes, advancing each prefix once with the steps and the summation order of
+:func:`~chainmix.model_core.contract` that a lone request gets, and Monte Carlo
+path counts judged by Bonferroni bounds over every instance checked.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .model_core import Alphabet, HMMModel, contract, require_valid
 from .sim import DRAWS_PER_CHUNK, RandomSource, cdf_table, walk
 
 MASS_FLOOR = 1e-14   # conditioning events below this mass are skipped, not failed
-MASS_BATCH = 128     # requests per propagation: bounds its temporaries, not its floats
 
 
 @dataclass(frozen=True)
@@ -309,7 +309,7 @@ def _opt_label(jc: JointChain, opt) -> str:
 
 
 def check_splitting(model, N: int = 3, tol: float | None = None,
-                    symbol_sets=None) -> LemmaCheckResult:
+                    symbol_sets=None, budget=None) -> LemmaCheckResult:
     """Full-past versus one-step conditioning at fixed times.
 
     For every ``n <= N`` and every instance ``(x_1..x_{n-1}, S_1..S_{n-1}, x, S_n)``
@@ -325,9 +325,12 @@ def check_splitting(model, N: int = 3, tol: float | None = None,
     option at once and advanced by one :func:`~chainmix.model_core.contract`. The
     trails of depth ``n - 1`` condition the instances of ``n``, which come out in
     trail order; skipped labels are sorted by trail, so a trail cut off at an inner
-    depth is reported in its prefix's place.
+    depth is reported in its prefix's place. Before a step masks its trails by every
+    option, refuses (:class:`EnumerationBudgetError`) trails times options times
+    pairs past ``budget`` (default ``DEFAULT.enum_budget``).
     """
     tol = _require_tol(tol)
+    budget = DEFAULT.enum_budget if budget is None else int(budget)
     if N < 2:
         raise ValueError("splitting needs at least 2 time steps")
     jc = as_joint(model)
@@ -347,9 +350,17 @@ def check_splitting(model, N: int = 3, tol: float | None = None,
     def trail(path) -> str:
         return " ".join(combo_labels[c] for c in path)
 
+    def masked(vec):        # every row of vec masked by every option, within the budget
+        if len(vec) * masks.size > budget:
+            raise EnumerationBudgetError(
+                f"splitting at n={n} needs {len(vec) * masks.size} entries ({len(vec)} "
+                f"live trails x {C} options x {jc.n_pairs} pairs), exceeding the budget "
+                f"of {budget}")
+        return vec[:, None, :] * masks
+
     for n in range(2, N + 1):
         # depth n - 1: mask every live trail by every option
-        nxt = vec[:, None, :] * masks
+        nxt = masked(vec)
         mass = nxt.sum(axis=-1).ravel()
         keep = mass > MASS_FLOOR
         parent, c = divmod(np.arange(mass.size), C)
@@ -371,7 +382,7 @@ def check_splitting(model, N: int = 3, tol: float | None = None,
                  for p in paths[~rhs_ok[last_x]].tolist()]
         skipped += [f"n={n} {label}" for _, label in sorted(dry + alone)]
         rows = np.flatnonzero(rhs_ok[last_x])
-        lhs = (vec[rows][:, None, :] * masks).sum(axis=-1) / den[rows][:, None]
+        lhs = masked(vec[rows]).sum(axis=-1) / den[rows][:, None]
         gap = np.abs(lhs - rhs[last_x[rows]])
         cols.append((lhs.ravel(), rhs[last_x[rows]].ravel(), gap.ravel(), np.full(gap.size, tol)))
         leaves += [(n, p) for p in paths[rows].tolist()]
@@ -491,56 +502,6 @@ def check_strong_splitting(model, spec: HittingTimeSpec, k: int, horizon: int = 
 # Occurrence-counting transfer-matrix engine
 
 
-def _occurrence_masses(jc: JointChain, A: np.ndarray, occ: np.ndarray, shifted,
-                       horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """Masses of paths whose first ``N`` target occurrences happen by ``horizon``
-    and meet per-occurrence constraints, for ``B`` requests at once.
-
-    ``occ[b, k-1]`` masks request ``b``'s pair at the k-th occurrence (ones where
-    unconstrained); ``shifted[b, k-1]`` masks the pair one step later, the last
-    one up to ``horizon + 1``; ``shifted`` is None if no step is constrained.
-    Returns ``(mass, residual)`` per request, the residual being the mass not
-    done by the horizon. ``V[b, kk]`` is the mass after ``kk`` occurrences.
-    """
-    B, N, P = occ.shape
-    Ac = 1.0 - A
-    T = jc.trans
-
-    def tail():
-        return (contract(V[:, N], T) * shifted[:, N - 1]).sum(axis=-1)
-
-    done = np.zeros(B)
-    V = np.zeros((B, N + 1, P))
-    V[:, 0] = jc.init * Ac
-    first = jc.init * A * occ[:, 0]
-    if N == 1 and shifted is None:
-        done += first.sum(axis=-1)
-    else:
-        V[:, 1] = first
-
-    for _ in range(horizon):
-        if shifted is not None:
-            done += tail()
-        W = contract(V[:, :N] * A, T)
-        if shifted is not None:
-            W[:, 1:] *= shifted[:, :-1]     # the step after occurrence kk >= 1
-        W += contract(V[:, :N] * Ac, T)
-        entering = W * A
-        entering *= occ
-        W *= Ac
-        V[:, :N] = W                        # mass staying at kk occurrences
-        V[:, 1:N] += entering[:, :N - 1]
-        if shifted is None:
-            done += entering[:, N - 1].sum(axis=-1)
-        else:
-            V[:, N] = entering[:, N - 1]
-
-    if shifted is not None:
-        done += tail()
-    residual = sum(V[:, kk].sum(axis=-1) for kk in range(N))
-    return done, residual
-
-
 class _MassRequests:
     """The distinct occurrence-mass requests of one check, evaluated together:
     exactly (:meth:`evaluate`) or as sampled path counts (:meth:`count`).
@@ -567,19 +528,51 @@ class _MassRequests:
 
     def evaluate(self, jc: JointChain, A: np.ndarray,
                  horizon: int) -> tuple[list[float], list[float]]:
-        """Mass and residual of every row, one propagation per group of requests
-        with the same occurrence count and the same use of shifted masks."""
-        groups: dict = {}
-        for (occ, shifted), row in self.rows.items():
-            groups.setdefault((len(occ), shifted is not None), []).append((row, occ, shifted))
-        table = np.array(self.masks)
-        mass, residual = np.empty(len(self.rows)), np.empty(len(self.rows))
-        for (_, shifted), group in groups.items():
-            for lo in range(0, len(group), MASS_BATCH):
-                rows, occ, shift = map(list, zip(*group[lo:lo + MASS_BATCH]))
-                mass[rows], residual[rows] = _occurrence_masses(
-                    jc, A, table[occ], table[shift] if shifted else None, horizon)
-        return mass.tolist(), residual.tolist()
+        """Mass and residual of every row, in one propagation over the prefix trie of all
+        rows. A node is one distinct ``(occ[:kk], shifted[:kk])`` with ``kk < N`` (an
+        unshifted row's shifted slots being slot 0) and holds the mass after ``kk``
+        occurrences; node 0 is the root. A row is a leaf below its level ``N - 1`` node,
+        done by its entering mass, or one step later by the tail if shifted. Each node
+        steps as a lone request does (slot 0 is all ones, so multiplying by it is exact),
+        so each mass and residual (node sums along the row's path, root first) has one
+        request's floats."""
+        nodes: dict = {}                    # (occ[:kk], shifted[:kk]) -> node
+        trie = [(0, 0, 0)]                  # per node: parent, slot entered, slot after it
+        leaves = []                         # per row: the same, from its level N - 1 node
+        for occ, shifted in self.rows:
+            shifted, node = shifted or (0,) * len(occ), 0
+            for kk in range(1, len(occ)):
+                key = (occ[:kk], shifted[:kk])
+                if key not in nodes:
+                    nodes[key] = len(trie)
+                    trie.append((node, occ[kk - 1], shifted[kk - 1]))
+                node = nodes[key]
+            leaves.append((node, occ[-1], shifted[-1]))
+        table, T, Ac = np.array(self.masks), jc.trans, 1.0 - A
+        up, occ, after = np.array(trie).T
+        leaf_up, leaf_occ, leaf_after = np.array(leaves).T
+        by_tail = np.array([s is not None for _, s in self.rows])
+        parent, enter, after = up[1:], table[occ[1:]], table[after]     # the root enters none
+        leaf_enter, leaf_after = table[leaf_occ], table[leaf_after[by_tail]]
+
+        done = np.zeros(len(self.rows))
+        W = np.zeros((len(trie), jc.n_pairs))
+        W[0] = jc.init                      # time 0: the initial law, not yet stepped
+        for step in range(horizon + 1):
+            if step:                        # masked by the step after each node's occurrence
+                W = contract(V * A, T) * after + contract(V * Ac, T)
+            WA = W * A
+            V = W * Ac
+            V[1:] += WA[parent] * enter
+            entering = WA[leaf_up] * leaf_enter
+            done[~by_tail] += entering[~by_tail].sum(axis=-1)
+            done[by_tail] += (contract(entering[by_tail], T) * leaf_after).sum(axis=-1)
+
+        sums = V.sum(axis=-1).tolist()
+        path = [sums[0]]                    # per node: the sums from the root to it
+        for node, up_node in enumerate(parent.tolist(), 1):
+            path.append(path[up_node] + sums[node])
+        return done.tolist(), [path[node] for node in leaf_up.tolist()]
 
     def count(self, tables) -> list[int]:
         """Path count of every row; ``tables[N, shifted]`` counts the pairs at (one
@@ -766,8 +759,9 @@ def check_hitting_time_lemmas(m, spec: HittingTimeSpec, N: int | None = None,
     :func:`_lemma_tables`).
 
     Each identity becomes an instance table of ratios of mass requests, and the
-    distinct requests of all four are evaluated together in batched
-    propagations (:class:`_MassRequests`) that sum as one per request does.
+    distinct requests of all four are evaluated together in one propagation over
+    their shared prefixes (:meth:`_MassRequests.evaluate`) that sums as one per
+    request does.
     """
     tol = _require_tol(tol)
     jc, A, N, requests, tables = _lemma_tables(m, spec, N, horizon, budget)

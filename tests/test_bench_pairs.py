@@ -68,3 +68,28 @@ def test_all_names_every_workload_once():
     assert bench_pairs.workloads_of(["all"], spec) == ["recover", "lemmas", "laws"]
     assert bench_pairs.workloads_of(["laws", "all", "laws"], spec) == [
         "laws", "recover", "lemmas"]
+
+
+def test_command_medians_are_the_per_command_entries_of_a_record():
+    end_to_end = {"setup_s": {"median": 3.0, "n": 5}, "peak_rss_mb": {"median": 50.0, "n": 1},
+                  "pipeline_s": {"median": 0.3, "n": 9}, "simulate_s": {"median": 0.02, "n": 9},
+                  "verify_exact_s": {"median": 0.04, "n": 9}}
+    assert bench_pairs.command_medians(end_to_end) == {"simulate_s": 0.02,
+                                                       "verify_exact_s": 0.04}
+
+
+def test_report_gives_commands_quartiles_and_wins_but_no_verdict():
+    def run(pipeline, command):
+        return {"pipeline_s": pipeline}, {"verify_exact_s": command}
+
+    runs = {"parent": [run(0.30, 0.060), run(0.31, 0.062), run(0.29, 0.058)],
+            "change": [run(0.30, 0.043), run(0.28, 0.042), run(0.33, 0.061)]}
+    lines = bench_pairs.report_lines(runs, {"pipeline_s": ("lower", 0.25)})
+    pipeline = [line for line in lines if "no regression" in line]
+    assert len(pipeline) == 1 and pipeline[0].rstrip().endswith(": yes")
+    command = [line.split() for line in lines if line.startswith("verify_exact_s")]
+    assert [row[:5] for row in command] == [
+        ["verify_exact_s", "parent", "0.059", "0.06", "0.061"],
+        ["verify_exact_s", "change", "0.0425", "0.043", "0.052"]]
+    assert lines[-1].split() == ["change", "wins", "2/3", "(0", "ties);", "per-command",
+                                 "median,", "a", "diagnostic"]

@@ -185,6 +185,19 @@ def test_convert_and_check(mix_file, tmp_path, capsys):
     assert validate_model(load_model(out_path)) == []
 
 
+@pytest.mark.parametrize("out", [False, True])
+def test_convert_check_past_the_budget_writes_nothing(out, tmp_path, capsys):
+    # the check's laws are refused before the converted model goes to stdout or --out
+    model = Path(__file__).resolve().parent.parent / "models" / "stay_swap_mixture.json"
+    cfg, out_path = tmp_path / "cfg.json", tmp_path / "hmm.json"
+    cfg.write_text('{"enum_budget": 2}')
+    argv = ["convert", str(model), "--to", "hmm", "--check", "3", "--config", str(cfg)]
+    status, stdout, err = run(capsys, *argv, *(["--out", str(out_path)] if out else []))
+    assert (status, stdout) == (2, "")
+    assert err.startswith("error: enumeration needs 3 entries") and "budget of 2" in err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("name", ["noisy_hmm.json", "stay_swap_hmm.json"])
 def test_convert_refuses_a_lumping_without_the_hmm_law(name, tmp_path, capsys):
     model = Path(__file__).resolve().parent.parent / "models" / name
@@ -319,6 +332,12 @@ def test_recover_writes_model(traj_file, tmp_path, capsys):
     assert len(payload["weights"]) == 2
     model = load_model(out_path)
     assert model.n_components == 2
+
+
+def test_recover_into_a_directory_prints_no_report(traj_file, tmp_path, capsys):
+    status, out, err = run(capsys, "recover", traj_file, "--out", str(tmp_path))
+    assert (status, out) == (2, "")
+    assert err.startswith("error: [Errno 21] Is a directory")
 
 
 def test_exchangeability_exit_codes(traj_file, tmp_path, capsys):
@@ -511,7 +530,7 @@ def test_verify_lemmas_refuses_an_instance_table_past_the_budget(mode, tmp_path,
     def never(*args):
         raise AssertionError("evaluated past the budget")
 
-    monkeypatch.setattr(stopping_verifier, "_occurrence_masses", never)
+    monkeypatch.setattr(stopping_verifier._MassRequests, "evaluate", never)
     monkeypatch.setattr(stopping_verifier, "_sample_joint_paths", never)
     battery = tmp_path / "battery.json"
     save_model(iid_rows_three_state(), battery)
@@ -522,6 +541,28 @@ def test_verify_lemmas_refuses_an_instance_table_past_the_budget(mode, tmp_path,
     assert time.perf_counter() - start < 1.0
     assert status == 2
     assert out == "" and "need 60369 instances" in err and "budget" in err
+
+
+def test_verify_lemmas_refuses_splitting_past_the_budget(tmp_path, capsys):
+    # at --steps 6 the last step would mask 4,084,101 trails by 21 options over 9 pairs
+    # (5.75 GiB); the refusal comes at n=5, before its 36,756,909 entries are formed
+    import tracemalloc
+
+    battery = tmp_path / "battery.json"
+    save_model(iid_rows_three_state(), battery)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        status, out, err = run(capsys, "verify-lemmas", "--model", str(battery), "--lemma",
+                               "splitting", "--steps", "6")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert (status, out) == (2, "")
+    assert err == ("error: splitting at n=5 needs 36756909 entries (194481 live trails x 21 "
+                   "options x 9 pairs), exceeding the budget of 20000000\n")
+    assert peak < 128e6
 
 
 @pytest.mark.parametrize("seed", [19, 22, 47, 71])

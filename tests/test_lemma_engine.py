@@ -1,9 +1,10 @@
-"""The batched exact lemma engine against the per-instance references.
+"""The exact lemma engine against the per-instance references.
 
 Every comparison is exact: floats with ``==`` and results through ``repr``,
 which shows every digit, the float types, the labels and the order of checked
-and skipped instances. The batched propagations must round exactly as the
-one-request, one-line, one-instance code that ``tests/oracles.py`` keeps.
+and skipped instances. The shared-prefix and batched propagations must round
+exactly as the one-request, one-line, one-instance code that
+``tests/oracles.py`` keeps.
 Models are random small HMMs (1-3 hidden states, 1-3 symbols, with and without
 zero entries) and, where a joint law suffices, their corrupted joints; a fixed
 4-symbol HMM reaches the default symbol sets past 3 symbols.
@@ -111,6 +112,33 @@ def test_occurrence_masses_equal_reference(model, corrupt, N, horizon, count):
     for row, occ, shifted in asked:
         want = oracles.reference_occurrence_mass(jc, A, occ, shifted, horizon)
         assert (mass[row], residual[row]) == want
+
+
+def test_a_shared_prefix_is_advanced_once(monkeypatch):
+    # 300 rows that differ only in their last shifted mask make the contract calls of one
+    from chainmix import stopping_verifier
+
+    jc = JointChain.from_hmm(fixtures.iid_rows_three_state())
+    A = jc.mask(symbols=0)
+    masks = [np.array([(i >> p) & 1 for p in range(jc.n_pairs)], dtype=float)
+             for i in range(1, 301)]
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return contract(*args)
+
+    contract = stopping_verifier.contract
+    monkeypatch.setattr(stopping_verifier, "contract", counted)
+    seen = {}
+    for count in (1, 300):
+        requests = _MassRequests(jc.n_pairs)
+        for mask in masks[:count]:
+            requests.add((0, 0, 0), (0, 0, requests.slot(mask)))
+        calls.clear()
+        mass = requests.evaluate(jc, A, 16)[0][0]
+        seen[count] = len(calls), mass
+    assert seen[1] == seen[300] and seen[1][0] > 0
 
 
 def _chosen(n):

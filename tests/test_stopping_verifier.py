@@ -6,6 +6,7 @@ import pytest
 from chainmix.errors import EnumerationBudgetError, TruncationError
 from chainmix.fixtures import (
     direct_sum_iid_blocks,
+    iid_rows_three_state,
     iid_rows_two_state,
     lemma_battery,
     splitting_negative_control,
@@ -89,6 +90,17 @@ def test_corrupted_joint_law_fails_splitting():
     res = check_splitting(splitting_negative_control(), 3)
     assert not res.passed
     assert res.max_gap > 1e-6
+
+
+def test_splitting_budget_counts_trails_options_and_pairs():
+    # the battery's largest step masks the 441 trails checked at n=3 by its 21 options
+    # over 9 pairs: that budget runs as the default does, one less is refused
+    m = iid_rows_three_state()
+    res = check_splitting(m, 3)
+    assert sum(c.label.startswith("n=3 ") for c in res.checked) == 441 * 21
+    assert check_splitting(m, 3, budget=441 * 21 * 9) == res
+    with pytest.raises(EnumerationBudgetError, match="n=3 needs 83349 entries"):
+        check_splitting(m, 3, budget=441 * 21 * 9 - 1)
 
 
 def test_splitting_lhs_matches_enumeration():
