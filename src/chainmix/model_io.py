@@ -14,14 +14,16 @@ included. ``_SCHEMAS`` lists each type's class and fields in file order; the
 key check and :func:`model_to_dict` both read it, the writer taking each field
 from the model attribute of that name.
 
-Trajectory files hold one trajectory per line as whitespace-separated symbols.
-A line ``# hidden: x0 x1 ...`` attaches a hidden trace to the preceding
-trajectory, which takes one at most; other ``#`` lines are comments. So the
-loader refuses ``alphabet`` and ``hidden_states`` labels that are empty, hold
-whitespace or start with ``#``. Labels exist only at this boundary: the reader
-encodes each line by :func:`chainmix.sim.encode` into one label -> code map, and
-the writer decodes each line at once. A line of one-character labels in the
-writer's shape is sliced; every other line is stripped and split, to the same codes.
+Trajectory files are UTF-8 text and hold one trajectory per line as
+whitespace-separated symbols. A line ``# hidden: x0 x1 ...`` attaches a hidden
+trace to the preceding trajectory, which takes one at most; other ``#`` lines
+are comments. So the loader refuses ``alphabet`` and ``hidden_states`` labels
+that are empty, hold whitespace or start with ``#``. Labels exist only at this
+boundary: the reader encodes each line into one label -> code map by the rule of
+:func:`chainmix.sim.encode`, and the writer decodes each line at once. The
+reader takes bytes: a line of one-byte labels in the writer's shape is sliced and
+translated to codes; every other line is decoded, stripped and split, to the
+same codes.
 """
 
 from __future__ import annotations
@@ -192,26 +194,71 @@ def load_partition(path) -> Partition:
     return _partition(raw["cells"], "cells", str(path))
 
 
-def _one_char_labels(line: str) -> str | None:
-    """The labels of a trajectory line in the shape written for one-character labels
-    (a label at each even offset, a space at each odd one), else None."""
-    body = line.removesuffix("\n")
-    chars = body[::2]
-    return chars if (body[1::2] == " " * (len(body) // 2)
-                     and chars.split() == [chars] and chars[0] != "#") else None
+_READ_BUFFER = 1 << 18   # bytes: a line of 10^4 labels comes from one read, not three joined
+# the bytes a one-byte label cannot be: the ASCII whitespace str.split splits on, and
+# the bytes of longer UTF-8 characters
+_NOT_A_LABEL = b"\t\n\v\f\r\x1c\x1d\x1e\x1f " + bytes(range(0x80, 0x100))
+
+
+class _ByteCodes:
+    """A label -> code map read through ``bytes.translate``: ``known`` lists its
+    one-byte labels, and ``table`` takes each of them to its code."""
+
+    def __init__(self):
+        self.index, self.known, self.table = {}, b"", bytes(256)
+
+    def labels(self, body: bytes) -> tuple[bytes, bytes] | None:
+        """The labels of a line in the writer's shape for one-byte labels (a label at
+        each even offset, a space at each odd one) and those of them not yet in the
+        map, else None."""
+        if body[:1] in (b"", b"#") or body.count(b" ") != len(body) // 2:
+            return None
+        chars = body[::2]
+        new = chars.translate(None, self.known)
+        return (chars, new) if len(new.translate(None, _NOT_A_LABEL)) == len(new) else None
+
+    def encode(self, chars: bytes, new: bytes) -> np.ndarray:
+        """The codes of the labels :meth:`labels` gives; the new ones enter the map by
+        :func:`encode`'s rule."""
+        if new:         # new to the map, or added to it by a line of words
+            encode(new.decode(), self.index)
+        if len(self.index) > 256:           # codes of more than one byte
+            return encode(chars.decode(), self.index)
+        if new:
+            one = {s: c for s, c in self.index.items() if len(s) == 1 and s.isascii()}
+            self.known = "".join(one).encode()
+            self.table = bytes(one.get(chr(b), 0) for b in range(256))
+        return np.frombuffer(chars.translate(self.table), np.uint8)
+
+
+def _lines(fh):
+    r"""The lines of a binary file with their ends removed, split at ``\n``, ``\r\n``
+    and ``\r`` as text mode splits them."""
+    for line in fh:
+        if b"\r" in line:
+            yield from line.splitlines()
+        else:
+            yield line[:-1] if line.endswith(b"\n") else line
 
 
 def read_trajectories(path, index: int | None = None):
-    """The trajectories of a file, or with ``index`` only the one at that position:
-    the lines before it are checked but not encoded, reading stops after it and
-    its ``# hidden:`` line, and an index outside the file reads on only to count.
-    Symbols share one label -> code map, hidden traces another."""
-    found, symbols, states = [], {}, {}   # [codes, hidden codes or None] per kept trajectory
+    """The trajectories of a UTF-8 file, or with ``index`` only the one at that
+    position: the lines before it are checked but not encoded, reading stops after
+    it and its ``# hidden:`` line, and an index outside the file reads on only to
+    count. Symbols share one label -> code map, hidden traces another. A line of
+    one-byte labels in the writer's shape goes from bytes to codes by two
+    ``bytes.translate`` calls; every other line is decoded, stripped and split."""
+    found, symbols, states = [], _ByteCodes(), {}   # [codes, hidden codes or None] per kept one
     n = length = traced = 0               # trajectories so far, the last's length, last traced
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            chars = _one_char_labels(line)
-            if chars is None and (line := line.strip()).startswith("#"):
+    with open(path, "rb", buffering=_READ_BUFFER) as fh:
+        for lineno, line in enumerate(_lines(fh), start=1):
+            shaped = symbols.labels(line)      # (labels, new labels) or None
+            if shaped is None:
+                try:
+                    line = line.decode().strip()
+                except UnicodeDecodeError as exc:
+                    raise ModelFormatError(f"{path}:{lineno}: not UTF-8 ({exc})") from None
+            if shaped is None and line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("hidden:"):
                     if not n:
@@ -227,18 +274,20 @@ def read_trajectories(path, index: int | None = None):
                     traced = n
                     if index in (None, n - 1):
                         found[-1][1] = encode(hidden, states)
-            elif chars is not None or line:
+            elif shaped is not None or line:
                 if index is not None and 0 <= index < n:
                     break
-                words = line.split() if chars is None else chars
+                words = line.split() if shaped is None else shaped[0]
                 n, length = n + 1, len(words)
                 if index in (None, n - 1):
-                    found.append([encode(words, symbols), None])
+                    found.append([encode(words, symbols.index) if shaped is None
+                                  else symbols.encode(*shaped), None])
     if not n:
         raise ModelFormatError(f"{path}: no trajectories found")
     if index is not None and not 0 <= index < n:
         raise ModelFormatError(f"trajectory index {index} out of range (file has {n})")
-    out = [Trajectory(c, h, None, tuple(symbols), tuple(states)) for c, h in found]
+    labels = tuple(symbols.index)
+    out = [Trajectory(c, h, None, labels, tuple(states)) for c, h in found]
     return out if index is None else out[0]
 
 

@@ -130,7 +130,9 @@ def lln_recover(trajectories, cluster_tol: float | None = None,
         common = obs[i] & obs[i + 1:]
         tv = np.where(common, np.abs(est[i + 1:] - est[i]).sum(axis=2), -np.inf)
         near = i + 1 + np.flatnonzero(common.any(axis=1) & (0.5 * tv.max(axis=1) <= cluster_tol))
-        label[np.isin(label, label[near])] = label[i]
+        joined = np.zeros(n, bool)          # the components that trajectory i links to
+        joined[label[near]] = True
+        label[joined[label]] = label[i]
 
     clusters: dict = {}
     for i, c in enumerate(label.tolist()):

@@ -31,6 +31,7 @@ STREAMS_PER_BLOCK = 1024   # trajectories advanced together
 DRAWS_PER_CHUNK = 1 << 17  # uniforms held in memory at once
 _TABLE_ENTRIES = 1 << 14  # (row, bucket tuple) entries of walk's table, 16 B each at m = 4
 _LISTS_BELOW = 4           # fewer automata walk through lists (measured crossover 4-6)
+_DICT_BELOW = 384          # shorter label sequences are encoded by dict (crossover 384-512)
 
 
 @dataclass(frozen=True)
@@ -63,9 +64,12 @@ def encode(labels, index: dict) -> np.ndarray:
     """Codes of ``labels`` under ``index`` (label -> code), in the smallest unsigned
     dtype that fits. The labels a call adds enter ``index`` in sorted order, so a
     label's code does not depend on where it first appears. A ``str`` is read as its
-    characters; labels of one character each are looked up once per code point."""
+    characters. Fewer than ``_DICT_BELOW`` labels are looked up one by one; more,
+    of one character each, once per code point."""
     if not isinstance(labels, str):
         labels = list(labels)
+        if len(labels) < _DICT_BELOW:
+            return _lookup(labels, index)
         try:
             joined = "".join(labels)
         except TypeError:           # not all str
@@ -73,7 +77,12 @@ def encode(labels, index: dict) -> np.ndarray:
         if len(joined) != len(labels) or "" in labels:
             return _lookup(labels, index)
         labels = joined
-    points = np.frombuffer(labels.encode("utf-32-le"), "<u4")
+    return _lookup(labels, index) if len(labels) < _DICT_BELOW else _by_code_point(labels, index)
+
+
+def _by_code_point(chars: str, index: dict) -> np.ndarray:
+    """:func:`encode` of the characters of ``chars`` by one lookup per code point."""
+    points = np.frombuffer(chars.encode("utf-32-le"), "<u4")
     counts = np.bincount(points, minlength=1)
     codes = _lookup(list(map(chr, np.flatnonzero(counts).tolist())), index)  # code-point order
     lut = np.zeros(counts.size, codes.dtype)
@@ -124,10 +133,32 @@ class Trajectory:
         if self.hidden_codes is not None:
             return tuple(map(self.hidden_labels.__getitem__, self.hidden_codes.tolist()))
 
+    @cached_property
+    def transitions(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(used, counts)``: ascending codes, every code that occurs among them, and
+        the integer matrix whose entry ``[i, j]`` counts the positions where code
+        ``used[i]`` is followed by code ``used[j]``. One bincount, made on first read
+        and kept. ``used`` is every code of ``labels`` unless that square has more
+        entries than the trajectory has positions; then it is the codes that occur."""
+        L, codes = len(self.labels), self.codes
+        used = np.arange(L)
+        if L * L > len(codes):
+            used = np.flatnonzero(np.bincount(codes, minlength=L))
+            codes = used.searchsorted(codes)
+        K = len(used)
+        pairs = codes[:-1] * np.min_scalar_type(max(K * K - 1, 0)).type(K)   # no wrap
+        pairs += codes[1:]
+        return used, np.bincount(pairs, minlength=K * K).reshape(K, K)
+
     def observed(self) -> tuple[str, ...]:
-        """The labels that occur in the trajectory, in code order."""
-        counts = np.bincount(self.codes, minlength=len(self.labels)).tolist()
-        return tuple(s for s, c in zip(self.labels, counts) if c)
+        """The labels that occur in the trajectory, in code order: the first one, and
+        every successor counted in :attr:`transitions`."""
+        if not len(self.codes):
+            return ()
+        used, counts = self.transitions
+        seen = counts.any(axis=0)
+        seen[used.searchsorted(self.codes[0])] = True
+        return tuple(map(self.labels.__getitem__, used[seen].tolist()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Trajectory) and (self.symbols, self.hidden, self.source) == (

@@ -6,7 +6,8 @@ cell-keyed variant). The visit at the final position has no successor and is
 not counted, but every symbol, the last one included, must be a row key.
 Finite trajectories yield ragged rows; the fictitious padding
 symbol ``@del`` is a model-level convention only and never appears in rows.
-Both extractors code each position's row key and decode the label rows when read.
+Both extractors decode the label rows only when read. :func:`extract` takes its
+pair counts from the trajectory's own transition counts, made once per trajectory.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from collections import UserDict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -41,23 +43,26 @@ class SuccessorsArray:
 
 
 class _CodedRows(UserDict):
-    """The successors rows of ``t`` keyed by ``keys``, decoded on first read. ``at[p]``
-    is ``key_of[s]`` for the label ``s`` at position ``p``: the index into ``keys``
-    of the row that position's successor joins (a cell's is its index - 1). ``stray``
-    is the first label in ``t`` whose index is out of range, or None."""
+    """The successors rows of ``t`` keyed by ``keys``, decoded on first read.
+    ``key_of[c]`` is the index into ``keys`` of the row that label code ``c`` keys
+    (a cell's is its index - 1). ``stray`` is the first label in ``t`` whose index
+    is out of range, or None: the labels that occur are read off ``t``'s
+    transition counts, and positions are scanned only when one of them is out of range."""
 
     def __init__(self, keys, key_of: np.ndarray, t: Trajectory):
         if len(t) < 2:
             raise ValueError("successors extraction needs a trajectory of length >= 2")
-        self._keys, self._t = keys, t
-        self.at = key_of.astype(np.intp).take(t.codes)   # signed, and wide enough for at * K
+        self._keys, self._key_of, self._t = keys, key_of, t
         outside = (key_of < 0) | (key_of >= len(keys))      # per label, in t or not
-        where = np.flatnonzero(outside.take(t.codes)) if outside.any() else ()
-        self.stray = t.labels[t.codes[where[0]]] if len(where) else None
+        self.stray = None
+        if outside.any() and not set(compress(t.labels, outside.tolist())).isdisjoint(
+                t.observed()):
+            self.stray = t.labels[t.codes[np.flatnonzero(outside.take(t.codes))[0]]]
 
     @cached_property
     def data(self) -> dict:
-        prev, nxt = self.at[:-1], np.array(self._t.labels, dtype=object)[self._t.codes[1:]]
+        prev = self._key_of.astype(np.intp).take(self._t.codes[:-1])
+        nxt = np.array(self._t.labels, dtype=object)[self._t.codes[1:]]
         return {k: tuple(nxt[prev == i].tolist()) for i, k in enumerate(self._keys)}
 
 
@@ -66,14 +71,21 @@ def extract(t: Trajectory, alphabet: Alphabet | None = None) -> SuccessorsArray:
 
     With an explicit alphabet, unvisited symbols get empty rows and every
     symbol, the last one included, must belong to it; otherwise rows exist for
-    exactly the symbols observed in the trajectory.
+    exactly the symbols observed in the trajectory. The pair counts are a
+    ``(K, K)`` gather of :attr:`Trajectory.transitions`; the rows are decoded
+    only when read.
     """
     keys = alphabet.emittable if alphabet is not None else sorted(t.observed())
     K = len(keys)     # labels outside the keys code to K and up
-    rows = _CodedRows(keys, encode(t.labels, {k: i for i, k in enumerate(keys)}), t)
+    key_of = encode(t.labels, {k: i for i, k in enumerate(keys)})
+    rows = _CodedRows(keys, key_of, t)
     if rows.stray is not None:
         raise ValueError(f"trajectory symbol {rows.stray!r} is not in the given alphabet")
-    pairs = np.bincount(rows.at[:-1] * K + rows.at[1:], minlength=K * K).reshape(K, K)
+    used, counts = t.transitions
+    inside = np.flatnonzero(key_of[used] < K)    # the labels outside occur nowhere
+    at = key_of[used[inside]]
+    pairs = np.zeros((K, K), np.intp)
+    pairs[at[:, None], at] = counts[inside[:, None], inside]
     return SuccessorsArray(rows, len(t), pair_counts=pairs)
 
 

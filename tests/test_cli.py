@@ -711,6 +711,21 @@ def test_successors_refuses_a_second_hidden_trace(tmp_path, capsys):
         2, "", f"error: {path}:3: second hidden trace for trajectory 1\n")
 
 
+@pytest.mark.parametrize("argv", [("recover",), ("successors", "--index", "1"),
+                                  ("test-exchangeability", "--index", "2")])
+@pytest.mark.parametrize("line, byte", [(b"a b \xff a", "0xff in position 4"),
+                                        (b"aa \xc3 bb", "0xc3 in position 3")])
+def test_a_trajectory_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, argv, line,
+                                                              byte):
+    # a one-character line and a line of words: both name the file and the line. The
+    # decoder's message used to name neither, with an offset into its read buffer
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"a b a\r\n# note\n" + line + b"\nb a b\n")
+    status, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (status, out) == (2, "")
+    assert err.startswith(f"error: {path}:3: not UTF-8 ('utf-8' codec can't decode byte {byte}")
+
+
 def test_simulate_holds_codes_not_labels(tmp_path, monkeypatch):
     # 200 x 10^4 symbols: one uint8 code array of 2 MB, where label lists took 16 MB
     import sys

@@ -246,10 +246,13 @@ def test_demo_models_script_writes_the_committed_models(tmp_path, capsys):
 # The reader against the reference reader that strips and splits every line
 
 # one-character labels, a later one often of a smaller code point, and
-# whitespace that str.split splits on but a line break does not end
-ONE_CHAR = st.sampled_from(["a", "b", "Z", "é", "€", "#", "%", "\x0c", "\x85", "\u2028"])
-WORD = st.text("ab%é€#Z", min_size=1, max_size=3)
-SEPARATOR = st.sampled_from([" ", " ", " ", "  ", "\t", "\x0c", "\x85", "\u2028"])
+# whitespace that str.split splits on but a line break does not end: ASCII
+# bytes that bytes.split keeps (\x1c-\x1f), and longer characters. \x7f is a label
+ONE_CHAR = st.sampled_from(["a", "b", "Z", "é", "€", "#", "%", "\x7f", "\x0b", "\x0c", "\x1c",
+                            "\x1d", "\x1e", "\x1f", "\x85", "\u2028"])
+WORD = st.text("ab%é€#Z\x7f", min_size=1, max_size=3)
+SEPARATOR = st.sampled_from([" ", " ", " ", "  ", "\t", "\x0c", "\x1c", "\x1f", "\x85",
+                             "\u2028"])
 EDGE = st.sampled_from(["", "", "", " ", "\t", "  "])        # leading or trailing blanks
 END = st.sampled_from(["\n", "\n", "\r\n", "\r"])
 HIDDEN = st.sampled_from(["s0", "s1", "x", "é", "a"])
@@ -258,17 +261,21 @@ HIDDEN_TAG = st.sampled_from(["# hidden: ", "#hidden:", "  # hidden:", "# hidden
 
 @st.composite
 def trajectory_texts(draw):
-    """File texts mixing lines in the writer's shape for one-character labels with
-    lines of any other shape: hidden traces, comments, blank lines, several
-    separators, and every line ending, the last one possibly missing."""
+    """File texts mixing lines in the writer's shape for one-character labels, one
+    trailing space allowed, with lines of any other shape: hidden traces, comments,
+    blank lines, several separators, and every line ending, the last one possibly
+    missing."""
     lines, length = [], 0     # length: tokens of the last trajectory line, for hidden traces
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.sampled_from(["one_char", "one_char", "words", "hidden", "comment",
                                      "blank"]))
         if kind == "one_char":
             line = " ".join(draw(st.lists(ONE_CHAR, min_size=1, max_size=8)))
-            if draw(st.integers(0, 3)) == 0:
+            edge = draw(st.integers(0, 3))
+            if edge == 0:
                 line = draw(EDGE) + line + draw(EDGE)
+            elif edge == 1:
+                line += " "         # the one trailing space the byte path also reads
         elif kind == "words":
             words = draw(st.lists(WORD, min_size=1, max_size=5))
             line = draw(EDGE) + "".join(w + draw(SEPARATOR) for w in words[:-1]) + words[-1]
@@ -310,3 +317,14 @@ def test_reader_equals_the_reference_reader(text, index):
         for i in (None, index):
             assert (_read_outcome(read_trajectories, path, i)
                     == _read_outcome(oracles.reference_read_trajectories, path, i))
+
+
+@pytest.mark.parametrize("words", [254, 255])
+def test_one_character_lines_at_256_labels(tmp_path, words):
+    # a line of ``words`` two-character labels, then two lines of one-character labels
+    # that add 2 and 1: past 256 labels in the map, codes no longer fit a byte
+    path = tmp_path / "t.txt"
+    path.write_text(" ".join(f"{i:02x}" for i in range(words)) + "\na b a\nb c\n")
+    got = _read_outcome(read_trajectories, path, None)
+    assert got == _read_outcome(oracles.reference_read_trajectories, path, None)
+    assert [codes[1] for codes, *_ in got] == ["|u1", "|u1" if words == 254 else "<u2", "<u2"]

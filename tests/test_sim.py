@@ -195,6 +195,25 @@ def test_encode_adds_new_labels_in_sorted_order(labels, index, codes, after):
     assert (got.tolist(), list(index), got.dtype) == (codes, after, np.uint8)
 
 
+@given(st.integers(-2, 1).map(lambda d: sim._DICT_BELOW + d) | st.integers(0, 6),
+       st.lists(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=12, unique=True),
+       st.sampled_from([0, 3, 253, 254, 255, 256]), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_encode_by_dict_equals_encode_by_code_point(length, pool, filler, as_str, data):
+    # each side of the cut-off, either path gives the same codes, dtype and map, from
+    # a map that may already hold some of the labels and may be near a dtype's end
+    labels = data.draw(st.lists(st.sampled_from(pool), min_size=length, max_size=length))
+    held = data.draw(st.lists(st.sampled_from(pool), unique=True))
+    start = {s: i for i, s in enumerate([*held, *(f"m{i}" for i in range(filler))])}
+    outcomes = []
+    for encoder in (sim.encode, sim._lookup, sim._by_code_point):
+        index = dict(start)
+        codes = encoder("".join(labels) if as_str or encoder is sim._by_code_point
+                        else labels, index)
+        outcomes.append((codes.tolist(), codes.dtype, list(index.items())))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
 def test_a_misaligned_hidden_trace_is_refused():
     with pytest.raises(ValueError, match="hidden trace must align"):
         Trajectory(("a", "b"), ("s",))

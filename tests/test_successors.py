@@ -127,6 +127,39 @@ def test_extract_matches_reference(k, codes, explicit, width):
     assert got.pair_counts.tolist() == [[row.count(s) for s in keys] for row in want.rows.values()]
 
 
+NAMES = ("a", "b", "c", "d", "ee", "ff", "g", "hh", "i", "j")
+
+
+@given(st.permutations(NAMES).map(lambda p: p[:len(NAMES) - 2]), st.integers(1, 8),
+       st.lists(st.integers(0, 7), min_size=1, max_size=120),
+       st.none() | st.lists(st.sampled_from(NAMES), min_size=1, unique=True))
+@settings(max_examples=300, deadline=None)
+def test_counts_shared_by_observed_and_extract(labels, used, codes, alphabet):
+    # a file-wide label map: labels the trajectory never shows, others outside the
+    # alphabet, and squares of labels both larger and smaller than the trajectory
+    codes = [c % used for c in codes]
+    t = Trajectory(np.array(codes, np.uint8), labels=labels)
+    symbols = [labels[c] for c in codes]
+    assert t.observed() == tuple(s for s in labels if s in symbols)
+    alphabet = None if alphabet is None else Alphabet.of(alphabet)
+    keys = sorted(set(symbols)) if alphabet is None else list(alphabet.emittable)
+    stray = next((s for s in symbols if s not in keys), None)
+    if len(t) < 2 or stray is not None:
+        with pytest.raises(ValueError) as got:
+            extract(t, alphabet)
+        if len(t) >= 2:
+            assert str(got.value) == f"trajectory symbol {stray!r} is not in the given alphabet"
+        if stray in symbols[:-1]:       # the reference checks every symbol but the last
+            with pytest.raises(ValueError) as want:
+                oracles.reference_extract(t, alphabet)
+            assert str(got.value) == str(want.value)
+        return
+    got, want = extract(t, alphabet), oracles.reference_extract(t, alphabet)
+    assert got == want and list(got.rows) == list(want.rows) == keys
+    pairs = [[sum(p == (a, b) for p in zip(symbols, symbols[1:])) for b in keys] for a in keys]
+    assert got.pair_counts.tolist() == pairs and got.pair_counts.dtype == np.intp
+
+
 @given(st.integers(1, 6), st.lists(st.integers(0, 5), min_size=2, max_size=200),
        st.lists(st.integers(0, 3), min_size=6, max_size=6), st.booleans())
 @settings(max_examples=150, deadline=None)
